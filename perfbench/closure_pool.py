@@ -6,65 +6,52 @@ S, because the suite draws random signatures.  So that every benchmark seed
 audits the same amount of work, the workload only uses CLI seeds whose audit
 builds a number of table rows (rows passed to ``FnTable.from_map``, a
 deterministic count) inside CLOSURE_ROWS and whose peak RSS lies inside
-CLOSURE_RSS_MIB.  This script measures both for a range of CLI seeds, each in
-a child process run like the benchmark's (PYTHONHASHSEED=0: the structures
-the suite draws depend on set iteration order), and prints the seeds inside
-both windows; the result is committed as ``CLOSURE_POOL`` in workloads.py.
+CLOSURE_RSS_MIB.  For each CLI seed this script runs the CLI as the
+benchmark does: once under the tracer, for the row count, and, if that is
+inside the window, once untraced, for the peak RSS.  It prints the seeds
+inside both windows; the result is committed as ``CLOSURE_POOL`` in
+workloads.py.  The rows depend on the order in which ``funlog.gen`` draws,
+so the pool must be chosen again whenever that order changes (the traced
+run of closure-audit reports a mismatch then).
 
-    python3 perfbench/closure_pool.py --first 0 --count 200
+    python3 perfbench/closure_pool.py [CLI-SEED ...]   (default: 0 to 199)
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
-import subprocess
 import sys
+import tempfile
 
 import run
 from workloads import CLOSURE_N, CLOSURE_ROWS, CLOSURE_RSS_MIB
 
-COUNT = """
-import sys
-from funlog import semantics
-from funlog.gen import suite_closure
-rows = 0
-original = semantics.FnTable.from_map.__func__
-def from_map(cls, domain_sorts, codomain_sort, mapping):
-    global rows
-    rows += len(mapping)
-    return original(cls, domain_sorts, codomain_sort, mapping)
-semantics.FnTable.from_map = classmethod(from_map)
-result = suite_closure(int(sys.argv[1]), int(sys.argv[2]))
-print(rows, result.failures)
-"""
-
-
-def measure(cli_seed: int) -> tuple[int, float]:
-    """(table rows built, peak RSS in MiB) of one suite run."""
-    proc = subprocess.Popen([sys.executable, "-c", COUNT, str(CLOSURE_N), str(cli_seed)],
-                            env=run.child_env(), stdout=subprocess.PIPE, text=True)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    rows, failures = map(int, out.split())
-    if proc.returncode or failures:
-        raise SystemExit(f"seed {cli_seed}: exit {proc.returncode}, {failures} failures")
-    return rows, usage.ru_maxrss / 1024
-
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--first", type=int, default=0)
-    ap.add_argument("--count", type=int, default=200)
+    ap.add_argument("seeds", type=int, nargs="*", default=range(200))
     args = ap.parse_args()
+    os.makedirs(run.WORK, exist_ok=True)
     pool = []
-    for s in range(args.first, args.first + args.count):
-        rows, rss = measure(s)
-        inside = (CLOSURE_ROWS[0] <= rows <= CLOSURE_ROWS[1]
-                  and CLOSURE_RSS_MIB[0] <= rss <= CLOSURE_RSS_MIB[1])
-        print(f"{s} {rows} {rss:.2f}{' *' if inside else ''}", flush=True)
-        if inside:
-            pool.append(s)
+    with tempfile.TemporaryDirectory(dir=run.WORK) as tmp:
+        runner = run.Runner("closure-audit", 0, tmp, committed=False)
+        stats = os.path.join(tmp, "stats.json")
+        for s in args.seeds:
+            cli_args = ["fuzz", "closure", "--n", str(CLOSURE_N), "--seed", str(s)]
+            code, _, _, stdout = runner.cli(cli_args, stats)
+            if code or json.loads(stdout)["failures"]:
+                raise SystemExit(f"seed {s}: exit {code}, {stdout}")
+            with open(stats) as fh:
+                rows = json.load(fh)["extras"]["from_map.rows"]
+            rss = None
+            if CLOSURE_ROWS[0] <= rows <= CLOSURE_ROWS[1]:
+                rss = runner.cli(cli_args)[2] / 1024
+            inside = rss is not None and CLOSURE_RSS_MIB[0] <= rss <= CLOSURE_RSS_MIB[1]
+            print(f"{s} {rows} {'-' if rss is None else f'{rss:.2f}'}"
+                  f"{' *' if inside else ''}", flush=True)
+            if inside:
+                pool.append(s)
     print("CLOSURE_POOL =", tuple(pool))
     return 0
 

@@ -24,6 +24,15 @@ sys.path.insert(0, run.SRC)
 
 TIMING = (".self_s", "trace.overhead_s")
 
+# The functions that do most of each workload's work: together they must
+# take over half of the traced pass.
+DOMINANT = {
+    "termmodel-mu": ("henkin.norm",),
+    "check-proof": ("fileio.parse_proof", "calculus.is_tautology"),
+    "closure-audit": ("semantics.check_closure",),
+    "henkin-emit": ("fileio.parse_theory", "henkin.henkin_extend"),
+}
+
 
 def bench(*args: str) -> dict:
     out = subprocess.run([sys.executable, os.path.join(run.HERE, "run.py"), *args],
@@ -81,6 +90,32 @@ def test_traced_counts_repeat_exactly(workload):
                 if not k.endswith(TIMING)}
 
     assert counts(first) == counts(second)
+
+
+def inclusive_s(doc: dict, name: str) -> float:
+    """Time spent inside the outermost calls of a function: from its spans
+    if it keeps them, else its self time."""
+    if name not in tracer.SPANS:
+        return doc["metrics"][f"{name}.self_s"]
+    total = 0.0
+    for inv in doc["spans"]:
+        by_id = {span[0]: span for span in inv["spans"]}
+        for _, parent, span_name, start, end in inv["spans"]:
+            while parent is not None and by_id[parent][2] != name:
+                parent = by_id[parent][1]
+            if span_name == name and parent is None:
+                total += end - start
+    return total
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_dominant_layers_do_most_of_the_work(workload):
+    bench("--workload", workload, "--trace", "1")
+    path = os.path.join(run.WORK, f"trace-{workload}-seed{workloads.DEFAULT_SEED}.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    share = sum(inclusive_s(doc, f) for f in DOMINANT[workload]) / doc["traced_wall_s"]
+    assert share > 0.5, share
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)

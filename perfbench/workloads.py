@@ -45,7 +45,7 @@ F_SHARE = 0.4  # share of f (rather than mu) nodes at sort a
 # CLOSURE_RSS_MIB, so that every benchmark seed audits the same amount of
 # closure work; perfbench/closure_pool.py finds them.
 CLOSURE_ROWS = (2_400_000, 2_600_000)
-CLOSURE_RSS_MIB = (22.8, 23.5)  # as measured by closure_pool.py's child
+CLOSURE_RSS_MIB = (27.3, 27.9)  # peak RSS of the untraced CLI child
 CLOSURE_POOL = (41, 50, 51, 110, 132, 133, 144, 165, 168, 171, 194)
 
 
