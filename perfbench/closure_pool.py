@@ -39,14 +39,14 @@ def main() -> int:
         stats = os.path.join(tmp, "stats.json")
         for s in args.seeds:
             cli_args = ["fuzz", "closure", "--n", str(CLOSURE_N), "--seed", str(s)]
-            code, _, _, stdout = runner.cli(cli_args, stats)
+            code, _, _, _, stdout = runner.cli(cli_args, stats)
             if code or json.loads(stdout)["failures"]:
                 raise SystemExit(f"seed {s}: exit {code}, {stdout}")
             with open(stats) as fh:
                 rows = json.load(fh)["extras"]["from_map.rows"]
             rss = None
             if CLOSURE_ROWS[0] <= rows <= CLOSURE_ROWS[1]:
-                rss = runner.cli(cli_args)[2] / 1024
+                rss = runner.cli(cli_args)[3] / 1024
             inside = rss is not None and CLOSURE_RSS_MIB[0] <= rss <= CLOSURE_RSS_MIB[1]
             print(f"{s} {rows} {'-' if rss is None else f'{rss:.2f}'}"
                   f"{' *' if inside else ''}", flush=True)

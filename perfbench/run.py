@@ -25,18 +25,30 @@ With ``--trace 0`` the run repeats passes over the workload's invocations
 for about ``--seconds`` seconds and reports, over the passes:
 
 * ``wall_s``       median over passes of the summed child wall times,
-                   timed with ``time.perf_counter`` from outside;
-* ``work_per_s``   median over passes of work units / wall time;
+                   timed with ``time.perf_counter`` from outside, in
+                   reference seconds (below);
+* ``work_per_s``   median over passes of work units / ``wall_s``;
 * ``peak_rss_mb``  the largest peak RSS of any one child (``os.wait4``);
-* ``setup_s``      median wall time of fresh CLI processes that do no work
-                   (``fuzz closure --n 0``): SETUP_RUNS before the first
-                   pass and one after every pass.
+* ``setup_s``      median wall time, in reference seconds, of fresh CLI
+                   processes that do no work (``fuzz closure --n 0``):
+                   SETUP_RUNS before the first pass and one after every pass.
 
-The speed of a small shared virtual machine switches between modes up to
-1.5x apart for seconds to minutes at a time, and the fast mode is the rarer
-one.  The median pass follows the common mode; the fastest pass depends on
-whether a run happened to catch a fast phase, and spreads more from run to
-run (on a 2-vCPU KVM guest, 29% against 40% of the median on termmodel-mu).
+Reference seconds.  On a small shared virtual machine (a 2-vCPU Intel Xeon
+KVM guest) the speed of one CPU switches, many times a second, between two
+modes about 1.75x apart, and the share of time in the slow mode drifts over
+minutes, so raw wall times of the same work spread by 30% or more from run
+to run.  The benchmark therefore measures the CPU's speed while each child
+runs: every PROBE_PERIOD_S it times ``probe``, a ~1-ms block of pure-Python
+work (no funlog code), and it takes one probe just before and one just
+after the child.  A child's time in reference seconds is its wall time, less
+the probes' own time, scaled by PROBE_REF_S over the trimmed mean of its
+probes: what it would have taken had the CPU run a probe in PROBE_REF_S
+throughout.  A change to funlog moves it in proportion to the raw wall time;
+a change of the machine's speed cancels out.  The benchmark process and its
+children are pinned to one CPU, so that the probes measure the CPU the child
+runs on; the probes preempt the child for about 2% of its time.  The raw
+times are logged to standard error, and the traced run reports the raw wall
+time of its untraced pass as ``untraced.wall_s``.
 
 With ``--trace 1`` it makes one untraced pass and one traced pass, where each
 child runs the CLI under tracer.py, and reports per-layer call counts, self
@@ -59,6 +71,7 @@ import argparse
 import json
 import os
 import platform
+import select
 import shutil
 import signal
 import statistics
@@ -79,6 +92,12 @@ from tracer import TARGETS  # noqa: E402
 
 SETUP_RUNS = 7
 MIN_PASSES = 2
+# The speed probe: its size in tree nodes, how often it runs while a child
+# runs, and its time on the machine the benchmark was tuned on (2-vCPU Intel
+# Xeon KVM guest, Python 3.11), the speed that reference seconds refer to.
+PROBE_NODES = 400
+PROBE_PERIOD_S = 0.05
+PROBE_REF_S = 0.0008
 SETUP_ARGS = ["fuzz", "closure", "--n", "0", "--seed", "0"]
 
 END_TO_END = (
@@ -106,6 +125,7 @@ PER_LAYER = tuple(
         ("fileio.bytes_in", "bytes", "lower"),
         ("fileio.bytes_out", "bytes", "lower"),
         ("trace.overhead_s", "s", "lower"),
+        ("untraced.wall_s", "s", "lower"),
         ("mismatch_ratio", "ratio", "lower"),
     ])
 
@@ -130,6 +150,49 @@ LAYER_MAP = {
     "fileio.print_theory": ["wall_s@henkin-emit"],
     "gen.*": ["wall_s@closure-audit (data generation, not kernel work)"],
 }
+
+
+class _Node:
+    __slots__ = ("op", "args", "key")
+
+    def __init__(self, op, args):
+        self.op, self.args = op, args
+        self.key = hash((op, args))
+
+
+def _tree(n: int, seen: dict) -> _Node:
+    if n <= 1:
+        return _Node("x", ())
+    k = n // 2
+    node = _Node("f" if n & 1 else "g", (_tree(k, seen), _tree(n - 1 - k, seen)))
+    seen[node.key] = seen.get(node.key, 0) + 1
+    return node
+
+
+def _size(node: _Node) -> int:
+    return 1 + sum(_size(a) for a in node.args)
+
+
+def probe() -> float:
+    """Wall time of a fixed block of pure-Python work of the kind funlog
+    does (small objects, hashing, recursion, dicts, strings)."""
+    t0 = time.perf_counter()
+    seen: dict = {}
+    _size(_tree(PROBE_NODES, seen))
+    "".join(sorted(str(k) for k in seen))
+    return time.perf_counter() - t0
+
+
+def speed(samples: list[float]) -> float:
+    """Mean probe time, without the highest and lowest 5% (a probe that an
+    interrupt or a page fault stretched)."""
+    k = len(samples) // 20
+    return statistics.fmean(sorted(samples)[k:len(samples) - k])
+
+
+def pin_to_one_cpu() -> None:
+    """Run this process, and so every child it starts, on one CPU."""
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
 def child_env() -> dict:
@@ -175,23 +238,32 @@ class Runner:
         return json.loads(out.stdout)
 
     def spawn(self, argv: list[str]):
-        """Run one child to completion: (exit code, wall s, peak RSS KiB,
-        stdout)."""
+        """Run one child to completion, probing the machine's speed while it
+        runs: (exit code, wall s, reference s, peak RSS KiB, stdout)."""
         out_path = os.path.join(self.dir, "stdout")
+        samples = [probe()]
         with open(out_path, "w") as out, open(os.path.join(self.dir, "stderr"), "w") as err:
             t0 = time.perf_counter()
             proc = subprocess.Popen(argv, cwd=self.dir, env=self.env,
                                     stdin=subprocess.DEVNULL, stdout=out, stderr=err)
             try:
+                fd = os.pidfd_open(proc.pid)
+                try:  # readable once the child has exited
+                    while not select.select([fd], [], [], PROBE_PERIOD_S)[0]:
+                        samples.append(probe())
+                finally:
+                    os.close(fd)
                 _, status, usage = os.wait4(proc.pid, 0)
             except BaseException:  # interrupted: leave no child behind
                 proc.kill()
                 proc.wait()
                 raise
-            wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0 - sum(samples[1:])
+        samples.append(probe())
         proc.returncode = os.waitstatus_to_exitcode(status)
         with open(out_path) as fh:
-            return proc.returncode, wall, usage.ru_maxrss, fh.read()
+            return (proc.returncode, wall, wall * PROBE_REF_S / speed(samples),
+                    usage.ru_maxrss, fh.read())
 
     def cli(self, args: list[str], stats: str | None = None):
         if stats is None:
@@ -201,9 +273,10 @@ class Runner:
                     "--", "--json", *args]
         return self.spawn(argv)
 
-    def setup_time(self) -> float:
-        """Wall time of one fresh CLI process that does no work."""
-        code, wall, _, stdout = self.cli(SETUP_ARGS)
+    def setup_time(self) -> tuple[float, float]:
+        """Wall time and reference time of one fresh CLI process that does
+        no work."""
+        code, wall, ref, _, stdout = self.cli(SETUP_ARGS)
         self.attempted += 1
         try:
             rep = json.loads(stdout)
@@ -211,13 +284,13 @@ class Runner:
             rep = {}
         if code or rep.get("verdict") != "ok" or rep.get("cases") != 0:
             self.failures.append(f"setup run: exit {code}")
-        return wall
+        return wall, ref
 
     def one_pass(self, traced: bool = False) -> dict:
         """Run every invocation of the workload once; return the summed wall
-        time, the work units, the largest peak RSS and, if traced, the list
-        of tracer stats files."""
-        wall = units = rss = 0
+        and reference times, the work units, the largest peak RSS and, if
+        traced, the list of tracer stats files."""
+        wall = ref = units = rss = 0
         stats_files = []
         for inv in self.invocations:
             if inv.out and os.path.exists(os.path.join(self.dir, inv.out)):
@@ -226,7 +299,7 @@ class Runner:
             if traced:
                 stats = os.path.join(self.dir, f"stats-{len(stats_files)}.json")
                 stats_files.append(stats)
-            code, secs, maxrss, stdout = self.cli(inv.args, stats)
+            code, secs, ref_secs, maxrss, stdout = self.cli(inv.args, stats)
             self.attempted += 1
             result = workloads.result_of(inv, code, stdout, self.dir)
             self.results[inv.name] = result
@@ -235,17 +308,18 @@ class Runner:
             if why:
                 self.failures.append(why)
             wall += secs
+            ref += ref_secs
             units += workloads.units(inv, self.meta, result["stable"])
             rss = max(rss, maxrss)
-        return {"wall_s": wall, "units": units, "rss_kib": rss,
+        return {"wall_s": wall, "ref_s": ref, "units": units, "rss_kib": rss,
                 "stats": stats_files}
 
 
 def measure(runner: Runner, seconds: float):
     """At least MIN_PASSES passes, and more until ``seconds`` have elapsed
     (the last pass may overrun), each followed by one set-up run.  Returns
-    the end-to-end metrics and, for the log, the pass and set-up wall
-    times."""
+    the end-to-end metrics and, for the log, the raw and reference times of
+    the passes and set-up runs."""
     runner.setup_time()  # untimed warm-up, which writes the bytecode caches
     setup = [runner.setup_time() for _ in range(SETUP_RUNS)]
     passes = []
@@ -254,12 +328,15 @@ def measure(runner: Runner, seconds: float):
         passes.append(runner.one_pass())
         setup.append(runner.setup_time())
     return {
-        "wall_s": (statistics.median(p["wall_s"] for p in passes), "s"),
-        "work_per_s": (statistics.median(p["units"] / p["wall_s"] for p in passes),
+        "wall_s": (statistics.median(p["ref_s"] for p in passes), "s"),
+        "work_per_s": (statistics.median(p["units"] / p["ref_s"] for p in passes),
                        "units/s"),
         "peak_rss_mb": (max(p["rss_kib"] for p in passes) / 1024, "MiB"),
-        "setup_s": (statistics.median(setup), "s"),
-    }, [round(p["wall_s"], 3) for p in passes], [round(t, 3) for t in setup]
+        "setup_s": (statistics.median(ref for _, ref in setup), "s"),
+    }, {"pass_wall_s": [round(p["wall_s"], 3) for p in passes],
+        "pass_ref_s": [round(p["ref_s"], 3) for p in passes],
+        "setup_wall_s": [round(t, 3) for t, _ in setup],
+        "setup_ref_s": [round(r, 3) for _, r in setup]}
 
 
 def ratio(num: float, den: float) -> float:
@@ -309,6 +386,7 @@ def traced(runner: Runner) -> tuple[dict, dict]:
     m["fileio.bytes_in"] = ex["bytes_in"]
     m["fileio.bytes_out"] = ex["bytes_out"]
     m["trace.overhead_s"] = pass_["wall_s"] - plain["wall_s"]
+    m["untraced.wall_s"] = plain["wall_s"]  # raw seconds, not scaled
     m["mismatch_ratio"] = ratio(len(runner.failures), runner.attempted)
     doc = {"workload": runner.workload, "seed": runner.seed,
            "python": platform.python_version(), "cores": os.cpu_count(),
@@ -332,6 +410,7 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(SRC, "funlog", "cli.py")):
         print(f"error: no funlog sources under {SRC}", file=sys.stderr)
         return 2
+    pin_to_one_cpu()
     os.makedirs(WORK, exist_ok=True)
     run_dir = tempfile.mkdtemp(prefix=f"run-{args.workload}-", dir=WORK)
     try:
@@ -342,9 +421,9 @@ def main(argv=None) -> int:
             with open(path, "w") as fh:
                 json.dump(doc, fh)
         else:
-            metrics, passes, setup = measure(runner, args.seconds)
-            print(f"{args.workload} seed {args.seed}: pass wall times {passes}, "
-                  f"setup times {setup}", file=sys.stderr)
+            metrics, raw = measure(runner, args.seconds)
+            print(f"{args.workload} seed {args.seed}: {json.dumps(raw)}",
+                  file=sys.stderr)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     for why in runner.failures[:10]:

@@ -22,7 +22,7 @@ import workloads
 
 sys.path.insert(0, run.SRC)
 
-TIMING = (".self_s", "trace.overhead_s")
+TIMING = (".self_s", "trace.overhead_s", "untraced.wall_s")
 
 # The functions that do most of each workload's work: together they must
 # take over half of the traced pass.

@@ -6,8 +6,8 @@ keeps the workload's size class: the same expression node count, the same
 tautology atom counts, the same enumeration depth and the same ``--n``.
 Only which concrete tables, constants, literals, expressions and
 closure-suite seeds are drawn changes with the seed.  Where a draw's cost
-still varies a lot (the long proof, the closure suite), draws are restricted
-to fixed windows of deterministic work counts.
+still varies a lot (the mu tables, the long proof, the closure suite),
+draws are restricted to fixed windows of deterministic work counts.
 """
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ MIN_Z_OCCURRENCES = 3    # free occurrences of z in that expression
 MIN_MU_BINDERS = 2
 PROOF_LINES = (1030, 1070)  # accepted size windows of the long proof
 PROOF_NODES = (200_000, 220_000)  # expression nodes over all steps
+# printed size of the long proof in bytes, which sets the peak RSS of its
+# check (80-89 MiB over 1.41-1.81 MB)
+PROOF_BYTES = (1_500_000, 1_650_000)
 TRUTH_TABLE = (1_500_000, 2_000_000)  # see truth_table_visits
 TAUT_ATOMS = (12, 14, 16)
 # Witness constants of the toy signature at HENKIN_LEVELS/HENKIN_DEPTH; they
@@ -67,12 +70,19 @@ class Invocation:
 
 def mu_structure_text(seed: int) -> str:
     """The `mu` toy over {0,1} with ca=0 and cb=1 (so every element stays
-    named); the seed redraws the tables of f and mu."""
+    named); the seed redraws the tables of f and mu.
+
+    mu always sends the two constant predicates to different elements.  At
+    depth 5 the 32 such tables make 8171-8701 oracle decisions; of the other
+    32, those that send both to 0 make ~7000 and those that send both to 1
+    ~9800, so a free draw would change the work by up to 40% with the seed."""
     rng = random.Random(f"termmodel-mu/{seed}")
     f_rows = ", ".join(f"({x}) -> {rng.choice('01')}" for x in "01")
     preds = [(p, q) for p in "01" for q in "01"]
-    mu_rows = ", ".join(f"({{0->{p},1->{q}}}) -> {rng.choice('01')}"
-                        for p, q in preds)
+    values = [rng.choice("01") for _ in preds[:-1]]
+    values.append("1" if values[0] == "0" else "0")
+    mu_rows = ", ".join(f"({{0->{p},1->{q}}}) -> {v}"
+                        for (p, q), v in zip(preds, values))
     return (MU_HEADER + "carrier a = 0,1\ninterp ca = 0\ninterp cb = 1\n"
             f"interp f {{ {f_rows} }}\ninterp mu {{ {mu_rows} }}\n")
 
@@ -136,7 +146,8 @@ def _long_proof(seed: int):
     premise discharged by the deduction transformation.  Draws are retried
     (deterministically) until the expression has enough mu binders and free
     z occurrences and the proof lands in the PROOF_LINES, PROOF_NODES and
-    TRUTH_TABLE windows.  Returns (rng, proof, printed proof)."""
+    TRUTH_TABLE windows and its printed form in the PROOF_BYTES window.
+    Returns (rng, proof, printed proof)."""
     from funlog import fileio
     from funlog.calculus import deduction_transform, derive_equality_rule
     from funlog.syntax import parse_expr, size
@@ -157,9 +168,12 @@ def _long_proof(seed: int):
             continue
         p = deduction_transform(rule)
         nodes = sum(size(line.formula) for line in p.lines)
-        if (PROOF_NODES[0] <= nodes <= PROOF_NODES[1]
+        if not (PROOF_NODES[0] <= nodes <= PROOF_NODES[1]
                 and TRUTH_TABLE[0] <= truth_table_visits(p) <= TRUTH_TABLE[1]):
-            return rng, p, fileio.print_proof(p)
+            continue
+        printed = fileio.print_proof(p)
+        if PROOF_BYTES[0] <= len(printed) <= PROOF_BYTES[1]:
+            return rng, p, printed
 
 
 def truth_table_visits(p) -> int:
