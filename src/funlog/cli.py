@@ -108,6 +108,10 @@ def cmd_eval(args) -> RunReport:
         rep.extra["value"] = val
     elif args.args:
         point = tuple(args.args.split(","))
+        if len(point) != len(persp) or any(
+                x not in s.carriers[srt] for x, srt in zip(point, val.domain_sorts)):
+            raise UsageError(f"--args {args.args!r} is not a point of the "
+                             f"carriers of perspective {','.join(persp)}")
         rep.extra["value"] = val.apply(point)
     else:
         rep.extra["table"] = {",".join(a): v for a, v in val.rows}

@@ -208,7 +208,10 @@ def parse_structure(text: str) -> Structure:
             elif head == "interp":
                 name, sep, val = tail.partition("=")
                 if not sep:
-                    name, val = tail.split(None, 1)
+                    parts = tail.split(None, 1)
+                    name, val = parts if len(parts) == 2 else (tail, "")
+                if not val.strip():
+                    raise FormatError(f"interp {name.strip()!r} has no value")
                 name = name.strip()
                 spec = sig.opsig(name)
                 if spec is None:

@@ -10,6 +10,7 @@ and the term structure can be compared against the source structure.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import os
@@ -61,6 +62,11 @@ class ThOracle:
 
     def decide(self, phi: Expr) -> str:
         return "provable" if satisfies(self.structure, phi) else "refutable"
+
+    def classify(self, e: Expr) -> str:
+        """The value of a closed expression.  Equal values are exactly the
+        provable equalities, because ``eq_<sort>`` is interpreted as identity."""
+        return evaluate(self.structure, e, ())
 
 
 # --- special constants and saturation ---------------------------------------
@@ -148,8 +154,6 @@ def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure
                 if tbl.apply((w,)) == cur.true_atom:
                     value = w
                     break
-        elif evaluate(cur, phi, ()) != cur.true_atom:
-            value = carrier[0]
         cur.interp[name] = value
     return cur
 
@@ -226,12 +230,31 @@ class TermModelContext:
     norm_cache: dict = field(default_factory=dict)
     _enum_memo: dict = field(default_factory=dict)
     _closed: dict = field(default_factory=dict)
+    _closed_keys: dict = field(default_factory=dict)
+    _least_of_class: dict = field(default_factory=dict)
 
     def closed(self, sort: str) -> list[Expr]:
         if sort not in self._closed:
             self._closed[sort] = enumerate_exprs(
                 self.signature, sort, (), self.size_bound, self._enum_memo)
         return self._closed[sort]
+
+    def closed_keys(self, sort: str) -> list:
+        """order_key of each expression of closed(sort), index for index;
+        the list is ascending."""
+        if sort not in self._closed_keys:
+            self._closed_keys[sort] = [order_key(a) for a in self.closed(sort)]
+        return self._closed_keys[sort]
+
+    def least_of_class(self, sort: str) -> dict:
+        """Oracle class key -> index in closed(sort) of the class's least
+        member; only for oracles with ``classify``."""
+        if sort not in self._least_of_class:
+            least = {}
+            for i, a in enumerate(self.closed(sort)):
+                least.setdefault(self.oracle.classify(a), i)
+            self._least_of_class[sort] = least
+        return self._least_of_class[sort]
 
     def scoped(self, sort: str, scope) -> list[Expr]:
         return enumerate_exprs(self.signature, sort, scope, self.size_bound,
@@ -245,7 +268,14 @@ def order_key(e: Expr):
 def norm(ctx: TermModelContext, e: Expr) -> Expr:
     """The canonical representative of e's provable-equality class: truth
     value for formulas, otherwise the order-least provably equal closed
-    expression within the bound."""
+    expression within the bound.
+
+    Only the closed candidates ordered before e can beat e itself.  An
+    oracle may define ``classify(closed_expr) -> key`` with the contract that
+    two closed expressions of one sort get equal keys iff their equality is
+    provable; the least candidate of e's class is then one dict lookup away.
+    An oracle without ``classify`` gets the definition itself: a linear scan
+    that asks the oracle for each candidate's equality with e in turn."""
     if fv(e):
         raise HenkinError(f"norm of open expression {print_expr(e)}")
     key = print_expr(e)
@@ -261,24 +291,27 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
         ctx.norm_cache[key] = result
         return result
 
-    candidates = list(ctx.closed(e.sort))
-    if size(e) <= ctx.size_bound and e not in candidates:
-        candidates.append(e)
-        candidates.sort(key=order_key)
+    candidates = ctx.closed(e.sort)
+    e_size = size(e)
+    before = bisect.bisect_left(ctx.closed_keys(e.sort), (e_size, key))
     result = None
-    for a in candidates:
-        if a == e:
-            result = a
-            break
-        verdict = ctx.oracle.decide(mk_eq(sig, a, e))
-        if verdict == "undecided":
-            raise OracleUndecided(f"oracle undecided on an equality for {key}")
-        if verdict == "provable":
-            result = a
-            break
+    if hasattr(ctx.oracle, "classify"):
+        i = ctx.least_of_class(e.sort).get(ctx.oracle.classify(e))
+        if i is not None and i < before:
+            result = candidates[i]
+    else:
+        for a in itertools.islice(candidates, before):
+            verdict = ctx.oracle.decide(mk_eq(sig, a, e))
+            if verdict == "undecided":
+                raise OracleUndecided(f"oracle undecided on an equality for {key}")
+            if verdict == "provable":
+                result = a
+                break
     if result is None:
-        raise NoRepresentativeInBound(
-            f"no provably equal expression of size <= {ctx.size_bound} for {key}")
+        if e_size > ctx.size_bound:
+            raise NoRepresentativeInBound(
+                f"no provably equal expression of size <= {ctx.size_bound} for {key}")
+        result = e
     ctx.norm_cache[key] = result
     return result
 

@@ -94,6 +94,19 @@ class TestEval:
         assert main(["eval", files["fls"], "--expr", "f(v0^a)"]) == 2
         assert "perspective" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["z", "0,1", ","])
+    def test_args_not_a_point(self, files, capsys, point):
+        assert main(["eval", files["fls"], "--expr", "f(v0^a)",
+                     "--persp", "v0^a", "--args", point]) == 2
+        assert "not a point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["interp ca", "interp ca =", "interp"])
+    def test_interp_without_value(self, files, capsys, line):
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(TOY_FLS.replace("interp ca = 0", line))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert "line 7" in capsys.readouterr().err
+
 
 class TestSat:
     def test_model(self, files):

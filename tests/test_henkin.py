@@ -4,9 +4,13 @@ import pytest
 
 from funlog.signature import PROP, make_signature
 from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq
-from funlog.subst import fv, gv
+from funlog.subst import fv, gv, substitute
 from funlog.calculus import Theory
-from funlog.semantics import satisfies, satisfies_theory, restrict_structure, check_closure
+from funlog.semantics import (
+    satisfies, satisfies_theory, restrict_structure, check_closure,
+    make_full_structure,
+)
+from funlog.fileio import print_structure
 from funlog.henkin import (
     ThOracle, special_constant, HenkinExtension, henkin_extend,
     saturate_bounded, extend_structure_for_henkin, enumerate_exprs,
@@ -219,3 +223,115 @@ class TestTermStructure:
         assert t1.structure.carriers == t2.structure.carriers
         assert t1.structure.interp == t2.structure.interp
         assert t1.structure.selected == t2.structure.selected
+
+
+class DecideOnly:
+    """ThOracle without classify, so that norm runs the linear scan."""
+
+    def __init__(self, structure):
+        self.decide = ThOracle(structure).decide
+
+
+def _norm_text(ctx, e):
+    try:
+        return print_expr(norm(ctx, e))
+    except NoRepresentativeInBound:
+        return "no representative"
+
+
+def _term_structure_text(ctx):
+    try:
+        return print_structure(build_term_structure(ctx).structure)
+    except NoRepresentativeInBound:
+        return "no representative"
+
+
+def nested_mu_structure():
+    """Element 2 is named only by a nested mu term: mu sends the everywhere
+    false predicate to 1 and the predicate true exactly at 1 to 2."""
+    sig = make_signature(["a"], ["a"], {"ca": "a", "mu": "((a)pi)a"})
+
+    def mu(t):
+        true_at = tuple(x for (x,), v in t.rows if v == "1")
+        return {(): "1", ("1",): "2"}.get(true_at, "0")
+    return make_full_structure(sig, {"a": ("0", "1", "2")}, {"ca": "0", "mu": mu})
+
+
+def mu_structure(sig, mu_values):
+    """The mu toy over {0,1}; mu_values[i] is mu of the predicate whose
+    values on 0 and 1 are the binary digits of i."""
+    def mu(t):
+        return mu_values[int("".join(v for _, v in t.rows), 2)]
+    return make_full_structure(
+        sig, {"a": ("0", "1")},
+        {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0", "mu": mu})
+
+
+class TestClassifyAgainstScan:
+    """The classify lookup and the linear decide scan are two ways to the
+    same norm; the scan is the reference."""
+
+    def assert_same_norms(self, structure, bound):
+        sig = structure.signature
+        fast = TermModelContext(sig, ThOracle(structure), size_bound=bound)
+        scan = TermModelContext(sig, DecideOnly(structure), size_bound=bound)
+        u = ("v0^a",)
+        # closed instances of every open expression, including instances
+        # past the bound (the largest closed term substituted in)
+        fillers = fast.closed("a")[:2] + fast.closed("a")[-1:]
+        for sort in sorted(sig.sorts):
+            for e in fast.closed(sort):
+                assert _norm_text(fast, e) == _norm_text(scan, e)
+            for e in fast.scoped(sort, u):
+                for filler in (fillers if fv(e) else fillers[:1]):
+                    inst = substitute(sig, e, u, [filler])
+                    assert _norm_text(fast, inst) == _norm_text(scan, inst)
+        assert _term_structure_text(TermModelContext(
+            sig, ThOracle(structure), size_bound=bound)) == \
+            _term_structure_text(TermModelContext(
+                sig, DecideOnly(structure), size_bound=bound))
+
+    def test_small_sig(self, small_structure):
+        self.assert_same_norms(small_structure, 4)
+
+    @pytest.mark.parametrize("mu_values", ["0101", "0011", "1110", "0000", "1001"])
+    def test_mu_toy(self, toy_sig, mu_values):
+        self.assert_same_norms(mu_structure(toy_sig, mu_values), 4)
+
+    def test_nested_mu(self):
+        self.assert_same_norms(nested_mu_structure(), 4)
+
+    @pytest.mark.parametrize("oracle_cls", [ThOracle, DecideOnly])
+    def test_unenumerated_expression_keeps_its_place(self, oracle_cls):
+        # the enumeration names the inner binder v1^a; the shadowing variant
+        # is ordered before it, so nothing earlier in its class beats it
+        s = nested_mu_structure()
+        sig = s.signature
+        c = TermModelContext(sig, oracle_cls(s), size_bound=5)
+        shadowing = parse_expr(sig, "mu((v0^a): eq_a(mu((v0^a): bot),v0^a))")
+        canonical = parse_expr(sig, "mu((v0^a): eq_a(mu((v1^a): bot),v0^a))")
+        assert shadowing not in c.closed("a") and canonical in c.closed("a")
+        assert norm(c, shadowing) == shadowing
+        assert norm(c, canonical) == canonical
+
+    @pytest.mark.parametrize("oracle_cls", [ThOracle, DecideOnly])
+    def test_past_the_bound_finds_representative(self, small_sig, small_structure,
+                                                 oracle_cls):
+        c = TermModelContext(small_sig, oracle_cls(small_structure), size_bound=4)
+        e = parse_expr(small_sig, "f(f(f(f(f(ca)))))")
+        assert size(e) > c.size_bound
+        assert norm(c, e) == parse_expr(small_sig, "cb")
+
+    @pytest.mark.parametrize("oracle_cls", [ThOracle, DecideOnly])
+    def test_past_the_bound_without_representative(self, oracle_cls):
+        # g climbs 0 -> 1 -> 2 -> 2; within size 2 only 0 and 1 are named
+        sig = make_signature(["a"], ["a"], {"ca": "a", "g": "(a)a"})
+        s = make_full_structure(sig, {"a": ("0", "1", "2")},
+                                {"ca": "0", "g": {("0",): "1", ("1",): "2",
+                                                  ("2",): "2"}})
+        c = TermModelContext(sig, oracle_cls(s), size_bound=2)
+        with pytest.raises(NoRepresentativeInBound):
+            norm(c, parse_expr(sig, "g(g(ca))"))
+        wider = TermModelContext(sig, oracle_cls(s), size_bound=3)
+        assert norm(wider, parse_expr(sig, "g(g(g(ca)))")) == \
+            parse_expr(sig, "g(g(ca))")
