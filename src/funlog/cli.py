@@ -282,15 +282,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rep = args.fn(args)
     except (UsageError, fileio.FormatError, ExprError, OSError,
             SignatureError, CalculusError, SemanticsError, HenkinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rep.seconds = time.time() - t0
-    rep.emit(args.json)
+    rep.seconds = time.perf_counter() - t0
+    try:
+        rep.emit(args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): drop the rest of the report,
+        # and point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if rep.ok else 1
 
 

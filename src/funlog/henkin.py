@@ -71,22 +71,28 @@ class ThOracle:
 
 # --- special constants and saturation ---------------------------------------
 
-def special_constant(sig: Signature, phi: Expr, x: str) -> tuple[Signature, str, Expr]:
-    """Extend sig by the witness constant of (phi, x) and return it together
-    with the axiom  exists x phi -> phi[x <- c]."""
+def _witness_op(sig: Signature, phi: Expr, x: str) -> tuple[str, OpSig]:
+    """Name and ustype of the witness constant of (phi, x)."""
     xsort = variable_sort(sig, x)
     if xsort is None:
         raise NotSingleFree(f"{x!r} is not a variable")
     if not fv(phi) <= {x}:
         raise NotSingleFree(f"free variables {sorted(fv(phi) - {x})} besides {x!r}")
     digest = hashlib.sha256(f"{print_expr(phi)}|{x}".encode()).hexdigest()[:12]
-    name = f"c_{digest}"
-    new_ops = dict(sig.ops)
-    new_ops[name] = OpSig(xsort)
-    new_sig = Signature(sig.sorts, sig.var_sorts, new_ops)
-    axiom = imp(new_sig, exists(new_sig, x, phi),
-                substitute1(new_sig, phi, x, mk(new_sig, name)))
-    return new_sig, name, axiom
+    return f"c_{digest}", OpSig(xsort)
+
+
+def _witness_axiom(sig: Signature, phi: Expr, x: str, name: str) -> Expr:
+    """exists x phi -> phi[x <- c] for the constant c named name in sig."""
+    return imp(sig, exists(sig, x, phi), substitute1(sig, phi, x, mk(sig, name)))
+
+
+def special_constant(sig: Signature, phi: Expr, x: str) -> tuple[Signature, str, Expr]:
+    """Extend sig by the witness constant of (phi, x) and return it together
+    with the axiom  exists x phi -> phi[x <- c]."""
+    name, spec = _witness_op(sig, phi, x)
+    new_sig = Signature(sig.sorts, sig.var_sorts, {**sig.ops, name: spec})
+    return new_sig, name, _witness_axiom(new_sig, phi, x, name)
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,11 @@ def henkin_extend(theory: Theory, levels: int, size_bound: int | None = None) ->
                 if key not in known:
                     known.add(key)
                     batch.append((phi, x))
-        for phi, x in batch:
-            sig, name, axiom = special_constant(sig, phi, x)
+        ops = [_witness_op(sig, phi, x) for phi, x in batch]
+        sig = Signature(sig.sorts, sig.var_sorts, {**sig.ops, **dict(ops)})
+        for (phi, x), (name, _) in zip(batch, ops):
             constants.append((name, phi, x))
-            axioms.append(axiom)
+            axioms.append(_witness_axiom(sig, phi, x, name))
     return HenkinExtension(Theory(sig, tuple(axioms)), tuple(constants))
 
 

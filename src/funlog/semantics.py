@@ -233,12 +233,18 @@ def _apply_op(s: Structure, op: str, args: tuple) -> str:
 def evaluate(s: Structure, e: Expr, p):
     """Value of e under perspective p: a carrier element for the empty
     perspective, otherwise a function table over the perspective carriers."""
-    sig = s.signature
     p = tuple(p)
+    if not in_class(s.signature, e, p):
+        raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
+    return _evaluate(s, e, p)
+
+
+def _evaluate(s: Structure, e: Expr, p: tuple):
+    """evaluate without the coverage check: e is covered by p, so each body
+    is covered by p extended with its slot's binders."""
+    sig = s.signature
     if e.head not in sig.ops and variable_sort(sig, e.head) is None:
         raise ForeignSignature(f"symbol {e.head!r} not in the structure's signature")
-    if not in_class(sig, e, p):
-        raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
     sorts = perspective_sorts(sig, p)
 
     if not p:
@@ -246,7 +252,7 @@ def evaluate(s: Structure, e: Expr, p):
             return _apply_op(s, e.head, ())
         vals = []
         for binders, body in e.args:
-            vals.append(evaluate(s, body, tuple(binders)))
+            vals.append(_evaluate(s, body, tuple(binders)))
         return _apply_op(s, e.head, tuple(vals))
 
     if not e.args:
@@ -257,7 +263,7 @@ def evaluate(s: Structure, e: Expr, p):
 
     sub = []
     for binders, body in e.args:
-        sub.append((tuple(binders), evaluate(s, body, p + tuple(binders))))
+        sub.append((tuple(binders), _evaluate(s, body, p + tuple(binders))))
     rows = {}
     for xs in itertools.product(*(s.carriers[srt] for srt in sorts)):
         args_v = []

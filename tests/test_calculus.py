@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from funlog.signature import PROP, make_signature, eq_op, variable_sort
+from funlog import calculus
+from funlog.signature import (
+    PROP, CONNECTIVES, make_signature, eq_op, variable_sort,
+)
 from funlog.syntax import (
-    parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, disj, iff,
-    forall, exists, forall_chain,
+    parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
+    iff, forall, exists, forall_chain,
 )
 from funlog.subst import fv, gv, substitute, substitute1
 from funlog.calculus import (
@@ -62,6 +66,129 @@ class TestTautology:
         with pytest.raises(TooManyAtoms):
             is_tautology(phi)
 
+    def test_exactly_twenty_atoms_decided(self, sig):
+        atoms = [parse_expr(sig, f"eq_a(v{i}^a,ca)") for i in range(20)]
+        chain = atoms[0]
+        for a in atoms[1:]:
+            chain = conj(sig, chain, a)
+        assert is_tautology(imp(sig, chain, atoms[-1]))
+        assert not is_tautology(imp(sig, atoms[-1], chain))
+
+    def test_twenty_one_atoms_raise(self, sig):
+        atoms = [parse_expr(sig, f"eq_a(v{i}^a,ca)") for i in range(21)]
+        chain = atoms[0]
+        for a in atoms[1:]:
+            chain = disj(sig, chain, a)
+        with pytest.raises(TooManyAtoms, match="21 atoms"):
+            is_tautology(imp(sig, chain, chain))
+
+    def test_non_formula_is_not_a_tautology(self, sig):
+        assert not is_tautology(parse_expr(sig, "ca"))
+
+
+def truth_table_tautology(phi):
+    """Reference: evaluate phi row by row over every assignment to its
+    maximal non-connective subformulas (no bound on their number)."""
+    if phi.sort != PROP:
+        return False
+    atoms = []
+
+    def collect(e):
+        if e.head in CONNECTIVES:
+            for _, body in e.args:
+                collect(body)
+        elif e not in atoms:
+            atoms.append(e)
+    collect(phi)
+
+    def ev(e, env):
+        h = e.head
+        if h not in CONNECTIVES:
+            return env[e]
+        bodies = [ev(b, env) for _, b in e.args]
+        if h == "top":
+            return True
+        if h == "bot":
+            return False
+        if h == "not":
+            return not bodies[0]
+        if h == "imp":
+            return (not bodies[0]) or bodies[1]
+        if h == "and":
+            return bodies[0] and bodies[1]
+        if h == "or":
+            return bodies[0] or bodies[1]
+        return bodies[0] == bodies[1]  # iff
+
+    return all(ev(phi, dict(zip(atoms, values)))
+               for values in itertools.product((False, True), repeat=len(atoms)))
+
+
+ATOM_TEXTS = (
+    "P(ca)", "P(cb)", "P(f(ca))", "eq_a(ca,cb)", "eq_a(f(v0^a),cb)",
+    "forall v0^a. P(v0^a)", "forall v1^a. P(v1^a)", "exists v0^a. P(v0^a)",
+    "forall v0^a. imp(P(v0^a),P(f(v0^a)))",
+)
+
+
+def rand_connective_formula(sig, rng, atoms, depth):
+    """A random formula over the given atoms (repeats likely) built from
+    every connective; with no atoms it is built from top and bot alone."""
+    if depth <= 0 or rng.random() < 0.2:
+        if atoms and rng.random() < 0.8:
+            return rng.choice(atoms)
+        return rng.choice((top, bot))(sig)
+    h = rng.choice(("not", "imp", "and", "or", "iff"))
+    a = rand_connective_formula(sig, rng, atoms, depth - 1)
+    if h == "not":
+        return neg(sig, a)
+    b = rand_connective_formula(sig, rng, atoms, depth - 1)
+    return {"imp": imp, "and": conj, "or": disj, "iff": iff}[h](sig, a, b)
+
+
+class TestTautologyAgainstTruthTable:
+    """The bit-parallel check and the row-by-row truth table are two ways to
+    the same verdict; the truth table is the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_connective_formulas(self, sig, seed):
+        rng = random.Random(seed)
+        pool = [parse_expr(sig, t) for t in ATOM_TEXTS]
+        verdicts = set()
+        for _ in range(400):
+            atoms = rng.sample(pool, rng.randint(0, 5))
+            phi = rand_connective_formula(sig, rng, atoms, rng.randint(0, 5))
+            verdict = is_tautology(phi)
+            assert verdict == truth_table_tautology(phi), print_expr(phi)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_formulas(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(20):
+            s = rand_signature(rng)
+            for _ in range(20):
+                phi = rand_expr(s, rng, PROP, rng.randint(0, 4))
+                phi = imp(s, phi, disj(s, phi, rand_expr(s, rng, PROP, 2)))
+                assert is_tautology(phi) and truth_table_tautology(phi)
+                psi = rand_expr(s, rng, PROP, rng.randint(0, 4))
+                assert is_tautology(psi) == truth_table_tautology(psi)
+
+    def test_constant_formulas(self, sig):
+        t, f = top(sig), bot(sig)
+        for phi in (t, f, neg(sig, f), imp(sig, f, f), iff(sig, t, f),
+                    conj(sig, t, neg(sig, t)), disj(sig, f, neg(sig, f))):
+            assert is_tautology(phi) == truth_table_tautology(phi)
+
+    def test_atom_masks(self):
+        n = 5
+        rows = 1 << n
+        for i in range(n):
+            m = calculus._atom_mask(i, rows)
+            assert [(m >> j) & 1 for j in range(rows)] == \
+                [(j >> i) & 1 for j in range(rows)]
+
 
 class TestAxiomInstances:
     def test_forall_elim(self, sig):
@@ -69,6 +196,24 @@ class TestAxiomInstances:
         a = parse_expr(sig, "f(ca)")
         phi = imp(sig, forall(sig, "v0^a", body), substitute1(sig, body, "v0^a", a))
         assert check_axiom_instance(sig, ForallElim("v0^a", a), phi)
+
+    def test_kernel_bug_is_not_a_rejection(self, sig, monkeypatch):
+        body = parse_expr(sig, "P(v0^a)")
+        a = parse_expr(sig, "f(ca)")
+        phi = imp(sig, forall(sig, "v0^a", body), substitute1(sig, body, "v0^a", a))
+
+        def broken(*args):
+            raise RuntimeError("kernel bug")
+        monkeypatch.setattr(calculus, "substitute1", broken)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            check_axiom_instance(sig, ForallElim("v0^a", a), phi)
+
+    def test_ill_formed_justification_rejected(self, sig):
+        # the cited context puts a formula in f's term slot: mk raises a
+        # SortMismatch, which is a rejection, not an error
+        p = parse_expr(sig, "P(ca)")
+        just = EqCongr("f", 0, (), (), (), p, p, (), ())
+        assert not check_axiom_instance(sig, just, imp(sig, p, p))
 
     def test_forall_elim_capture_rejected(self, sig):
         # a's free variable would be captured inside the mu binder

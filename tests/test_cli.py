@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +72,27 @@ class TestCheck:
 
     def test_missing_file(self, files):
         assert main(["check", files["flt"], "/nonexistent.flp"]) == 2
+
+    @pytest.mark.parametrize("proof, code", [(TOY_FLP, 0), ("1. bot ; taut\n", 1)],
+                             ids=["ok", "failed"])
+    def test_closed_stdout_is_not_a_traceback(self, files, proof, code):
+        # `funlog check ... | head` where head has already exited: stdout is
+        # a pipe with no reader before the report is written
+        flp = files["dir"] / "p.flp"
+        flp.write_text(proof)
+        src = os.path.dirname(os.path.dirname(fileio.__file__))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "funlog.cli", "--json", "check",
+                 files["flt"], str(flp)],
+                stdout=w, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(w)
+        assert run.returncode == code
+        assert run.stderr == ""
 
 
 class TestEval:

@@ -83,6 +83,18 @@ class TestHenkinExtend:
         e2 = henkin_extend(thy, 1, 3)
         assert e1 == e2
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_same_as_one_special_constant_at_a_time(self, small_sig, levels):
+        thy = Theory(small_sig, (parse_expr(small_sig, "eq_a(f(ca),cb)"),))
+        ext = henkin_extend(thy, levels, 3)
+        sig, axioms = thy.signature, list(thy.axioms)
+        for name, phi, x in ext.constants:
+            sig, got, axiom = special_constant(sig, phi, x)
+            assert got == name
+            axioms.append(axiom)
+        assert list(ext.theory.signature.ops.items()) == list(sig.ops.items())
+        assert ext.theory.axioms == tuple(axioms)
+
     def test_extended_structure_models_extension(self, small_sig, small_structure):
         thy = Theory(small_sig, (parse_expr(small_sig, "eq_a(f(ca),cb)"),))
         ext = henkin_extend(thy, 1, 3)

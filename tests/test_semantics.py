@@ -4,7 +4,7 @@ import pytest
 
 from funlog.signature import PROP, make_signature, eq_op, forall_op
 from funlog.syntax import parse_expr, print_expr, ForeignSignature
-from funlog.subst import fv
+from funlog.subst import fv, substitute1
 from funlog.calculus import Theory
 from funlog.semantics import (
     FnTable, Structure, constant_table, projection_table, make_full_structure,
@@ -16,6 +16,7 @@ from funlog.gen import (
     rand_structure_signature, rand_full_structure, rand_expr,
     rand_satisfied_theory, _pool,
 )
+from funlog.henkin import enumerate_exprs
 
 
 class TestFnTable:
@@ -104,6 +105,36 @@ class TestEvaluate:
         e = parse_expr(big, "extra")
         with pytest.raises(ForeignSignature):
             evaluate(small_structure, e, ())
+        with pytest.raises(ForeignSignature):
+            evaluate(small_structure, parse_expr(big, "f(f(extra))"), ())
+
+    def test_uncovered_under_binder(self, toy_sig, toy_structure):
+        e = parse_expr(toy_sig, "f(mu((v0^a): eq_a(v0^a,v1^a)))")
+        with pytest.raises(NotInPerspective):
+            evaluate(toy_structure, e, ("v0^a",))
+        assert evaluate(toy_structure, e, ("v1^a",)).apply(("0",)) == "1"
+
+    def test_mu_toy_values(self, toy_sig, toy_structure):
+        # mu picks the first element where its predicate is true, else 1
+        s = toy_structure
+        for text, want in (("mu((v0^a): eq_a(v0^a,cb))", "1"),
+                           ("mu((v0^a): eq_a(v0^a,ca))", "0"),
+                           ("mu((v0^a): bot)", "1"),
+                           ("f(mu((v1^a): eq_a(f(v1^a),cb)))", "1")):
+            assert evaluate(s, parse_expr(toy_sig, text), ()) == want
+
+    def test_mu_toy_open_matches_closed_instances(self, toy_sig, toy_structure):
+        # the value at w under perspective (x,) is the closed value of the
+        # instance with x replaced by the constant naming w
+        s, x = toy_structure, "v0^a"
+        names = {"0": parse_expr(toy_sig, "ca"), "1": parse_expr(toy_sig, "cb")}
+        for sort in ("a", PROP):
+            for e in enumerate_exprs(toy_sig, sort, (x,), 4):
+                table = evaluate(s, e, (x,))
+                for w, c in names.items():
+                    closed = substitute1(toy_sig, e, x, c)
+                    assert table.apply((w,)) == evaluate(s, closed, ()), \
+                        print_expr(e)
 
 
 class TestSatisfies:
