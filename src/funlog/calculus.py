@@ -17,10 +17,11 @@ everything goes back through check_proof in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .signature import (
-    PROP, CONNECTIVES, Signature, SignatureError, forall_op, exists_op, eq_op,
-    variable_sort, fresh_vars,
+    PROP, CONNECTIVES, IFF, IMP, Signature, SignatureError, forall_op,
+    exists_op, eq_op, variable_sort, fresh_vars, sorted_vars,
 )
 from .syntax import (
     Expr, ExprError, mk, var, imp, forall, forall_chain, mk_eq, print_expr,
@@ -231,131 +232,104 @@ def is_tautology(phi: Expr, max_atoms: int = 20) -> bool:
 # --- scheme recognition -----------------------------------------------------
 
 def _split_imp(phi: Expr):
-    if phi.head == "imp":
+    if phi.head == IMP:
         return phi.args[0][1], phi.args[1][1]
     return None
 
 
-def _split_quant(sig: Signature, phi: Expr, which: str):
-    """For a quantifier node return (bound variable, body), else None."""
-    s = None
-    for a in sig.var_sorts:
-        if phi.head == (forall_op(a) if which == "forall" else exists_op(a)):
-            s = a
-            break
-    if s is None:
+def _quantified_body(sig: Signature, phi: Expr, quant, x: str):
+    """The body of phi if phi is ``quant`` over the variable x, else None;
+    quant is forall_op or exists_op."""
+    sort = variable_sort(sig, x)
+    if sort is None or phi.head != quant(sort):
         return None
     (binders, body), = phi.args
-    return binders[0], body
+    return body if binders == (x,) else None
 
 
-def _is_equality(sig: Signature, phi: Expr):
-    """Return (lhs, rhs) if phi is an equality (including the biconditional as
-    formula-sort equality), else None."""
-    if phi.head == "iff":
-        return phi.args[0][1], phi.args[1][1]
-    for a in sig.sorts:
-        if phi.head == eq_op(a):
-            return phi.args[0][1], phi.args[1][1]
-    return None
+def _taut(sig: Signature, just: Taut, phi: Expr) -> bool:
+    return is_tautology(phi)
+
+
+def _instantiation(sig: Signature, just, phi: Expr, quant, side: int) -> bool:
+    """ForallElim (side 0): forall x B -> B[x<-a].  ExistsIntro (side 1):
+    B[x<-a] -> exists x B.  side is the index of the quantified formula;
+    a must be substitutable for x in B (an a of another sort than x makes
+    substitute1 raise SortClash: a rejection)."""
+    split = _split_imp(phi)
+    if split is None:
+        return False
+    body = _quantified_body(sig, split[side], quant, just.x)
+    return (body is not None and substitutable(sig, just.a, just.x, body)
+            and split[1 - side] == substitute1(sig, body, just.x, just.a))
+
+
+def _distribution(sig: Signature, just, phi: Expr, quant, side: int) -> bool:
+    """ForallImpDist (side 0): forall x (psi -> chi) -> (psi -> forall x chi).
+    ExistsImpDist (side 1): forall x (chi -> psi) -> (exists x chi -> psi).
+    side is the index of psi in both implications; x must not be free in psi."""
+    split = _split_imp(phi)
+    if split is None:
+        return False
+    body = _quantified_body(sig, split[0], forall_op, just.x)
+    inner = None if body is None else _split_imp(body)
+    outer = _split_imp(split[1])
+    if inner is None or outer is None:
+        return False
+    psi, chi = inner[side], inner[1 - side]
+    return (just.x not in fv(psi) and outer[side] == psi
+            and _quantified_body(sig, outer[1 - side], quant, just.x) == chi)
+
+
+def _reflexivity(sig: Signature, just: EqRefl, phi: Expr) -> bool:
+    """a = a, the biconditional being equality at the formula sort."""
+    if len(phi.args) != 2:
+        return False
+    lhs, rhs = phi.args[0][1], phi.args[1][1]
+    return phi.head in (IFF, eq_op(lhs.sort)) and lhs == rhs
+
+
+def _congruence(sig: Signature, just: EqCongr, phi: Expr) -> bool:
+    spec = sig.opsig(just.op)
+    if spec is None or not (0 <= just.i < spec.arity):
+        return False
+    if len(set(just.zs)) != len(just.zs):
+        return False
+    if set(just.zs) & (fv(just.b1) | fv(just.b2)):
+        return False
+    bsorts = spec.args[just.i][1]
+    for seq in (just.xs, just.ys, just.zs):
+        if tuple(variable_sort(sig, v) for v in seq) != bsorts:
+            return False
+    lhs = mk(sig, just.op, just.before + ((just.xs, just.b1),) + just.after)
+    rhs = mk(sig, just.op, just.before + ((just.ys, just.b2),) + just.after)
+    inner = mk_eq(sig,
+                  substitute(sig, just.b1, just.xs, [var(sig, z) for z in just.zs]),
+                  substitute(sig, just.b2, just.ys, [var(sig, z) for z in just.zs]))
+    want = imp(sig, forall_chain(sig, just.zs, inner), mk_eq(sig, lhs, rhs))
+    return phi == want
+
+
+# justification type -> recognizer(sig, just, phi) of its axiom scheme
+_SCHEMES = {
+    Taut: _taut,
+    ForallElim: partial(_instantiation, quant=forall_op, side=0),
+    ExistsIntro: partial(_instantiation, quant=exists_op, side=1),
+    ForallImpDist: partial(_distribution, quant=forall_op, side=0),
+    ExistsImpDist: partial(_distribution, quant=exists_op, side=1),
+    EqRefl: _reflexivity,
+    EqCongr: _congruence,
+}
 
 
 def check_axiom_instance(sig: Signature, just, phi: Expr) -> bool:
-    if phi.sort != PROP:
+    recognize = _SCHEMES.get(type(just))
+    if recognize is None or phi.sort != PROP:
         return False
     try:
-        if isinstance(just, Taut):
-            return is_tautology(phi)
-
-        if isinstance(just, ForallElim):
-            split = _split_imp(phi)
-            if split is None:
-                return False
-            lhs, rhs = split
-            q = _split_quant(sig, lhs, "forall")
-            if q is None or q[0] != just.x:
-                return False
-            body = q[1]
-            if variable_sort(sig, just.x) != just.a.sort:
-                return False
-            return (substitutable(sig, just.a, just.x, body)
-                    and rhs == substitute1(sig, body, just.x, just.a))
-
-        if isinstance(just, ExistsIntro):
-            split = _split_imp(phi)
-            if split is None:
-                return False
-            lhs, rhs = split
-            q = _split_quant(sig, rhs, "exists")
-            if q is None or q[0] != just.x:
-                return False
-            body = q[1]
-            if variable_sort(sig, just.x) != just.a.sort:
-                return False
-            return (substitutable(sig, just.a, just.x, body)
-                    and lhs == substitute1(sig, body, just.x, just.a))
-
-        if isinstance(just, ForallImpDist):
-            split = _split_imp(phi)
-            if split is None:
-                return False
-            lhs, rhs = split
-            q = _split_quant(sig, lhs, "forall")
-            if q is None or q[0] != just.x:
-                return False
-            inner = _split_imp(q[1])
-            outer = _split_imp(rhs)
-            if inner is None or outer is None:
-                return False
-            psi, chi = inner
-            if just.x in fv(psi):
-                return False
-            return outer[0] == psi and outer[1] == forall(sig, just.x, chi)
-
-        if isinstance(just, ExistsImpDist):
-            split = _split_imp(phi)
-            if split is None:
-                return False
-            lhs, rhs = split
-            q = _split_quant(sig, lhs, "forall")
-            if q is None or q[0] != just.x:
-                return False
-            inner = _split_imp(q[1])
-            outer = _split_imp(rhs)
-            if inner is None or outer is None:
-                return False
-            body, psi = inner
-            if just.x in fv(psi):
-                return False
-            from .syntax import exists
-            return outer[0] == exists(sig, just.x, body) and outer[1] == psi
-
-        if isinstance(just, EqRefl):
-            pair = _is_equality(sig, phi)
-            return pair is not None and pair[0] == pair[1]
-
-        if isinstance(just, EqCongr):
-            spec = sig.opsig(just.op)
-            if spec is None or not (0 <= just.i < spec.arity):
-                return False
-            if len(set(just.zs)) != len(just.zs):
-                return False
-            if set(just.zs) & (fv(just.b1) | fv(just.b2)):
-                return False
-            bsorts = spec.args[just.i][1]
-            for seq in (just.xs, just.ys, just.zs):
-                if tuple(variable_sort(sig, v) for v in seq) != bsorts:
-                    return False
-            lhs = mk(sig, just.op, just.before + ((just.xs, just.b1),) + just.after)
-            rhs = mk(sig, just.op, just.before + ((just.ys, just.b2),) + just.after)
-            inner = mk_eq(sig,
-                          substitute(sig, just.b1, just.xs, [var(sig, z) for z in just.zs]),
-                          substitute(sig, just.b2, just.ys, [var(sig, z) for z in just.zs]))
-            want = imp(sig, forall_chain(sig, just.zs, inner), mk_eq(sig, lhs, rhs))
-            return phi == want
+        return recognize(sig, just, phi)
     except (ExprError, SignatureError, SortClash):
         return False
-    return False
 
 
 def check_proof(p: Proof) -> CheckResult:
@@ -642,14 +616,6 @@ def derive_equality_theorem(theory: Theory, e: Expr, z: str, r: Expr, s: Expr,
     b = ProofBuilder(theory)
     _eq_theorem(b, e, z, r, s, ys)
     return b.proof()
-
-
-def sorted_vars(sig: Signature, names) -> tuple[str, ...]:
-    import re
-    def key(n):
-        m = re.match(r"^v(\d+)\^(\w+)$", n)
-        return (m.group(2), int(m.group(1)))
-    return tuple(sorted(names, key=key))
 
 
 def derive_equality_rule(theory: Theory, e: Expr, z: str, r: Expr, s: Expr) -> Proof:

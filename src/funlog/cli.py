@@ -18,11 +18,10 @@ from .signature import PROP, SignatureError, fresh_vars
 from .syntax import ExprError, parse_expr, print_expr
 from .subst import fv
 from .calculus import CalculusError, check_proof, used_axioms
-from .semantics import SemanticsError, evaluate, satisfies, satisfies_theory
+from .semantics import SemanticsError, evaluate, satisfies
 from .henkin import (
     HenkinError, ThOracle, TermModelContext, build_term_structure,
-    check_cm_expr, check_ded_sat, henkin_extend, extend_structure_for_henkin,
-    default_size_bound,
+    check_cm_expr, check_ded_sat, henkin_extend, DEFAULT_SIZE_BOUND,
 )
 from .gen import SUITES
 
@@ -151,14 +150,13 @@ def cmd_fuzz(args) -> RunReport:
 def cmd_henkin(args) -> RunReport:
     rep = RunReport("henkin")
     theory = _load_theory(args.theory)
-    depth = args.depth if args.depth is not None else default_size_bound()
-    ext = henkin_extend(theory, args.levels, depth)
+    ext = henkin_extend(theory, args.levels, args.depth)
     out = args.out or os.path.splitext(args.theory)[0] + ".henkin.flt"
     fileio.save(out, fileio.print_theory(ext.theory))
     reparsed = fileio.parse_theory(fileio.print_theory(ext.theory))
     rep.cases = len(ext.constants)
     rep.extra["levels"] = args.levels
-    rep.extra["depth"] = depth
+    rep.extra["depth"] = args.depth
     rep.extra["constants"] = len(ext.constants)
     rep.extra["axioms"] = len(ext.theory.axioms)
     rep.extra["out"] = out
@@ -184,8 +182,7 @@ def cmd_termmodel(args) -> RunReport:
             raise UsageError(
                 f"element-not-named: {unnamed[0]!r} of sort {sort!r} is not "
                 "the value of any constant")
-    depth = args.depth if args.depth is not None else default_size_bound()
-    ctx = TermModelContext(sig, ThOracle(s), size_bound=depth)
+    ctx = TermModelContext(sig, ThOracle(s), size_bound=args.depth)
     tm = build_term_structure(ctx)
 
     failures = 0
@@ -222,7 +219,7 @@ def cmd_termmodel(args) -> RunReport:
     rep.cases = cases
     rep.failures = failures
     rep.detail = detail
-    rep.extra["depth"] = depth
+    rep.extra["depth"] = args.depth
     rep.extra["cm_expr_cases"] = cm_cases
     rep.extra["ded_sat_cases"] = cases - cm_cases
     rep.extra["carriers"] = {srt: len(a) for srt, a in tm.structure.carriers.items()}
@@ -266,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("henkin", help="emit a witness-saturated theory")
     p.add_argument("theory")
     p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_henkin)
 
     p = sub.add_parser("termmodel",
                        help="build and audit the term structure of a model")
     p.add_argument("structure")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_termmodel)
     return ap

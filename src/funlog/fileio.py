@@ -26,7 +26,7 @@ import re
 from .signature import (
     PROP, Signature, make_signature, print_ustype,
 )
-from .syntax import Expr, parse_expr, print_expr
+from .syntax import Expr, ExprError, parse_expr, print_expr
 from .calculus import (
     Theory, Proof, ProofLine, Taut, ForallElim, ExistsIntro, ForallImpDist,
     ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
@@ -245,7 +245,7 @@ def parse_structure(text: str) -> Structure:
                 selected_raw.append(((gamma, dom), frozenset(tables)))
             else:
                 raise FormatError(f"unexpected {head!r}")
-        except FormatError as exc:
+        except (FormatError, RecursionError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
 
     if not selected_raw:
@@ -317,7 +317,7 @@ def parse_theory(text: str) -> Theory:
             raise FormatError(f"line {lineno}: unexpected {head!r}")
         try:
             axioms.append(parse_expr(sig, tail.strip()))
-        except Exception as exc:
+        except (ExprError, RecursionError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return Theory(sig, tuple(axioms))
 
@@ -330,10 +330,6 @@ def print_theory(t: Theory) -> str:
 
 
 # --- proofs -----------------------------------------------------------------
-
-def _arg_expr(e: Expr) -> str:
-    return print_expr(e)
-
 
 def _args_to_json(sig, just) -> str:
     if isinstance(just, (ForallElim, ExistsIntro)):
@@ -373,9 +369,27 @@ def just_to_text(sig: Signature, just) -> str:
     return f"{RULE_NAMES[type(just)]} {_args_to_json(sig, just)}"
 
 
+def _typed(value, kind):
+    """value if it is a kind: str, int, or tuple (read from a JSON list of
+    names); any other shape is a TypeError."""
+    if kind is tuple and isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    if type(value) is kind:
+        return value
+    raise TypeError(f"expected {kind.__name__}, got {value!r}")
+
+
 def just_from_text(sig: Signature, text: str):
     keyword, _, tail = text.strip().partition(" ")
     tail = tail.strip()
+    try:
+        return _just_from_args(sig, keyword, tail)
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError is a ValueError
+        raise FormatError(f"bad arguments for {keyword!r}: {exc!r}") from None
+
+
+def _just_from_args(sig: Signature, keyword: str, tail: str):
     if keyword == "taut":
         return Taut()
     if keyword == "eqrefl":
@@ -390,25 +404,22 @@ def just_from_text(sig: Signature, text: str):
     if keyword == "gen":
         frm, x = tail.split()
         return Gen(int(frm) - 1, x)
-    try:
-        d = json.loads(tail) if tail else {}
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad justification arguments: {exc}") from None
+    d = json.loads(tail) if tail else {}
     if keyword == "forall_elim":
-        return ForallElim(d["x"], parse_expr(sig, d["a"]))
+        return ForallElim(_typed(d["x"], str), parse_expr(sig, d["a"]))
     if keyword == "exists_intro":
-        return ExistsIntro(d["x"], parse_expr(sig, d["a"]))
+        return ExistsIntro(_typed(d["x"], str), parse_expr(sig, d["a"]))
     if keyword == "forall_imp_dist":
-        return ForallImpDist(d["x"])
+        return ForallImpDist(_typed(d["x"], str))
     if keyword == "exists_imp_dist":
-        return ExistsImpDist(d["x"])
+        return ExistsImpDist(_typed(d["x"], str))
     if keyword == "eqcongr":
         return EqCongr(
-            d["op"], d["i"],
-            tuple(d["xs"]), tuple(d["ys"]), tuple(d["zs"]),
+            _typed(d["op"], str), _typed(d["i"], int),
+            _typed(d["xs"], tuple), _typed(d["ys"], tuple), _typed(d["zs"], tuple),
             parse_expr(sig, d["b1"]), parse_expr(sig, d["b2"]),
-            tuple((tuple(bs), parse_expr(sig, b)) for bs, b in d["before"]),
-            tuple((tuple(bs), parse_expr(sig, b)) for bs, b in d["after"]))
+            tuple((_typed(bs, tuple), parse_expr(sig, b)) for bs, b in d["before"]),
+            tuple((_typed(bs, tuple), parse_expr(sig, b)) for bs, b in d["after"]))
     raise FormatError(f"unknown rule {keyword!r}")
 
 
@@ -423,26 +434,22 @@ def parse_proof(text: str, theory: Theory) -> Proof:
         raw = raw.split("#", 1)[0].strip()
         if not raw:
             continue
-        if raw.startswith("premise "):
-            if lines:
-                raise FormatError(f"line {lineno}: premises must come first")
-            premises.append(parse_expr(sig, raw[len("premise "):]))
-            continue
-        m = _STEP.match(raw)
-        if not m:
-            raise FormatError(f"line {lineno}: expected '<n>. <formula> ; <rule>'")
-        n, formula_text, just_text = m.groups()
-        if int(n) != len(lines) + 1:
-            raise FormatError(f"line {lineno}: step numbered {n}, "
-                              f"expected {len(lines) + 1}")
         try:
+            if raw.startswith("premise "):
+                if lines:
+                    raise FormatError("premises must come first")
+                premises.append(parse_expr(sig, raw[len("premise "):]))
+                continue
+            m = _STEP.match(raw)
+            if not m:
+                raise FormatError("expected '<n>. <formula> ; <rule>'")
+            n, formula_text, just_text = m.groups()
+            if int(n) != len(lines) + 1:
+                raise FormatError(f"step numbered {n}, expected {len(lines) + 1}")
             formula = parse_expr(sig, formula_text)
-            just = just_from_text(sig, just_text)
-        except FormatError:
-            raise
-        except Exception as exc:
+            lines.append(ProofLine(formula, just_from_text(sig, just_text)))
+        except (FormatError, ExprError, RecursionError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-        lines.append(ProofLine(formula, just))
     return Proof(theory, tuple(premises), tuple(lines))
 
 
@@ -453,16 +460,6 @@ def print_proof(p: Proof) -> str:
         out.append(f"{i + 1}. {print_expr(line.formula)} ; "
                    f"{just_to_text(sig, line.justification)}")
     return "\n".join(out) + "\n"
-
-
-def load(path: str, kind: str):
-    with open(path) as fh:
-        text = fh.read()
-    if kind == "structure":
-        return parse_structure(text)
-    if kind == "theory":
-        return parse_theory(text)
-    raise ValueError(kind)
 
 
 def save(path: str, text: str):

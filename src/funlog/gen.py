@@ -19,7 +19,9 @@ from .calculus import (
     Theory, Proof, ProofBuilder, Premise, NonlogicalAxiom, EqRefl, Taut,
     ForallElim, ExistsIntro, check_proof, is_tautology, TooManyAtoms,
 )
-from .semantics import Structure, make_full_structure, evaluate, satisfies
+from .semantics import (
+    SemanticsError, Structure, make_full_structure, evaluate, satisfies,
+)
 
 
 VAR_POOL = 6
@@ -87,10 +89,6 @@ def rand_expr(sig: Signature, rng: random.Random, sort: str, depth: int,
         body = rand_expr(sig, rng, arg_sort, depth - 1, scope + tuple(binders))
         args.append((tuple(binders), body))
     return mk(sig, name, args)
-
-
-def all_vars(e: Expr) -> frozenset[str]:
-    return fv(e) | gv(e)
 
 
 # --- substitution-law cases -------------------------------------------------
@@ -252,7 +250,7 @@ def rand_satisfied_theory(rng: random.Random, s: Structure,
         try:
             if satisfies(s, phi):
                 axioms.append(phi)
-        except Exception:
+        except SemanticsError:
             continue
     return Theory(sig, tuple(axioms))
 
@@ -321,34 +319,6 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
     if not b.lines:
         b.taut(parse_expr(sig, "imp(top,top)"))
     return b.proof()
-
-
-# --- shrinking --------------------------------------------------------------
-
-def subexprs_of_sort(e: Expr, sort: str):
-    if e.sort == sort:
-        yield e
-    for _, body in e.args:
-        yield from subexprs_of_sort(body, sort)
-
-
-def shrink_expr(sig: Signature, e: Expr, still_fails) -> Expr:
-    """Greedy shrinking: repeatedly replace the expression by one of its own
-    sort-matching proper subexpressions while the failure persists."""
-    changed = True
-    while changed:
-        changed = False
-        for cand in subexprs_of_sort(e, e.sort):
-            if cand == e:
-                continue
-            try:
-                if still_fails(cand):
-                    e = cand
-                    changed = True
-                    break
-            except Exception:
-                continue
-    return e
 
 
 # --- fuzz suites ------------------------------------------------------------

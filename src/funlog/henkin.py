@@ -13,17 +13,16 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass, field
 
 from .signature import (
-    PROP, Signature, OpSig, fresh_vars, variable_sort, eq_op,
+    PROP, Signature, OpSig, fresh_vars, sorted_vars, variable_sort, eq_op,
 )
 from .syntax import (
     Expr, mk, var, top, bot, imp, exists, mk_eq, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
-from .calculus import Theory, OracleUndecided, sorted_vars
+from .calculus import Theory, OracleUndecided
 from .semantics import (
     Structure, FnTable, evaluate, satisfies, _fill_distinguished,
 )
@@ -45,10 +44,7 @@ class OracleInconsistent(HenkinError):
     pass
 
 
-def default_size_bound() -> int:
-    """Expression-size cutoff (node count) for bounded enumerations; the
-    FLC_DEPTH_DEFAULT environment variable overrides it."""
-    return int(os.environ.get("FLC_DEPTH_DEFAULT", "6"))
+DEFAULT_SIZE_BOUND = 6  # expression-size cutoff (node count) for bounded enumerations
 
 
 # --- oracles ----------------------------------------------------------------
@@ -101,12 +97,11 @@ class HenkinExtension:
     constants: tuple[tuple[str, Expr, str], ...]  # (constant name, phi, x)
 
 
-def henkin_extend(theory: Theory, levels: int, size_bound: int | None = None) -> HenkinExtension:
+def henkin_extend(theory: Theory, levels: int,
+                  size_bound: int = DEFAULT_SIZE_BOUND) -> HenkinExtension:
     """Iterate the special-constant construction: per level, walk every
     formula with at most one free (canonical) variable within the size bound
     and add its witness constant and axiom."""
-    if size_bound is None:
-        size_bound = default_size_bound()
     sig = theory.signature
     axioms = list(theory.axioms)
     constants: list[tuple[str, Expr, str]] = []
@@ -232,7 +227,7 @@ def enumerate_exprs(sig: Signature, sort: str, scope, max_size: int,
 class TermModelContext:
     signature: Signature
     oracle: object
-    size_bound: int = field(default_factory=default_size_bound)
+    size_bound: int = DEFAULT_SIZE_BOUND
     persp_cap: int = 1
     norm_cache: dict = field(default_factory=dict)
     _enum_memo: dict = field(default_factory=dict)

@@ -19,10 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .signature import PROP, Signature, forall_op, exists_op, eq_op, extends, variable_sort
+from .signature import (
+    PROP, Signature, forall_op, exists_op, eq_op, extends, variable_sort, sorted_vars,
+)
 from .syntax import Expr, ForeignSignature, in_class, perspective_sorts, print_expr
 from .subst import fv
-from .calculus import sorted_vars, Theory
+from .calculus import Theory
 
 
 class SemanticsError(Exception):

@@ -9,7 +9,10 @@ per variable sort, equality per sort) are generated automatically and are
 present in every signature.
 
 Variables are not declared; for every variable sort ``a`` there is the
-countable family ``v0^a, v1^a, ...``.
+countable family ``v0^a, v1^a, ...``.  Names of that shape are reserved for
+variables, so no operation may be named ``v<n>^<word>``; sort names are single
+words and operation names single concrete-syntax tokens ``word`` or
+``word^word``.
 """
 from __future__ import annotations
 
@@ -71,6 +74,7 @@ class OpSig:
 
 
 _NAME_RE = re.compile(r"\w+")
+_OP_NAME_RE = re.compile(r"\w+(\^\w+)?")  # one token of the expression syntax
 
 
 def _tokenize_ustype(text: str) -> list[str]:
@@ -187,9 +191,6 @@ class Signature:
     def opsig(self, name: str) -> OpSig | None:
         return self.ops.get(name)
 
-    def is_distinguished(self, name: str) -> bool:
-        return name in distinguished_ops(self.sorts, self.var_sorts)
-
     def user_ops(self) -> dict[str, OpSig]:
         dist = distinguished_ops(self.sorts, self.var_sorts)
         return {n: s for n, s in self.ops.items() if n not in dist}
@@ -216,7 +217,8 @@ def make_signature(sorts=(), var_sorts=(), ops: dict[str, str | OpSig] | None = 
     return sig
 
 
-_VAR_RE = re.compile(r"^v(\d+)\^(\w+)$")
+# The variable-name grammar; the only place that knows it.
+_VAR_RE = re.compile(r"v(\d+)\^(\w+)")
 
 
 def variable_name(sort: str, index: int) -> str:
@@ -225,7 +227,7 @@ def variable_name(sort: str, index: int) -> str:
 
 def variable_sort(sig: Signature, name: str) -> str | None:
     """The sort of ``name`` if it is a variable of this signature, else None."""
-    m = _VAR_RE.match(name)
+    m = _VAR_RE.fullmatch(name)
     if m and m.group(2) in sig.var_sorts:
         return m.group(2)
     return None
@@ -233,6 +235,13 @@ def variable_sort(sig: Signature, name: str) -> str | None:
 
 def is_variable(sig: Signature, name: str) -> bool:
     return variable_sort(sig, name) is not None
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether name has the variable shape ``v<n>^<sort>``.  No operation may
+    be named so, so at a leaf of a well-formed expression this tells a
+    variable from a constant without the signature."""
+    return _VAR_RE.fullmatch(name) is not None
 
 
 def variables(sig: Signature, sort: str):
@@ -260,6 +269,14 @@ def fresh_vars(sig: Signature, sorts, avoid) -> tuple[str, ...]:
     return tuple(out)
 
 
+def sorted_vars(sig: Signature, names) -> tuple[str, ...]:
+    """Variables ordered by sort name, then by index."""
+    def key(n):
+        m = _VAR_RE.fullmatch(n)
+        return m.group(2), int(m.group(1))
+    return tuple(sorted(names, key=key))
+
+
 def validate_signature(sig: Signature) -> list[str]:
     """Empty list iff all signature invariants hold."""
     bad = []
@@ -267,6 +284,9 @@ def validate_signature(sig: Signature) -> list[str]:
         bad.append(f"distinguished sort {PROP!r} missing")
     if not sig.var_sorts <= sig.sorts:
         bad.append("VSRT not a subset of SRT")
+    for sort in sorted(sig.sorts):
+        if not _NAME_RE.fullmatch(sort):
+            bad.append(f"sort name {sort!r} is not a single word")
     dist = distinguished_ops(sig.sorts, sig.var_sorts)
     for name, spec in dist.items():
         got = sig.ops.get(name)
@@ -275,8 +295,11 @@ def validate_signature(sig: Signature) -> list[str]:
         elif got != spec:
             bad.append(f"distinguished ustype mismatch for {name!r}")
     for name, spec in sig.ops.items():
-        if variable_sort(sig, name) is not None:
-            bad.append(f"VAR and SOP not disjoint: {name!r}")
+        if _VAR_RE.fullmatch(name):
+            bad.append(f"VAR and SOP not disjoint: operation name {name!r} "
+                       "has the variable shape v<n>^<sort>")
+        elif not _OP_NAME_RE.fullmatch(name):
+            bad.append(f"operation name {name!r} is not a single token")
         if spec.result not in sig.sorts:
             bad.append(f"op {name!r}: unknown result sort {spec.result!r}")
         for arg_sort, binders in spec.args:

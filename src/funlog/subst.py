@@ -9,7 +9,7 @@ move a free variable of d under a binder that captures it.
 """
 from __future__ import annotations
 
-from .signature import Signature, variable_sort, is_variable
+from .signature import Signature, variable_sort, is_variable_name
 from .syntax import Expr, var
 
 
@@ -18,22 +18,16 @@ class SortClash(Exception):
 
 
 def fv(e: Expr) -> frozenset[str]:
-    """Free variables.  Variables are recognizable by their cached sort at
-    leaf nodes: an argument-free node is a variable iff its head is one."""
+    """Free variables.  A leaf is a variable or a constant, and only
+    variables have names of the variable shape."""
     if not e.args:
-        # leaves are either variables or constants; constants contribute nothing
-        if _looks_like_var(e.head):
+        if is_variable_name(e.head):
             return frozenset({e.head})
         return frozenset()
     out = set()
     for binders, body in e.args:
         out |= fv(body) - set(binders)
     return frozenset(out)
-
-
-def _looks_like_var(name: str) -> bool:
-    import re
-    return re.match(r"^v\d+\^\w+$", name) is not None
 
 
 def gv(e: Expr) -> frozenset[str]:

@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .signature import (
-    PROP, IFF, Signature, OpSig, eq_op, forall_op, exists_op,
-    is_variable, variable_sort, fresh_vars as _sig_fresh_vars,
+    PROP, Signature, eq_op, forall_op, exists_op,
+    is_variable, variable_sort,
 )
-
-fresh_vars = _sig_fresh_vars
 
 
 class ExprError(Exception):
@@ -328,22 +326,16 @@ def perspective_sorts(sig: Signature, p) -> tuple[str, ...]:
     return tuple(out)
 
 
-def perspectives_member(sig: Signature, e: Expr, p) -> bool:
-    """Membership of the variable sequence p in persp(e), by the inductive
-    table: a variable head must occur among the components; the binders of
-    each argument slot are appended for the recursive calls."""
-    p = tuple(p)
-    if not e.args:
-        if is_variable(sig, e.head):
-            return e.head in p
-        return True
-    return all(perspectives_member(sig, body, p + tuple(binders))
-               for binders, body in e.args)
-
-
 def in_class(sig: Signature, e: Expr, p) -> bool:
-    """e ∈ F_gamma[p]: free variables covered by the perspective."""
-    return perspectives_member(sig, e, p)
+    """e ∈ F_gamma[p]: free variables covered by the perspective.  By the
+    inductive table of persp(e): a variable head must occur among the
+    components; the binders of each argument slot are appended for the
+    recursive calls."""
+    def covered(e: Expr, p: tuple) -> bool:
+        if not e.args:
+            return e.head in p or not is_variable(sig, e.head)
+        return all(covered(body, p + tuple(binders)) for binders, body in e.args)
+    return covered(e, tuple(p))
 
 
 def pgp_decompose(sig: Signature, e: Expr, p):

@@ -289,6 +289,84 @@ class TestAxiomInstances:
         assert not check_axiom_instance(sig, just, imp(sig, ante, cons))
 
 
+def quantifier_scheme_cases():
+    """Per quantifier scheme: the signature, (justification, formula) pairs
+    it must accept, and (case, justification, formula) triples it must
+    reject."""
+    sig = make_signature(["a", "b"], ["a", "b"], {
+        "ca": "a", "cb": "b", "f": "(a)a", "P": "(a)pi", "Q": "(b)pi",
+        "mu": "((a)pi)a"})
+
+    def p(text):
+        return parse_expr(sig, text)
+
+    x, y = "v0^a", "v1^a"
+    body, a, ca, cb, vacuous = p("P(f(v0^a))"), p("f(ca)"), p("ca"), p("cb"), p("Q(cb)")
+    captures, a_cap = p("P(mu((v1^a): eq_a(v0^a,v1^a)))"), p("f(v1^a)")
+    psi, chi, psi_x, psi2 = p("P(ca)"), p("P(v0^a)"), p("P(f(v0^a))"), p("P(f(ca))")
+
+    def forall_elim(b, t):  # forall x B -> B[x<-t]
+        return imp(sig, forall(sig, x, b), substitute1(sig, b, x, t))
+
+    def exists_intro(b, t):  # B[x<-t] -> exists x B
+        return imp(sig, substitute1(sig, b, x, t), exists(sig, x, b))
+
+    def forall_dist(ps, outer=None):  # forall x (psi -> chi) -> (psi -> forall x chi)
+        return imp(sig, forall(sig, x, imp(sig, ps, chi)),
+                   imp(sig, outer or ps, forall(sig, x, chi)))
+
+    def exists_dist(ps, outer=None):  # forall x (chi -> psi) -> (exists x chi -> psi)
+        return imp(sig, forall(sig, x, imp(sig, chi, ps)),
+                   imp(sig, exists(sig, x, chi), outer or ps))
+
+    def swap(phi):
+        return imp(sig, phi.args[1][1], phi.args[0][1])
+
+    inst = substitute1(sig, body, x, a)
+    cases = {}
+    for rule, shape, mirror, other_quantifier in (
+            (ForallElim, forall_elim, exists_intro, imp(sig, exists(sig, x, body), inst)),
+            (ExistsIntro, exists_intro, forall_elim, imp(sig, inst, forall(sig, x, body)))):
+        good = shape(body, a)
+        accept = [(rule(x, a), good), (rule(x, ca), shape(vacuous, ca))]
+        cases[rule.__name__] = (sig, accept, [
+            ("wrong bound variable", rule(y, a), good),
+            ("mirror rule's instance", rule(x, a), mirror(body, a)),
+            ("the other quantifier", rule(x, a), other_quantifier),
+            ("swapped sides", rule(x, a), swap(good)),
+            ("a of the wrong sort", rule(x, cb), shape(vacuous, ca)),
+            ("capture in a", rule(x, a_cap), shape(captures, a_cap)),
+        ])
+    for rule, shape, mirror, other_quantifier in (
+            (ForallImpDist, forall_dist, exists_dist,
+             imp(sig, forall(sig, x, imp(sig, psi, chi)), imp(sig, psi, exists(sig, x, chi)))),
+            (ExistsImpDist, exists_dist, forall_dist,
+             imp(sig, forall(sig, x, imp(sig, chi, psi)), imp(sig, forall(sig, x, chi), psi)))):
+        good = shape(psi)
+        cases[rule.__name__] = (sig, [(rule(x), good)], [
+            ("wrong bound variable", rule(y), good),
+            ("mirror rule's instance", rule(x), mirror(psi)),
+            ("the other quantifier", rule(x), other_quantifier),
+            ("swapped sides", rule(x), swap(good)),
+            ("x free in psi", rule(x), shape(psi_x)),
+            ("psi differs across the implication", rule(x), shape(psi, psi2)),
+        ])
+    return cases
+
+
+class TestQuantifierSchemes:
+    """Accept/reject table for the four quantifier axiom schemes."""
+
+    @pytest.mark.parametrize("rule", ["ForallElim", "ExistsIntro",
+                                      "ForallImpDist", "ExistsImpDist"])
+    def test_accepts_and_rejects(self, rule):
+        sig, good, bad = quantifier_scheme_cases()[rule]
+        for just, phi in good:
+            assert check_axiom_instance(sig, just, phi), print_expr(phi)
+        for case, just, phi in bad:
+            assert not check_axiom_instance(sig, just, phi), (case, print_expr(phi))
+
+
 class TestCheckProof:
     def test_valid_proof(self, sig, thy):
         b = ProofBuilder(thy)

@@ -73,6 +73,38 @@ class TestCheck:
     def test_missing_file(self, files):
         assert main(["check", files["flt"], "/nonexistent.flp"]) == 2
 
+    def test_op_name_not_a_token(self, files, capsys):
+        bad = files["dir"] / "bad.flt"
+        bad.write_text(TOY_FLT.replace("op cb : a", "op cb : a\nop f g : a"))
+        assert main(["check", str(bad), files["flp"]]) == 2
+        assert "'f g'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [
+        "forall_elim {}", "forall_elim 5", "mp 1", "axiom x",
+        'eqcongr {"op": "f", "i": 0, "xs": 5, "ys": [], "zs": [], "b1": "ca", '
+        '"b2": "ca", "before": [], "after": []}',
+        'eqcongr {"op": "f", "i": "0", "xs": [], "ys": [], "zs": [], "b1": "ca", '
+        '"b2": "ca", "before": [], "after": []}',
+        'forall_imp_dist {"x": 5}',
+    ])
+    def test_malformed_justification(self, files, capsys, step):
+        bad = files["dir"] / "bad.flp"
+        bad.write_text(TOY_FLP + f"5. top ; {step}\n")
+        assert main(["check", files["flt"], str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 5: ")
+
+    def test_deep_proof_step(self, files, capsys):
+        bad = files["dir"] / "bad.flp"
+        bad.write_text("1. " + "not(" * 3000 + "top" + ")" * 3000 + " ; taut\n")
+        assert main(["check", files["flt"], str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
+    def test_deep_theory_axiom(self, files, capsys):
+        bad = files["dir"] / "bad.flt"
+        bad.write_text(TOY_FLT + "axiom " + "not(" * 3000 + "top" + ")" * 3000 + "\n")
+        assert main(["check", str(bad), files["flp"]]) == 2
+        assert capsys.readouterr().err.startswith("error: line 8: ")
+
     @pytest.mark.parametrize("proof, code", [(TOY_FLP, 0), ("1. bot ; taut\n", 1)],
                              ids=["ok", "failed"])
     def test_closed_stdout_is_not_a_traceback(self, files, proof, code):
@@ -130,6 +162,13 @@ class TestEval:
         bad.write_text(TOY_FLS.replace("interp ca = 0", line))
         assert main(["eval", str(bad), "--expr", "ca"]) == 2
         assert "line 7" in capsys.readouterr().err
+
+    def test_deep_table(self, files, capsys):
+        bad = files["dir"] / "bad.fls"
+        deep = "{(" * 2000 + "0" + ")->0}" * 2000
+        bad.write_text(TOY_FLS.replace("interp f { (0) -> 1, (1) -> 0 }", f"interp f {deep}"))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 9: ")
 
 
 class TestSat:
@@ -208,16 +247,15 @@ class TestTermmodel:
         assert main(["termmodel", str(bad), "--depth", "3"]) == 2
         assert "element-not-named" in capsys.readouterr().err
 
-    def test_env_depth_default(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("FLC_DEPTH_DEFAULT", "3")
-        out = files["dir"] / "tm3.fls"
-        assert main(["termmodel", files["fls"], "--out", str(out)]) == 0
-        assert "depth: 3" in capsys.readouterr().out
-
 
 def test_report_stable_view():
     r = RunReport("x", cases=3, seconds=1.25)
     assert "seconds" not in r.stable()
+
+
+@pytest.mark.parametrize("cmd", [["henkin", "t.flt"], ["termmodel", "s.fls"]])
+def test_depth_defaults_to_six(cmd):
+    assert build_parser().parse_args(cmd).depth == 6
 
 
 def test_parser_requires_subcommand():

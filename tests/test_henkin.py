@@ -15,7 +15,7 @@ from funlog.henkin import (
     ThOracle, special_constant, HenkinExtension, henkin_extend,
     saturate_bounded, extend_structure_for_henkin, enumerate_exprs,
     TermModelContext, TermModel, order_key, norm, build_term_structure,
-    check_cm_expr, check_ded_sat, default_size_bound,
+    check_cm_expr, check_ded_sat,
     NotSingleFree, NoRepresentativeInBound,
 )
 
@@ -180,12 +180,6 @@ class TestNorm:
         s_ctx = TermModelContext(sig, oracle, size_bound=2)
         with pytest.raises(NoRepresentativeInBound):
             build_term_structure(s_ctx)
-
-    def test_default_bound_env(self, monkeypatch):
-        monkeypatch.setenv("FLC_DEPTH_DEFAULT", "9")
-        assert default_size_bound() == 9
-        monkeypatch.delenv("FLC_DEPTH_DEFAULT")
-        assert default_size_bound() == 6
 
 
 class TestTermStructure:

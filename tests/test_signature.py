@@ -72,6 +72,25 @@ class TestSignature:
         with pytest.raises(SignatureError):
             make_signature(["a"], ["a"], {"imp": "(a)a"})
 
+    @pytest.mark.parametrize("var_sorts", [["a"], ["a", "b"]])
+    def test_variable_shaped_op_name_rejected(self, var_sorts):
+        # whatever the sort: with b not a variable sort, a constant v0^b
+        # would still be taken for a free variable by fv
+        with pytest.raises(SignatureError, match=r"'v0\^b'"):
+            make_signature(["a", "b"], var_sorts, {"v0^b": "b", "g": "(b)a"})
+
+    @pytest.mark.parametrize("sorts, ops", [
+        (["a"], {"f g": "a"}), (["a"], {"f-g": "a"}), (["a"], {"": "a"}),
+        (["a"], {"f^g^h": "a"}), (["a b"], {}), (["a^b"], {}),
+    ])
+    def test_names_must_be_single_tokens(self, sorts, ops):
+        with pytest.raises(SignatureError, match="single"):
+            make_signature(sorts, [], ops)
+
+    def test_token_shaped_names_accepted(self):
+        sig = make_signature(["s_1"], ["s_1"], {"f^x": "s_1", "k2": "(s_1)pi"})
+        assert set(sig.user_ops()) == {"f^x", "k2"}
+
     def test_var_sort_must_be_sort(self):
         with pytest.raises(UnknownSort):
             make_signature(["a"], ["b"], {})
