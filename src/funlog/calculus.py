@@ -16,7 +16,7 @@ everything goes back through check_proof in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .signature import (
@@ -24,7 +24,7 @@ from .signature import (
     exists_op, eq_op, variable_sort, fresh_vars, sorted_vars,
 )
 from .syntax import (
-    Expr, ExprError, mk, var, imp, forall, forall_chain, mk_eq, print_expr,
+    Expr, ExprError, mk, var, bot, imp, forall, forall_chain, mk_eq, print_expr,
 )
 from .subst import SortClash, fv, gv, substitutable, substitute, substitute1
 
@@ -395,7 +395,6 @@ def reindex_axioms(p: Proof, axioms: tuple[Expr, ...]) -> Proof:
 
 
 def is_consistent_up_to(theory: Theory, oracle) -> bool:
-    from .syntax import bot
     verdict = oracle.decide(bot(theory.signature))
     if verdict == "undecided":
         raise OracleUndecided("oracle cannot decide the falsum query")

@@ -83,6 +83,8 @@ def cmd_check(args) -> RunReport:
     theory = _load_theory(args.theory)
     with open(args.proof) as fh:
         proof = fileio.parse_proof(fh.read(), theory)
+    if not proof.lines:
+        raise UsageError(f"{args.proof}: the proof has no steps")
     rep.cases = len(proof.lines)
     result = check_proof(proof)
     if result:
@@ -283,7 +285,8 @@ def main(argv=None) -> int:
     try:
         rep = args.fn(args)
     except (UsageError, fileio.FormatError, ExprError, OSError,
-            SignatureError, CalculusError, SemanticsError, HenkinError) as exc:
+            UnicodeDecodeError, SignatureError, CalculusError, SemanticsError,
+            HenkinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep.seconds = time.perf_counter() - t0

@@ -24,9 +24,9 @@ import json
 import re
 
 from .signature import (
-    PROP, Signature, make_signature, print_ustype,
+    PROP, Signature, Tokens, make_signature, print_ustype,
 )
-from .syntax import Expr, ExprError, parse_expr, print_expr
+from .syntax import ExprError, parse_expr, print_expr
 from .calculus import (
     Theory, Proof, ProofLine, Taut, ForallElim, ExistsIntro, ForallImpDist,
     ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
@@ -50,22 +50,7 @@ def quote_atom(a: str) -> str:
     return '"' + a.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|->|[{}(),=]|\w+')
-
-
-def _tokenize_values(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise FormatError(f"bad character {text[pos]!r} in {text!r}")
-        toks.append(m.group())
-        pos = m.end()
-    return toks
+_VALUE_TOKEN = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*"|->|[{}(),=]|\w+)|\S)')
 
 
 def _unquote(tok: str) -> str:
@@ -74,52 +59,27 @@ def _unquote(tok: str) -> str:
     return tok
 
 
-class _ValueParser:
-    """Raw nested values: atoms and brace-delimited tables.  Sorts are
-    attached afterwards from the context of use."""
+def _value(t: Tokens):
+    """A raw value from the cursor: an atom, or ("table", rows) for a
+    brace-delimited table.  Sorts are attached afterwards from the context
+    of use."""
+    if t.peek() == "{":
+        t.take("{")
+        rows = tuple(t.items(lambda: _row(t)))
+        t.take("}")
+        return ("table", rows)
+    return _unquote(t.take())
 
-    def __init__(self, text: str):
-        self.toks = _tokenize_values(text)
-        self.i = 0
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise FormatError(f"expected {expected!r}, got {tok!r}")
-        self.i += 1
-        return tok
-
-    def value(self):
-        if self.peek() == "{":
-            return self.table()
-        return _unquote(self.take())
-
-    def table(self):
-        self.take("{")
-        rows = []
-        while True:
-            rows.append(self.row())
-            if self.peek() == ",":
-                self.take(",")
-                continue
-            self.take("}")
-            return ("table", rows)
-
-    def row(self):
-        if self.peek() == "(":
-            self.take("(")
-            args = [self.value()]
-            while self.peek() == ",":
-                self.take(",")
-                args.append(self.value())
-            self.take(")")
-        else:
-            args = [self.value()]
-        self.take("->")
-        return (tuple(args), self.value())
+def _row(t: Tokens):
+    if t.peek() == "(":
+        t.take("(")
+        args = t.items(lambda: _value(t))
+        t.take(")")
+    else:
+        args = [_value(t)]
+    t.take("->")
+    return (tuple(args), _value(t))
 
 
 def _coerce(raw, arg_sort: str, binder_sorts: tuple[str, ...]):
@@ -199,12 +159,8 @@ def parse_structure(text: str) -> Structure:
                 sort = sort.strip()
                 if sort not in sig.sorts:
                     raise FormatError(f"unknown sort {sort!r}")
-                p = _ValueParser(vals)
-                atoms = [p.value()]
-                while p.peek() == ",":
-                    p.take(",")
-                    atoms.append(p.value())
-                carriers[sort] = tuple(atoms)
+                t = Tokens(_VALUE_TOKEN, vals, FormatError)
+                carriers[sort] = tuple(t.items(lambda: _value(t)))
             elif head == "interp":
                 name, sep, val = tail.partition("=")
                 if not sep:
@@ -216,7 +172,7 @@ def parse_structure(text: str) -> Structure:
                 spec = sig.opsig(name)
                 if spec is None:
                     raise FormatError(f"unknown operation {name!r}")
-                raw = _ValueParser(val).value()
+                raw = _value(Tokens(_VALUE_TOKEN, val, FormatError))
                 if spec.arity == 0:
                     interp_raw[name] = _coerce(raw, spec.result, ())
                 else:
@@ -237,11 +193,8 @@ def parse_structure(text: str) -> Structure:
                     raise FormatError(f"bad selected declaration {decl!r}")
                 gamma = m.group(1)
                 dom = tuple(x for x in m.group(2).split(",") if x)
-                p = _ValueParser(val)
-                tables = [_coerce(p.value(), gamma, dom)]
-                while p.peek() == ",":
-                    p.take(",")
-                    tables.append(_coerce(p.value(), gamma, dom))
+                t = Tokens(_VALUE_TOKEN, val, FormatError)
+                tables = t.items(lambda: _coerce(_value(t), gamma, dom))
                 selected_raw.append(((gamma, dom), frozenset(tables)))
             else:
                 raise FormatError(f"unexpected {head!r}")
@@ -317,7 +270,7 @@ def parse_theory(text: str) -> Theory:
             raise FormatError(f"line {lineno}: unexpected {head!r}")
         try:
             axioms.append(parse_expr(sig, tail.strip()))
-        except (ExprError, RecursionError) as exc:
+        except ExprError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return Theory(sig, tuple(axioms))
 

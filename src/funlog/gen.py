@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from .signature import (
     PROP, Signature, make_signature, variable_name, variable_sort,
 )
-from .syntax import Expr, mk, var, mk_eq, forall, print_expr, parse_expr
+from .syntax import (
+    Expr, mk, var, mk_eq, imp, disj, forall, exists, print_expr, parse_expr,
+)
 from .subst import fv, gv, substitute, substitute1, substitutable
 from .calculus import (
-    Theory, Proof, ProofBuilder, Premise, NonlogicalAxiom, EqRefl, Taut,
+    Theory, Proof, ProofBuilder, Premise, NonlogicalAxiom, EqRefl,
     ForallElim, ExistsIntro, check_proof, is_tautology, TooManyAtoms,
 )
 from .semantics import (
     SemanticsError, Structure, make_full_structure, evaluate, satisfies,
+    check_closure, materialize_selected,
 )
 
 
@@ -279,8 +282,7 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
                 pool.append(b.add(mk_eq(sig, t, t), EqRefl()))
             elif move == 2:
                 phi, psi = small_formula(), small_formula()
-                from .syntax import imp as _imp
-                f = _imp(sig, phi, _imp(sig, psi, phi))
+                f = imp(sig, phi, imp(sig, psi, phi))
                 if is_tautology(f):
                     pool.append(b.taut(f))
             elif move == 3 and pool:
@@ -291,8 +293,7 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
                 src = rng.choice(pool)
                 phi = b.formula(src)
                 psi = small_formula()
-                from .syntax import imp as _imp, disj
-                f = _imp(sig, phi, disj(sig, phi, psi))
+                f = imp(sig, phi, disj(sig, phi, psi))
                 if is_tautology(f):
                     t = b.taut(f)
                     pool.append(b.mp(src, t))
@@ -301,18 +302,16 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
                 body = rand_expr(sig, rng, PROP, rng.randint(0, 2), scope=(x,))
                 a = rand_expr(sig, rng, variable_sort(sig, x), rng.randint(0, 1))
                 if substitutable(sig, a, x, body):
-                    from .syntax import imp as _imp
-                    f = _imp(sig, forall(sig, x, body),
-                             substitute1(sig, body, x, a))
+                    f = imp(sig, forall(sig, x, body),
+                            substitute1(sig, body, x, a))
                     pool.append(b.add(f, ForallElim(x, a)))
             elif move == 6:
                 x = rng.choice(_pool(sig))
                 body = rand_expr(sig, rng, PROP, rng.randint(0, 2), scope=(x,))
                 a = rand_expr(sig, rng, variable_sort(sig, x), rng.randint(0, 1))
                 if substitutable(sig, a, x, body):
-                    from .syntax import imp as _imp, exists
-                    f = _imp(sig, substitute1(sig, body, x, a),
-                             exists(sig, x, body))
+                    f = imp(sig, substitute1(sig, body, x, a),
+                            exists(sig, x, body))
                     pool.append(b.add(f, ExistsIntro(x, a)))
         except TooManyAtoms:
             continue
@@ -369,7 +368,6 @@ def suite_soundness(n: int, seed: int) -> SuiteResult:
 
 
 def suite_closure(n: int, seed: int) -> SuiteResult:
-    from .semantics import check_closure, materialize_selected
     rng = random.Random(seed)
     failures = 0
     detail = ""

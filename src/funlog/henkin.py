@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .signature import (
-    PROP, Signature, OpSig, fresh_vars, sorted_vars, variable_sort, eq_op,
+    PROP, Signature, OpSig, fresh_vars, variable_sort,
 )
 from .syntax import (
-    Expr, mk, var, top, bot, imp, exists, mk_eq, print_expr, size,
+    Expr, mk, var, top, bot, neg, imp, exists, mk_eq, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
 from .calculus import Theory, OracleUndecided
@@ -127,7 +127,6 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
     """Bounded stand-in for the maximal-consistent-extension construction:
     walk the candidate list, adjoining each formula or its negation according
     to the oracle's verdict."""
-    from .syntax import neg
     axioms = list(theory.axioms)
     for phi in candidates:
         verdict = oracle.decide(phi)

@@ -209,6 +209,8 @@ def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structu
                 slot_ranges.append(cs[arg_sort])
         table = {}
         for args in itertools.product(*slot_ranges):
+            if isinstance(given, dict) and args not in given:
+                raise MissingInterpretation(f"no value for {name!r}{args}")
             v = given[args] if isinstance(given, dict) else given(*args)
             if v not in cs[spec.result]:
                 raise InterpretationOutOfCarrier(f"{name!r}{args} -> {v!r}")

@@ -73,52 +73,83 @@ class OpSig:
         return len(self.args)
 
 
+# A word token of the expression syntax: ``word`` or ``word^word``.
+WORD_TOKEN = r"\w+(?:\^\w+)?"
+
 _NAME_RE = re.compile(r"\w+")
-_OP_NAME_RE = re.compile(r"\w+(\^\w+)?")  # one token of the expression syntax
+_OP_NAME_RE = re.compile(WORD_TOKEN)
 
 
-def _tokenize_ustype(text: str) -> list[str]:
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            toks.append(ch)
-            i += 1
-        else:
-            m = _NAME_RE.match(text, i)
-            if not m:
-                raise MalformedUstype(f"unexpected character {ch!r} in ustype {text!r}")
-            toks.append(m.group())
-            i = m.end()
+# The ustype grammar's tokens: sort names and the punctuation "(),".
+_USTYPE_TOKEN = re.compile(r"\s*(?:(\w+|[(),])|\S)")
+
+
+def tokenize(pattern: re.Pattern, text: str, error) -> list[str]:
+    """The tokens of text, for every grammar funlog reads.  At each step
+    pattern skips whitespace, then matches either one token, its only group,
+    or one character that starts no token, leaving the group empty; that
+    character raises error."""
+    toks = pattern.findall(text)
+    if "" in toks:
+        bad = next(m.group() for m in pattern.finditer(text) if not m.group(1))
+        raise error(f"unexpected character {bad[-1]!r}")
     return toks
+
+
+class Tokens:
+    """A cursor over the tokens of one text.  error is the exception class
+    (or a function building the exception from a message) that the
+    grammar's callers catch; every syntax error is raised as one."""
+
+    def __init__(self, pattern: re.Pattern, text: str, error):
+        self.toks = tokenize(pattern, text, error)
+        self.pos = 0
+        self.error = error
+
+    def peek(self, k=0):
+        """The token k places ahead, or None past the end."""
+        i = self.pos + k
+        return self.toks[i] if i < len(self.toks) else None
+
+    def take(self, expected=None):
+        if self.pos >= len(self.toks):
+            raise self.error("unexpected end of input")
+        tok = self.toks[self.pos]
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def items(self, item) -> list:
+        """item (',' item)*: the results of the calls of item."""
+        out = [item()]
+        while self.peek() == ",":
+            self.pos += 1
+            out.append(item())
+        return out
+
+    def parse(self, rule):
+        """rule() over the whole text: tokens left over are an error, and so
+        is input nested deeper than Python's recursion limit allows."""
+        try:
+            result = rule()
+        except RecursionError:
+            raise self.error("input nested too deep") from None
+        if self.pos < len(self.toks):
+            raise self.error(f"trailing input from token {self.toks[self.pos]!r}")
+        return result
 
 
 def parse_ustype(text: str, sorts: frozenset[str], var_sorts: frozenset[str]) -> OpSig:
     """Parse ``gamma`` or ``(theta,...,theta)gamma`` with theta = ``alpha`` or
     ``(beta,...,beta)alpha``."""
-    toks = _tokenize_ustype(text)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(toks):
-            raise MalformedUstype(f"ustype {text!r} ends unexpectedly")
-        tok = toks[pos]
-        if expected is not None and tok != expected:
-            raise MalformedUstype(f"expected {expected!r}, got {tok!r} in ustype {text!r}")
-        pos += 1
-        return tok
+    t = Tokens(_USTYPE_TOKEN, text,
+               lambda msg: MalformedUstype(f"{msg} in ustype {text!r}"))
 
     def sort_name(binder: bool) -> str:
-        tok = take()
+        tok = t.take()
         if tok in "(),":
-            raise MalformedUstype(f"expected sort name, got {tok!r} in ustype {text!r}")
+            raise t.error(f"expected sort name, got {tok!r}")
         if tok not in sorts:
             raise UnknownSort(f"sort {tok!r} not declared")
         if binder and tok not in var_sorts:
@@ -126,30 +157,22 @@ def parse_ustype(text: str, sorts: frozenset[str], var_sorts: frozenset[str]) ->
         return tok
 
     def theta() -> tuple[str, tuple[str, ...]]:
-        if peek() == "(":
-            take("(")
-            binders = [sort_name(binder=True)]
-            while peek() == ",":
-                take(",")
-                binders.append(sort_name(binder=True))
-            take(")")
-            return sort_name(binder=False), tuple(binders)
-        return sort_name(binder=False), ()
+        binders = ()
+        if t.peek() == "(":
+            t.take("(")
+            binders = tuple(t.items(lambda: sort_name(binder=True)))
+            t.take(")")
+        return sort_name(binder=False), binders
 
-    if peek() == "(":
-        take("(")
-        args = [theta()]
-        while peek() == ",":
-            take(",")
-            args.append(theta())
-        take(")")
-        result = sort_name(binder=False)
-    else:
-        args = []
-        result = sort_name(binder=False)
-    if pos != len(toks):
-        raise MalformedUstype(f"trailing tokens in ustype {text!r}")
-    return OpSig(result, tuple(args))
+    def ustype() -> OpSig:
+        args = ()
+        if t.peek() == "(":
+            t.take("(")
+            args = tuple(t.items(theta))
+            t.take(")")
+        return OpSig(sort_name(binder=False), args)
+
+    return t.parse(ustype)
 
 
 def print_ustype(op: OpSig) -> str:

@@ -13,10 +13,11 @@ perspective u.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .signature import (
-    PROP, Signature, eq_op, forall_op, exists_op,
+    PROP, WORD_TOKEN, Signature, Tokens, eq_op, forall_op, exists_op,
     is_variable, variable_sort,
 )
 
@@ -76,15 +77,16 @@ def var(sig: Signature, name: str) -> Expr:
 
 def mk(sig: Signature, head: str, args=()) -> Expr:
     """Build an expression node, enforcing the generation predicate locally."""
-    args = tuple((tuple(binders), body) for binders, body in args)
-    vsort = variable_sort(sig, head)
-    if vsort is not None:
+    args = tuple((tuple(binders), body) for binders, body in args) if args else ()
+    spec = sig.ops.get(head)
+    if spec is None:
+        # no operation has the variable shape (validate_signature)
+        vsort = variable_sort(sig, head)
+        if vsort is None:
+            raise UnknownSymbol(f"unknown symbol {head!r}")
         if args:
             raise ArityMismatch(f"variable {head!r} applied to arguments")
         return Expr(head, (), vsort)
-    spec = sig.opsig(head)
-    if spec is None:
-        raise UnknownSymbol(f"unknown symbol {head!r}")
     if len(args) != spec.arity:
         raise ArityMismatch(f"{head!r} expects {spec.arity} arguments, got {len(args)}")
     for (binders, body), (arg_sort, binder_sorts) in zip(args, spec.args):
@@ -181,124 +183,87 @@ def forall_chain(sig, xs, body: Expr) -> Expr:
 # concrete syntax
 
 _PUNCT = "(),:.="
-
-
-def _tokenize(text: str) -> list[str]:
-    import re
-    toks = []
-    i = 0
-    word = re.compile(r"\w+(\^\w+)?")
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            toks.append(ch)
-            i += 1
-        else:
-            m = word.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}")
-            toks.append(m.group())
-            i = m.end()
-    return toks
-
-
-class _Parser:
-    def __init__(self, sig: Signature, toks: list[str]):
-        self.sig = sig
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self, k=0):
-        return self.toks[self.pos + k] if self.pos + k < len(self.toks) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Expr:
-        if self.peek() in ("forall", "exists") and is_variable(self.sig, self.peek(1) or ""):
-            quant = self.take()
-            v = self.take()
-            self.take(".")
-            body = self.expr()
-            if body.sort != PROP:
-                raise SortMismatch("quantified body must be a formula")
-            return (forall if quant == "forall" else exists)(self.sig, v, body)
-        left = self.unit()
-        if self.peek() == "=":
-            self.take("=")
-            right = self.unit()
-            return mk_eq(self.sig, left, right)
-        return left
-
-    def unit(self) -> Expr:
-        if self.peek() == "(":
-            self.take("(")
-            e = self.expr()
-            self.take(")")
-            return e
-        head = self.take()
-        if head in _PUNCT:
-            raise ParseError(f"unexpected {head!r}")
-        if self.peek() != "(":
-            if is_variable(self.sig, head):
-                return var(self.sig, head)
-            if self.sig.opsig(head) is not None:
-                return mk(self.sig, head)
-            raise UnknownSymbol(f"unknown symbol {head!r}")
-        self.take("(")
-        args = [self.argument()]
-        while self.peek() == ",":
-            self.take(",")
-            args.append(self.argument())
-        self.take(")")
-        return mk(self.sig, head, args)
-
-    def argument(self):
-        if self.peek() == "(" and self._binder_group_ahead():
-            self.take("(")
-            binders = [self.take()]
-            while self.peek() == ",":
-                self.take(",")
-                binders.append(self.take())
-            self.take(")")
-            self.take(":")
-            for b in binders:
-                if not is_variable(self.sig, b):
-                    raise ParseError(f"binder {b!r} is not a variable")
-            return (tuple(binders), self.expr())
-        return ((), self.expr())
-
-    def _binder_group_ahead(self) -> bool:
-        # at '(' — scan to the matching ')' and check for a following ':'
-        depth = 0
-        k = 0
-        while True:
-            tok = self.peek(k)
-            if tok is None:
-                return False
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if depth == 0:
-                    return self.peek(k + 1) == ":"
-            k += 1
+_TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 
 
 def parse_expr(sig: Signature, text: str) -> Expr:
-    p = _Parser(sig, _tokenize(text))
-    e = p.expr()
-    if p.pos != len(p.toks):
-        raise ParseError(f"trailing input from token {p.toks[p.pos]!r}")
-    return e
+    """Parse the concrete syntax::
+
+        slot := [ '(' var (',' var)* ')' ':' ]
+                ( ('forall' | 'exists') var '.' slot | unit [ '=' unit ] )
+        unit := '(' slot ')' | head [ '(' slot (',' slot)* ')' ]
+
+    A binder group is allowed only in an operation's argument slot.  It is
+    told from a parenthesized expression by the tokens up to its ':'."""
+    t = Tokens(_TOKEN, text, ParseError)
+
+    def word(k: int) -> bool:
+        tok = t.peek(k)
+        return tok is not None and tok not in _PUNCT
+
+    def group_ahead() -> bool:
+        k = 1
+        while word(k) and t.peek(k + 1) == ",":
+            k += 2
+        return word(k) and t.peek(k + 1) == ")" and t.peek(k + 2) == ":"
+
+    def binder() -> str:
+        v = t.take()
+        if not is_variable(sig, v):
+            raise ParseError(f"binder {v!r} is not a variable")
+        return v
+
+    def bare(parsed: tuple) -> Expr:
+        binders, e = parsed
+        if binders:
+            raise ParseError("a binder group outside an argument slot")
+        return e
+
+    # bare() checks a parsed slot instead of wrapping the call, so nesting
+    # costs at most three frames a level (slot, unit, items), which sets how
+    # deep a text may nest before it is "nested too deep"
+    def slot() -> tuple:
+        binders = ()
+        if t.peek() == "(" and group_ahead():
+            t.take("(")
+            binders = tuple(t.items(binder))
+            t.take(")")
+            t.take(":")
+        if t.peek() in ("forall", "exists") and is_variable(sig, t.peek(1) or ""):
+            quant = t.take()
+            v = t.take()
+            t.take(".")
+            body = bare(slot())
+            if body.sort != PROP:
+                raise SortMismatch("quantified body must be a formula")
+            return binders, (forall if quant == "forall" else exists)(sig, v, body)
+        e = unit()
+        if t.peek() == "=":
+            t.take("=")
+            e = mk_eq(sig, e, unit())
+        return binders, e
+
+    def unit() -> Expr:
+        head = t.take()
+        if head == "(":
+            e = bare(slot())
+            t.take(")")
+            return e
+        if head in _PUNCT:
+            raise ParseError(f"unexpected {head!r}")
+        if t.peek() != "(":
+            return mk(sig, head)
+        t.take("(")
+        args = t.items(slot)
+        t.take(")")
+        return mk(sig, head, args)
+
+    try:
+        return bare(t.parse(slot))
+    finally:
+        # slot and unit refer to each other through their closures; break
+        # the cycle so that it is freed now, not by the cyclic collector
+        del slot, unit
 
 
 def print_expr(e: Expr) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -69,6 +70,13 @@ class TestCheck:
         bad = files["dir"] / "bad.flp"
         bad.write_text("1. zap(ca) ; taut\n")
         assert main(["check", files["flt"], str(bad)]) == 2
+
+    @pytest.mark.parametrize("proof", ["", "# nothing\n", "premise top\n"])
+    def test_no_steps(self, files, capsys, proof):
+        empty = files["dir"] / "empty.flp"
+        empty.write_text(proof)
+        assert main(["check", files["flt"], str(empty)]) == 2
+        assert "no steps" in capsys.readouterr().err
 
     def test_missing_file(self, files):
         assert main(["check", files["flt"], "/nonexistent.flp"]) == 2
@@ -163,6 +171,25 @@ class TestEval:
         assert main(["eval", str(bad), "--expr", "ca"]) == 2
         assert "line 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["not(" * 600 + "top" + ")" * 600,
+                                      "(" * 5000 + "top" + ")" * 5000],
+                             ids=["not", "paren"])
+    def test_deep_expr(self, files, capsys, expr):
+        assert main(["eval", files["fls"], "--expr", expr]) == 2
+        assert capsys.readouterr().err == "error: input nested too deep\n"
+
+    def test_incomplete_table(self, files, capsys):
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(TOY_FLS.replace("(0) -> 1, (1) -> 0", "(0) -> 1"))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert "no value for 'f'" in capsys.readouterr().err
+
+    def test_nested_table_in_a_row(self, files, capsys):
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(MU_FLS.replace('({"0"->0,1->0})', '({{0->0}->0,1->0})'))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert "nested tables" in capsys.readouterr().err
+
     def test_deep_table(self, files, capsys):
         bad = files["dir"] / "bad.fls"
         deep = "{(" * 2000 + "0" + ")->0}" * 2000
@@ -205,6 +232,83 @@ class TestFuzz:
         doc1.pop("seconds"), doc2.pop("seconds")
         assert doc1 == doc2
         assert doc1["verdict"] == "ok" and doc1["cases"] == 60
+
+
+MU_FLS = """\
+sort a
+varsort a
+op ca : a
+op cb : a
+op mu : ((a)pi)a
+carrier a = "0",1
+interp ca = "0"
+interp cb = 1
+interp mu { ({"0"->0,1->0}) -> "0", ({0->0,1->1}) -> 1, ({0->1,1->0}) -> 0, ({0->1,1->1}) -> 1 }
+selected pi^(a) = {0->0,1->0}, {0->0,1->1}, {0->1,1->0}, {0->1,1->1}
+"""
+
+DEEP = ["not(" * 3000 + "top" + ")" * 3000, "(" * 3000 + "ca" + ")" * 3000,
+        "{(" * 3000 + "0" + ")->0}" * 3000, "{" * 3000]
+BAD_USTYPES = ["(a", "((a)pi", "(a,)a", "(pi)b", "(a)(a)a", "a a", "$", "()a", "((pi)a)a"]
+
+
+def hostile(text: str, rng: random.Random) -> bytes:
+    """One mutant of a valid file: a truncation, byte flips, an unbalanced
+    parenthesis, 3000-deep nesting, an unterminated quote or a bad ustype."""
+    data = text.encode()
+    i = rng.randrange(len(data))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return data[:i]
+    if kind == 1:
+        flipped = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        return bytes(flipped)
+    if kind == 2:
+        parens = [j for j, b in enumerate(data) if b in b"()"]
+        if parens and rng.random() < 0.5:
+            j = rng.choice(parens)
+            return data[:j] + data[j + 1:]
+        return data[:i] + rng.choice([b"(", b")"]) + data[i:]
+    if kind == 3:
+        lines = text.splitlines(keepends=True)
+        j = rng.randrange(len(lines))
+        head = lines[j].split(" ", 1)[0]
+        lines[j] = lines[j][:len(lines[j]) // 2] + rng.choice(DEEP) + "\n"
+        if head in ("axiom", "premise") or head.endswith("."):
+            lines.insert(j, f"{head} {rng.choice(DEEP)}\n")
+        return "".join(lines).encode()
+    if kind == 4 or not text.startswith("sort"):
+        return data[:i] + b'"' + data[i:]
+    lines = text.splitlines(keepends=True)
+    j = rng.choice([j for j, line in enumerate(lines) if line.startswith("op ")])
+    lines[j] = lines[j].split(":")[0] + ": " + rng.choice(BAD_USTYPES) + "\n"
+    return "".join(lines).encode()
+
+
+class TestHostileInput:
+    """Mutated files never make the CLI raise: the exit code is 0, 1 or 2."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutated_files(self, files, capsys, seed):
+        rng = random.Random(seed)
+        d = files["dir"]
+        for _ in range(25):
+            m = {kind: str(d / f"m.{kind}") for kind in ("fls", "flt", "flp")}
+            valid = {"fls": rng.choice([TOY_FLS, MU_FLS]), "flt": TOY_FLT, "flp": TOY_FLP}
+            for kind, path in m.items():
+                with open(path, "wb") as fh:
+                    fh.write(hostile(valid[kind], rng))
+            for argv in (["eval", m["fls"], "--expr", "ca"],
+                         ["sat", m["fls"], files["flt"]],
+                         ["termmodel", m["fls"], "--depth", "2", "--out", str(d / "tm.fls")],
+                         ["sat", files["fls"], m["flt"]],
+                         ["check", m["flt"], files["flp"]],
+                         ["henkin", m["flt"], "--depth", "2", "--out", str(d / "h.flt")],
+                         ["check", files["flt"], m["flp"]]):
+                assert main(argv) in (0, 1, 2), argv
+        capsys.readouterr()
 
 
 class TestHenkin:

@@ -1,4 +1,5 @@
-"""Every top-level function, class and method of funlog is used somewhere.
+"""Every top-level function, class and method of funlog is used somewhere,
+and so is every name a funlog module imports.
 
 A definition counts as used when its name occurs outside its own body in
 src/, tests/, scripts/ or perfbench/: as a name, an attribute, an imported
@@ -6,6 +7,10 @@ name, or a dotted part of a string (perfbench names its tracing targets as
 "module.function").  Dunder methods are called by Python itself and are
 skipped.  The check goes by name only, so a dead definition that shares its
 name with a live one elsewhere goes unnoticed.
+
+A module-level import counts as used when the module names it, or when
+another file takes the name through the module (``from funlog.m import x``,
+``from .m import x`` or ``m.x``).
 """
 from __future__ import annotations
 
@@ -56,3 +61,47 @@ def test_no_unreferenced_definitions():
             if used[name] - names_used(node)[name] <= 0:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, "defined but never referenced: " + ", ".join(dead)
+
+
+def imported_names(tree: ast.Module):
+    """(name, line) for each name bound by a module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def names_loaded(tree: ast.AST) -> set:
+    """Names a module refers to, string annotations included."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str) and n.value.isidentifier()})
+
+
+def taken_through(module: str, trees) -> set:
+    """Names other files take from funlog's module through it."""
+    taken = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    f"funlog.{module}", module) and node.level in (0, 1):
+                taken.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == module):
+                taken.add(node.attr)
+    return taken
+
+
+def test_no_unused_imports():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = trees[path]
+        others = [t for p, t in trees.items() if p != path]
+        used = names_loaded(tree) | taken_through(path.stem, others)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
+                   if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)
