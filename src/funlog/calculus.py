@@ -190,7 +190,10 @@ def _atom_mask(i: int, rows: int) -> int:
     return m
 
 
-def is_tautology(phi: Expr, max_atoms: int = 20) -> bool:
+MAX_ATOMS = 20  # the most atoms is_tautology decides; 2**20 rows at once
+
+
+def is_tautology(phi: Expr) -> bool:
     """Truth-table check over the maximal non-connective subformulas, all
     2**n rows at once: each atom's column is an int bitstring and each
     connective one big-int operation (Knuth, TAOCP 4A §7.1.1-7.1.3)."""
@@ -200,8 +203,8 @@ def is_tautology(phi: Expr, max_atoms: int = 20) -> bool:
     code: list = []
     _postorder(phi, atoms, code)
     n = len(atoms)
-    if n > max_atoms:
-        raise TooManyAtoms(f"{n} atoms exceed the {max_atoms}-atom bound")
+    if n > MAX_ATOMS:
+        raise TooManyAtoms(f"{n} atoms exceed the {MAX_ATOMS}-atom bound")
     rows = 1 << n
     full = (1 << rows) - 1
     masks = [_atom_mask(i, rows) for i in range(n)]

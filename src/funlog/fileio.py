@@ -121,14 +121,6 @@ def _split_decls(text: str):
     return sorts, var_sorts, ops, rest
 
 
-def parse_signature(text: str) -> Signature:
-    sorts, var_sorts, ops, rest = _split_decls(text)
-    if rest:
-        lineno, line = rest[0]
-        raise FormatError(f"line {lineno}: unexpected {line!r}")
-    return make_signature(sorts, var_sorts, ops)
-
-
 def signature_lines(sig: Signature) -> list[str]:
     out = []
     user_sorts = sorted(sig.sorts - {PROP})
@@ -160,7 +152,14 @@ def parse_structure(text: str) -> Structure:
                 if sort not in sig.sorts:
                     raise FormatError(f"unknown sort {sort!r}")
                 t = Tokens(_VALUE_TOKEN, vals, FormatError)
-                carriers[sort] = tuple(t.items(lambda: _value(t)))
+                atoms = tuple(t.parse(lambda: t.items(lambda: _value(t))))
+                if any(isinstance(a, tuple) for a in atoms):
+                    raise FormatError(f"carrier {sort} holds a table")
+                if len(set(atoms)) != len(atoms):
+                    raise FormatError(f"carrier {sort} repeats an atom")
+                if sort == PROP and len(atoms) != 2:
+                    raise FormatError(f"carrier {PROP} needs two atoms, false then true")
+                carriers[sort] = atoms
             elif head == "interp":
                 name, sep, val = tail.partition("=")
                 if not sep:
@@ -172,7 +171,8 @@ def parse_structure(text: str) -> Structure:
                 spec = sig.opsig(name)
                 if spec is None:
                     raise FormatError(f"unknown operation {name!r}")
-                raw = _value(Tokens(_VALUE_TOKEN, val, FormatError))
+                t = Tokens(_VALUE_TOKEN, val, FormatError)
+                raw = t.parse(lambda: _value(t))
                 if spec.arity == 0:
                     interp_raw[name] = _coerce(raw, spec.result, ())
                 else:
@@ -194,11 +194,11 @@ def parse_structure(text: str) -> Structure:
                 gamma = m.group(1)
                 dom = tuple(x for x in m.group(2).split(",") if x)
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
-                tables = t.items(lambda: _coerce(_value(t), gamma, dom))
+                tables = t.parse(lambda: t.items(lambda: _coerce(_value(t), gamma, dom)))
                 selected_raw.append(((gamma, dom), frozenset(tables)))
             else:
                 raise FormatError(f"unexpected {head!r}")
-        except (FormatError, RecursionError) as exc:
+        except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
 
     if not selected_raw:

@@ -30,18 +30,18 @@ from .semantics import (
 VAR_POOL = 6
 
 
-def rand_signature(rng: random.Random, max_sorts=3, max_binders=2, n_ops=4) -> Signature:
-    sorts = [f"s{i}" for i in range(rng.randint(1, max_sorts))]
+def rand_signature(rng: random.Random) -> Signature:
+    sorts = [f"s{i}" for i in range(rng.randint(1, 3))]
     ops = {}
     for s in sorts:
         ops[f"k_{s}"] = s  # a constant per sort keeps generation total
-    for i in range(rng.randint(1, n_ops)):
+    for i in range(rng.randint(1, 4)):
         result = rng.choice(sorts + [PROP])
         arity = rng.randint(0, 2)
         args = []
         for _ in range(arity):
             arg_sort = rng.choice(sorts + [PROP])
-            r = rng.randint(0, max_binders) if rng.random() < 0.5 else 0
+            r = rng.randint(0, 2) if rng.random() < 0.5 else 0
             binders = tuple(rng.choice(sorts) for _ in range(r))
             args.append("(" + ",".join(binders) + ")" + arg_sort if binders else arg_sort)
         ops[f"op{i}"] = "(" + ",".join(args) + ")" + result if args else result
@@ -103,9 +103,8 @@ class SubstCase:
     detail: str
 
 
-def _pool(sig, sorts=None):
-    sorts = sorts or sorted(sig.var_sorts)
-    return [variable_name(s, i) for s in sorts for i in range(VAR_POOL)]
+def _pool(sig):
+    return [variable_name(s, i) for s in sorted(sig.var_sorts) for i in range(VAR_POOL)]
 
 
 def _rand_vec(sig, rng, k):
@@ -114,12 +113,12 @@ def _rand_vec(sig, rng, k):
     return tuple(rng.choice(pool) for _ in range(k))
 
 
-def _rand_terms_for(sig, rng, xs, depth=2, closed=False, avoid_free=()):
+def _rand_terms_for(sig, rng, xs, closed=False, avoid_free=()):
     ds = []
     for x in xs:
         s = variable_sort(sig, x)
         for _ in range(50):
-            d = rand_expr(sig, rng, s, rng.randint(0, depth))
+            d = rand_expr(sig, rng, s, rng.randint(0, 2))
             if closed and fv(d):
                 continue
             if fv(d) & set(avoid_free):
@@ -242,12 +241,12 @@ def rand_full_structure(rng: random.Random, sig: Signature,
     return s
 
 
-def rand_satisfied_theory(rng: random.Random, s: Structure,
-                          n_axioms=3) -> Theory:
+def rand_satisfied_theory(rng: random.Random, s: Structure) -> Theory:
+    """Up to three random formulas the structure satisfies, from 24 draws."""
     sig = s.signature
     axioms = []
-    for _ in range(n_axioms * 8):
-        if len(axioms) >= n_axioms:
+    for _ in range(24):
+        if len(axioms) >= 3:
             break
         phi = rand_expr(sig, rng, PROP, rng.randint(1, 3))
         try:

@@ -227,12 +227,11 @@ class TermModelContext:
     signature: Signature
     oracle: object
     size_bound: int = DEFAULT_SIZE_BOUND
-    persp_cap: int = 1
-    norm_cache: dict = field(default_factory=dict)
-    _enum_memo: dict = field(default_factory=dict)
-    _closed: dict = field(default_factory=dict)
-    _closed_keys: dict = field(default_factory=dict)
-    _least_of_class: dict = field(default_factory=dict)
+    norm_cache: dict = field(default_factory=dict, init=False)
+    _enum_memo: dict = field(default_factory=dict, init=False)
+    _closed: dict = field(default_factory=dict, init=False)
+    _closed_keys: dict = field(default_factory=dict, init=False)
+    _least_of_class: dict = field(default_factory=dict, init=False)
 
     def closed(self, sort: str) -> list[Expr]:
         if sort not in self._closed:
@@ -325,9 +324,6 @@ class TermModel:
     structure: Structure
     atom_expr: dict[str, dict[str, Expr]]  # sort -> carrier atom -> norm Expr
 
-    def expr_of(self, sort: str, atom: str) -> Expr:
-        return self.atom_expr[sort][atom]
-
 
 def _subst_table(ctx: TermModelContext, tm_carriers, atom_expr, e: Expr,
                  u: tuple[str, ...], dom_sorts) -> FnTable:
@@ -369,9 +365,7 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
     # witness expression retained for the functionality audit below
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = {}
     witnesses: dict[tuple[str, tuple[str, ...]], list[tuple[FnTable, Expr]]] = {}
-    vsorts = sorted(sig.var_sorts)
-    sigmas = [s for n in range(1, max(1, ctx.persp_cap) + 1)
-              for s in itertools.product(vsorts, repeat=n)]
+    sigmas = [(a,) for a in sorted(sig.var_sorts)]
     for _, spec in sig.user_ops().items():
         for _, bsorts in spec.args:
             if bsorts and bsorts not in sigmas:
@@ -435,7 +429,6 @@ class Verdict:
 def check_cm_expr(tm: TermModel, e: Expr, xs) -> Verdict:
     """Evaluation in the term structure agrees with substitute-then-norm."""
     ctx = tm.ctx
-    sig = ctx.signature
     xs = tuple(xs)
     val = evaluate(tm.structure, e, xs)
     if not xs:
@@ -444,15 +437,11 @@ def check_cm_expr(tm: TermModel, e: Expr, xs) -> Verdict:
         if got != want:
             return Verdict(False, f"{print_expr(e)}: evaluated {got!r}, norm {want!r}")
         return Verdict(True)
-    sorts = tuple(variable_sort(sig, x) for x in xs)
-    for cvec in itertools.product(*(tm.structure.carriers[s] for s in sorts)):
-        inst = substitute(sig, e, xs,
-                          [tm.expr_of(s, c) for s, c in zip(sorts, cvec)])
-        want = print_expr(norm(ctx, inst))
-        got = val.apply(cvec)
-        if got != want:
+    want = _subst_table(ctx, tm.structure.carriers, tm.atom_expr, e, xs, val.domain_sorts)
+    for (cvec, got), (_, normed) in zip(val.rows, want.rows):
+        if got != normed:
             return Verdict(False,
-                           f"{print_expr(e)} at {cvec}: evaluated {got!r}, norm {want!r}")
+                           f"{print_expr(e)} at {cvec}: evaluated {got!r}, norm {normed!r}")
     return Verdict(True)
 
 

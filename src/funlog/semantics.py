@@ -101,7 +101,7 @@ class Structure:
     interp: dict[str, object]
     full: bool = True
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
-    _spaces: dict = field(default_factory=dict, repr=False)
+    _spaces: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def false_atom(self) -> str:
@@ -238,7 +238,7 @@ def evaluate(s: Structure, e: Expr, p):
     """Value of e under perspective p: a carrier element for the empty
     perspective, otherwise a function table over the perspective carriers."""
     p = tuple(p)
-    if not in_class(s.signature, e, p):
+    if not in_class(e, p):
         raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
     return _evaluate(s, e, p)
 
@@ -254,10 +254,8 @@ def _evaluate(s: Structure, e: Expr, p: tuple):
     if not p:
         if not e.args:
             return _apply_op(s, e.head, ())
-        vals = []
-        for binders, body in e.args:
-            vals.append(_evaluate(s, body, tuple(binders)))
-        return _apply_op(s, e.head, tuple(vals))
+        return _apply_op(s, e.head, tuple(
+            [_evaluate(s, body, binders) for binders, body in e.args]))
 
     if not e.args:
         if variable_sort(sig, e.head) is not None:
@@ -265,19 +263,22 @@ def _evaluate(s: Structure, e: Expr, p: tuple):
             return projection_table(sorts, s.carriers, k)
         return constant_table(sorts, s.carriers, _apply_op(s, e.head, ()), e.sort)
 
-    sub = []
-    for binders, body in e.args:
-        sub.append((tuple(binders), _evaluate(s, body, p + tuple(binders))))
+    return _compose(s, e.head, sorts,
+                    [_evaluate(s, body, p + binders) for binders, body in e.args])
+
+
+def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
+    """Composition through op: the table over sorts whose row xs is op
+    applied to each argument table's value at xs, where a binder slot's
+    table is instead partially fixed at xs."""
+    spec = s.signature.ops[op]
     rows = {}
-    for xs in itertools.product(*(s.carriers[srt] for srt in sorts)):
-        args_v = []
-        for binders, val in sub:
-            if binders:
-                args_v.append(val.fix(xs))
-            else:
-                args_v.append(val.apply(xs))
-        rows[xs] = _apply_op(s, e.head, tuple(args_v))
-    return FnTable.from_map(sorts, e.sort, rows)
+    for xs in itertools.product(*[s.carriers[t] for t in sorts]):
+        args = []
+        for (_, binds), g in zip(spec.args, tables):
+            args.append(g.fix(xs) if binds else g.apply(xs))
+        rows[xs] = _apply_op(s, op, tuple(args))
+    return FnTable.from_map(sorts, spec.result, rows)
 
 
 def satisfies(s: Structure, phi: Expr) -> bool:
@@ -318,15 +319,20 @@ class ClosureReport:
         return self.ok
 
 
-def _sigma_sequences(sig: Signature, cap: int, min_len=1):
+# The largest full function space, in tables, that check_closure and
+# materialize_selected enumerate; check_closure skips (and reports) a larger
+# one, and a composition over more than 8 times as many argument tuples.
+AUDIT_SPACE = 512
+
+
+def _sigma_sequences(sig: Signature, cap: int):
     vs = sorted(sig.var_sorts)
-    for n in range(min_len, cap + 1):
+    for n in range(1, cap + 1):
         yield from itertools.product(vs, repeat=n)
 
 
-def check_closure(s: Structure, cap: int = 2, max_space: int = 512) -> ClosureReport:
-    """Audit the selected-set laws up to perspective length ``cap``.  Sets
-    whose full spaces exceed ``max_space`` tables are skipped (reported)."""
+def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
+    """Audit the selected-set laws up to perspective length ``cap``."""
     sig = s.signature
     report = ClosureReport([], [])
 
@@ -334,7 +340,7 @@ def check_closure(s: Structure, cap: int = 2, max_space: int = 512) -> ClosureRe
         declared = s.selected_tables(gamma, dom)
         if declared is not None:
             return declared
-        if s.space_size(gamma, dom) > max_space:
+        if s.space_size(gamma, dom) > AUDIT_SPACE:
             return None
         return s.full_space(gamma, dom)
 
@@ -380,23 +386,17 @@ def check_closure(s: Structure, cap: int = 2, max_space: int = 512) -> ClosureRe
             total = 1
             for p in pools:
                 total *= len(p)
-            if total > max_space * 8:
+            if total > AUDIT_SPACE * 8:
                 report.skipped.append(f"composition through {op} at {sigma}")
                 continue
             for gs in itertools.product(*pools):
-                rows = {}
                 try:
-                    for ys in itertools.product(*(s.carriers[t] for t in sigma)):
-                        args_v = []
-                        for g, (arg_sort, bsorts) in zip(gs, spec.args):
-                            args_v.append(g.fix(ys) if bsorts else g.apply(ys))
-                        rows[ys] = _apply_op(s, op, tuple(args_v))
+                    tbl = _compose(s, op, sigma, gs)
                 except SelectedSetMiss:
                     report.violations.append(
                         f"composition: functional of {op} undefined on a "
                         f"composable tuple at {sigma}")
                     continue
-                tbl = FnTable.from_map(sigma, spec.result, rows)
                 if not s.has_table(spec.result, sigma, tbl):
                     report.violations.append(
                         f"composition: composite through {op} missing from "
@@ -404,13 +404,13 @@ def check_closure(s: Structure, cap: int = 2, max_space: int = 512) -> ClosureRe
     return report
 
 
-def materialize_selected(s: Structure, cap: int = 2, max_space: int = 512) -> Structure:
+def materialize_selected(s: Structure, cap: int = 2) -> Structure:
     """Rewrite a full structure as an explicit one: enumerate every selected
     set of perspective length <= cap as a concrete table set."""
     selected = {}
     for sigma in _sigma_sequences(s.signature, cap):
         for gamma in s.signature.sorts:
-            if s.space_size(gamma, sigma) <= max_space:
+            if s.space_size(gamma, sigma) <= AUDIT_SPACE:
                 selected[(gamma, sigma)] = frozenset(s.full_space(gamma, sigma))
     return Structure(s.signature, dict(s.carriers), dict(s.interp),
                      full=False, selected=selected)

@@ -267,16 +267,6 @@ def is_variable_name(name: str) -> bool:
     return _VAR_RE.fullmatch(name) is not None
 
 
-def variables(sig: Signature, sort: str):
-    """The countable variable family of a variable sort, in index order."""
-    if sort not in sig.var_sorts:
-        raise UnknownSort(f"{sort!r} is not a variable sort")
-    i = 0
-    while True:
-        yield variable_name(sort, i)
-        i += 1
-
-
 def fresh_vars(sig: Signature, sorts, avoid) -> tuple[str, ...]:
     """Pairwise-distinct variables of the given sorts, disjoint from avoid.
     Deterministic: lowest available indices, left to right."""

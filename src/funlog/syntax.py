@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .signature import (
     PROP, WORD_TOKEN, Signature, Tokens, eq_op, forall_op, exists_op,
-    is_variable, variable_sort,
+    is_variable, is_variable_name, variable_sort,
 )
 
 
@@ -51,10 +51,6 @@ class AliasAmbiguity(ExprError):
 
 
 class ParseError(ExprError):
-    pass
-
-
-class NotInClass(ExprError):
     pass
 
 
@@ -115,14 +111,21 @@ def check_expr(sig: Signature, e: Expr) -> None:
         check_expr(sig, body)
 
 
-def sort_of(sig: Signature, e: Expr) -> str:
-    """Recompute the sort bottom-up (validating against the signature)."""
-    check_expr(sig, e)
-    return e.sort
-
-
 def size(e: Expr) -> int:
     return 1 + sum(size(body) for _, body in e.args)
+
+
+def fv(e: Expr) -> frozenset[str]:
+    """Free variables.  A leaf is a variable or a constant, and only
+    variables have names of the variable shape."""
+    if not e.args:
+        if is_variable_name(e.head):
+            return frozenset({e.head})
+        return frozenset()
+    out = set()
+    for binders, body in e.args:
+        out |= fv(body) - set(binders)
+    return frozenset(out)
 
 
 # shorthand constructors for formulas
@@ -185,6 +188,13 @@ def forall_chain(sig, xs, body: Expr) -> Expr:
 _PUNCT = "(),:.="
 _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 
+# The deepest slot nesting parse_expr accepts.  Every pass over an
+# expression recurses at least once per level; structural == takes about
+# five recursion levels per node and fails near 195 levels under Python's
+# default limit of 1000.  At 100 each pass leaves half the limit to its
+# callers.
+MAX_NESTING = 100
+
 
 def parse_expr(sig: Signature, text: str) -> Expr:
     """Parse the concrete syntax::
@@ -219,10 +229,13 @@ def parse_expr(sig: Signature, text: str) -> Expr:
             raise ParseError("a binder group outside an argument slot")
         return e
 
-    # bare() checks a parsed slot instead of wrapping the call, so nesting
-    # costs at most three frames a level (slot, unit, items), which sets how
-    # deep a text may nest before it is "nested too deep"
+    depth = 0
+
     def slot() -> tuple:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError("input nested too deep")
         binders = ()
         if t.peek() == "(" and group_ahead():
             t.take("(")
@@ -236,11 +249,13 @@ def parse_expr(sig: Signature, text: str) -> Expr:
             body = bare(slot())
             if body.sort != PROP:
                 raise SortMismatch("quantified body must be a formula")
-            return binders, (forall if quant == "forall" else exists)(sig, v, body)
-        e = unit()
-        if t.peek() == "=":
-            t.take("=")
-            e = mk_eq(sig, e, unit())
+            e = (forall if quant == "forall" else exists)(sig, v, body)
+        else:
+            e = unit()
+            if t.peek() == "=":
+                t.take("=")
+                e = mk_eq(sig, e, unit())
+        depth -= 1
         return binders, e
 
     def unit() -> Expr:
@@ -291,24 +306,6 @@ def perspective_sorts(sig: Signature, p) -> tuple[str, ...]:
     return tuple(out)
 
 
-def in_class(sig: Signature, e: Expr, p) -> bool:
-    """e ∈ F_gamma[p]: free variables covered by the perspective.  By the
-    inductive table of persp(e): a variable head must occur among the
-    components; the binders of each argument slot are appended for the
-    recursive calls."""
-    def covered(e: Expr, p: tuple) -> bool:
-        if not e.args:
-            return e.head in p or not is_variable(sig, e.head)
-        return all(covered(body, p + tuple(binders)) for binders, body in e.args)
-    return covered(e, tuple(p))
-
-
-def pgp_decompose(sig: Signature, e: Expr, p):
-    """The perspective-relative generation witness: head (an operation or a
-    perspective component), and per slot (binders, body, extended perspective)
-    with each body in class of its extended perspective."""
-    p = tuple(p)
-    if not in_class(sig, e, p):
-        raise NotInClass(f"{print_expr(e)} not in class of perspective {p}")
-    slots = tuple((binders, body, p + tuple(binders)) for binders, body in e.args)
-    return e.head, slots
+def in_class(e: Expr, p) -> bool:
+    """e ∈ F_gamma[p]: every free variable of e is a component of p."""
+    return fv(e) <= set(p)

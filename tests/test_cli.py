@@ -8,7 +8,7 @@ import pytest
 
 from funlog import fileio
 from funlog.cli import main, build_parser, RunReport
-from funlog.syntax import parse_expr
+from funlog.syntax import MAX_NESTING, parse_expr
 from funlog.semantics import satisfies_theory
 
 
@@ -247,6 +247,43 @@ interp mu { ({"0"->0,1->0}) -> "0", ({0->0,1->1}) -> 1, ({0->1,1->0}) -> 0, ({0-
 selected pi^(a) = {0->0,1->0}, {0->0,1->1}, {0->1,1->0}, {0->1,1->1}
 """
 
+
+class TestStructureValues:
+    """Each carrier, interp and selected value is checked whole, at its line."""
+
+    @pytest.mark.parametrize("text, old, new, line", [
+        (TOY_FLS, "carrier a = 0,1", "carrier a = 0,1 x y", 6),
+        (TOY_FLS, "interp ca = 0", "interp ca = 0 junk", 7),
+        (TOY_FLS, "(1) -> 0 }", "(1) -> 0 } junk", 9),
+        (MU_FLS, "{0->1,1->1}\n", "{0->1,1->1} junk\n", 10),
+    ], ids=["carrier", "interp", "interp-table", "selected"])
+    def test_trailing_text(self, files, capsys, text, old, new, line):
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(text.replace(old, new))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line {line}: trailing input from token ")
+
+    @pytest.mark.parametrize("text, old, new, line, reason", [
+        (MU_FLS, "carrier a = \"0\",1", "carrier a = \"0\",1\ncarrier pi = 0", 7,
+         "carrier pi needs two atoms"),
+        (MU_FLS, "carrier a = \"0\",1", "carrier a = \"0\",1\ncarrier pi = 0,1,2", 7,
+         "carrier pi needs two atoms"),
+        (TOY_FLS, "carrier a = 0,1", "carrier a = 0,1\ncarrier pi = 0,1,2", 7,
+         "carrier pi needs two atoms"),
+        (MU_FLS, "carrier a = \"0\",1", "carrier a = \"0\",1\ncarrier pi = 1,1", 7,
+         "carrier pi repeats an atom"),
+        (TOY_FLS, "carrier a = 0,1", "carrier a = 0,0", 6, "carrier a repeats an atom"),
+        (TOY_FLS, "carrier a = 0,1", "carrier a = {0->0}", 6, "carrier a holds a table"),
+    ], ids=["pi-one-explicit", "pi-three-explicit", "pi-three-full", "pi-repeat",
+            "repeat", "table"])
+    def test_bad_carrier(self, files, capsys, text, old, new, line, reason):
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(text.replace(old, new))
+        assert main(["eval", str(bad), "--expr", "top"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: {reason}")
+
+
 DEEP = ["not(" * 3000 + "top" + ")" * 3000, "(" * 3000 + "ca" + ")" * 3000,
         "{(" * 3000 + "0" + ")->0}" * 3000, "{" * 3000]
 BAD_USTYPES = ["(a", "((a)pi", "(a,)a", "(pi)b", "(a)(a)a", "a a", "$", "()a", "((pi)a)a"]
@@ -330,6 +367,44 @@ class TestHenkin:
         bad = files["dir"] / "bad.flt"
         bad.write_text("axiom zap\n")
         assert main(["henkin", str(bad)]) == 2
+
+
+ONE_ATOM_HEADER = "sort a\nvarsort a\nop ca : a\n"
+
+
+def nested(form: str, depth: int) -> str:
+    """A chain of quantifiers over top whose slots nest depth deep, as sugar
+    or as printed."""
+    if form == "sugar":
+        return "forall v0^a. " * (depth - 1) + "top"
+    return "forall^a((v0^a): " * (depth - 1) + "top" + ")" * (depth - 1)
+
+
+class TestNestingBound:
+    """An expression nested MAX_NESTING deep gets through every command; one
+    level deeper is a parse error.  The carrier has one atom, since each
+    quantifier level multiplies the rows of the evaluated table by it."""
+
+    def run_all(self, d, expr):
+        (d / "s.fls").write_text(ONE_ATOM_HEADER + "carrier a = 0\ninterp ca = 0\n")
+        (d / "t.flt").write_text(ONE_ATOM_HEADER + f"axiom {expr}\n")
+        (d / "axiom.flp").write_text(f"1. {expr} ; axiom 0\n")
+        (d / "taut.flp").write_text(f"1. {expr} ; taut\n")
+        return [main(argv) for argv in (
+            ["eval", str(d / "s.fls"), "--expr", expr],
+            ["sat", str(d / "s.fls"), str(d / "t.flt")],
+            ["check", str(d / "t.flt"), str(d / "axiom.flp")],
+            ["check", str(d / "t.flt"), str(d / "taut.flp")],
+            ["henkin", str(d / "t.flt"), "--depth", "2", "--out", str(d / "h.flt")])]
+
+    @pytest.mark.parametrize("form", ["sugar", "printed"])
+    def test_at_the_bound(self, files, capsys, form):
+        assert self.run_all(files["dir"], nested(form, MAX_NESTING)) == [0, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("form", ["sugar", "printed"])
+    def test_one_level_deeper(self, files, capsys, form):
+        assert self.run_all(files["dir"], nested(form, MAX_NESTING + 1)) == [2] * 5
+        assert capsys.readouterr().err.count("input nested too deep") == 5
 
 
 class TestTermmodel:

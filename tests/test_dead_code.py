@@ -11,16 +11,35 @@ name with a live one elsewhere goes unnoticed.
 A module-level import counts as used when the module names it, or when
 another file takes the name through the module (``from funlog.m import x``,
 ``from .m import x`` or ``m.x``).
+
+A definition must also be named outside tests/, unless TEST_ONLY lists it
+with the reason it stays: funlog keeps no helper that only its own tests
+call.  Here a definition's own body counts as outside tests/, so a
+recursive function that only tests call (check_expr) passes.
+
+Every ``module.name`` or ``module.Class.method`` that perfbench's tracer
+wraps resolves in funlog, so that removing a traced name fails a test here
+(perfbench's own tests are outside the tier-1 suite).
 """
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "funlog"
 SEARCHED = ("src", "tests", "scripts", "perfbench")
+
+# Definitions only tests call, and why each stays in funlog.
+TEST_ONLY = {
+    "conj": "one constructor per connective",
+    "derive_symmetry": "acceptance criterion 2, derived symmetry proofs",
+    "derive_transitivity": "acceptance criterion 2, derived transitivity proofs",
+    "derive_equality_theorem": "acceptance criterion 2, the equality theorem",
+    "reindex_axioms": "acceptance criterion 7, re-checking over the used axioms",
+}
 
 
 def names_used(tree: ast.AST) -> Counter:
@@ -105,3 +124,41 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
                    if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_no_test_only_definitions():
+    used = Counter()
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used += names_used(ast.parse(path.read_text(), str(path)))
+    test_only = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in definitions(ast.parse(path.read_text(), str(path))):
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and not used[name]:
+                test_only.append(name)
+    unlisted = sorted(set(test_only) - set(TEST_ONLY))
+    assert not unlisted, "referenced only from tests/: " + ", ".join(unlisted)
+    stale = sorted(set(TEST_ONLY) - set(test_only))
+    assert not stale, "TEST_ONLY lists names used outside tests/ or gone: " + ", ".join(stale)
+
+
+def traced_names():
+    """TARGETS of perfbench/tracer.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_traced_names_resolve():
+    missing = []
+    for target in traced_names():
+        module, *path = target.split(".")
+        obj = importlib.import_module(f"funlog.{module}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(target)
+    assert not missing, "perfbench traces names funlog lacks: " + ", ".join(missing)

@@ -16,22 +16,22 @@ class TestSignatureFormat:
         sig = make_signature(["a", "b"], ["a"],
                              {"c": "a", "g": "((a)b,a)pi"})
         text = "\n".join(fileio.signature_lines(sig))
-        assert fileio.parse_signature(text) == sig
+        assert fileio.parse_theory(text).signature == sig
 
     def test_random_roundtrip(self):
         rng = random.Random(4)
         for _ in range(50):
             sig = rand_signature(rng)
             text = "\n".join(fileio.signature_lines(sig))
-            assert fileio.parse_signature(text) == sig
+            assert fileio.parse_theory(text).signature == sig
 
     def test_comments_and_blanks(self):
-        sig = fileio.parse_signature("# header\n\nsort a\nvarsort a  # tail\n")
+        sig = fileio.parse_theory("# header\n\nsort a\nvarsort a  # tail\n").signature
         assert "a" in sig.sorts
 
     def test_bad_line(self):
         with pytest.raises(fileio.FormatError):
-            fileio.parse_signature("bogus a")
+            fileio.parse_theory("bogus a")
 
 
 class TestStructureFormat:

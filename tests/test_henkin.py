@@ -188,7 +188,7 @@ class TestTermStructure:
         assert tm.structure.carriers["a"] == ("ca", "cb")
         assert tm.structure.carriers[PROP] == ("bot", "top")
         for atom in tm.structure.carriers["a"]:
-            n = tm.expr_of("a", atom)
+            n = tm.atom_expr["a"][atom]
             assert print_expr(norm(ctx, n)) == atom
 
     def test_operations_act_by_norm(self, small_sig, ctx):

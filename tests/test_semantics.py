@@ -215,7 +215,7 @@ class TestClosure:
     def test_skip_reporting(self):
         sig = make_signature(["a"], ["a"], {"c": "a"})
         s = make_full_structure(sig, {"a": tuple(str(i) for i in range(6))}, {"c": "0"})
-        rep = check_closure(s, cap=2, max_space=16)
+        rep = check_closure(s, cap=2)
         assert rep.ok
         assert rep.skipped
 

@@ -3,7 +3,7 @@ import pytest
 from funlog.signature import (
     PROP, OpSig, Signature, make_signature, parse_ustype, print_ustype,
     validate_signature, extends, variable_name, variable_sort, is_variable,
-    variables, fresh_vars, forall_op, exists_op, eq_op, distinguished_ops,
+    fresh_vars, forall_op, exists_op, eq_op, distinguished_ops,
     SignatureError, UnknownSort, MalformedUstype, BinderSortNotInVSRT,
 )
 
@@ -124,13 +124,6 @@ class TestVariables:
         assert variable_sort(sig, "v0^b") is None  # b is not a variable sort
         assert variable_sort(sig, "f") is None
         assert is_variable(sig, "v12^a")
-
-    def test_family_enumeration(self):
-        sig = make_signature(["a"], ["a"], {})
-        it = variables(sig, "a")
-        assert [next(it) for _ in range(3)] == ["v0^a", "v1^a", "v2^a"]
-        with pytest.raises(UnknownSort):
-            list(variables(sig, PROP))
 
     def test_fresh_vars_avoid_and_distinct(self):
         sig = make_signature(["a"], ["a"], {})

@@ -5,7 +5,7 @@ import pytest
 from funlog.signature import make_signature
 from funlog.syntax import parse_expr, print_expr, var
 from funlog.subst import (
-    fv, gv, substitutable, substitute, substitute1, alpha_equiv, SortClash,
+    fv, gv, substitutable, substitute, substitute1, SortClash,
 )
 from funlog.gen import rand_signature, rand_expr, SUBST_CHECKS
 
@@ -100,21 +100,12 @@ class TestSubstitute:
 
 
 class TestAlphaEquiv:
+    """Identity is literal: alpha-equivalent expressions stay distinct."""
+
     def test_renamed_binder(self, sig):
         e1 = parse_expr(sig, "mu((v0^a): P(v0^a))")
         e2 = parse_expr(sig, "mu((v3^a): P(v3^a))")
-        assert alpha_equiv(sig, e1, e2)
         assert e1 != e2  # the kernel itself never identifies these
-
-    def test_free_variables_matter(self, sig):
-        e1 = parse_expr(sig, "P(v0^a)")
-        e2 = parse_expr(sig, "P(v1^a)")
-        assert not alpha_equiv(sig, e1, e2)
-
-    def test_non_bijective_rejected(self, sig):
-        e1 = parse_expr(sig, "mu((v0^a): eq_a(v0^a,v1^a))")
-        e2 = parse_expr(sig, "mu((v1^a): eq_a(v1^a,v1^a))")
-        assert not alpha_equiv(sig, e1, e2)
 
 
 @pytest.mark.parametrize("check", SUBST_CHECKS, ids=lambda c: c.__name__)

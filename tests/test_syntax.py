@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from funlog.signature import PROP, make_signature
+from funlog.signature import is_variable, make_signature
 from funlog.syntax import (
-    Expr, var, mk, mk_eq, check_expr, sort_of, size, parse_expr, print_expr,
+    Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
-    in_class, pgp_decompose, perspective_sorts,
+    fv, in_class, perspective_sorts,
     UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
-    AliasAmbiguity, ParseError, NotInClass, ForeignSignature,
+    AliasAmbiguity, ParseError, ForeignSignature,
 )
 from funlog.gen import rand_signature, rand_expr
 
@@ -50,12 +50,12 @@ class TestConstruction:
         with pytest.raises(UnknownSymbol):
             mk(sig, "nosuch")
 
-    def test_sort_of_revalidates(self, sig):
+    def test_check_expr_catches_forged_sort(self, sig):
         e = mk(sig, "P", (((), mk(sig, "ca")),))
-        assert sort_of(sig, e) == PROP
+        check_expr(sig, e)
         forged = Expr("P", e.args, "a")  # wrong cached sort
         with pytest.raises(SortMismatch):
-            sort_of(sig, forged)
+            check_expr(sig, forged)
 
     def test_check_expr_foreign(self, sig):
         other = make_signature(["c"], ["c"], {"k": "c"})
@@ -120,44 +120,38 @@ class TestConcreteSyntax:
 class TestPerspectives:
     def test_variable_needs_component(self, sig):
         v = var(sig, "v0^a")
-        assert not in_class(sig, v, ())
-        assert in_class(sig, v, ("v0^a",))
-        assert in_class(sig, v, ("v1^a", "v0^a", "v1^a"))
+        assert not in_class(v, ())
+        assert in_class(v, ("v0^a",))
+        assert in_class(v, ("v1^a", "v0^a", "v1^a"))
 
     def test_binders_extend(self, sig):
         e = parse_expr(sig, "mu((v0^a): P(v0^a))")
-        assert in_class(sig, e, ())
+        assert in_class(e, ())
         inner = parse_expr(sig, "mu((v0^a): P(v1^a))")
-        assert not in_class(sig, inner, ())
-        assert in_class(sig, inner, ("v1^a",))
+        assert not in_class(inner, ())
+        assert in_class(inner, ("v1^a",))
 
     def test_in_class_matches_fv(self, sig):
-        from funlog.subst import fv
+        """in_class reads fv; the inductive table of persp(e) is the
+        reference: a variable leaf must be a component of the perspective,
+        and each argument slot's binders extend it for the slot's body."""
+        def covered(s, e, p: tuple) -> bool:
+            if not e.args:
+                return e.head in p or not is_variable(s, e.head)
+            return all(covered(s, body, p + tuple(binders)) for binders, body in e.args)
+
         rng = random.Random(5)
         for _ in range(200):
             s = rand_signature(rng)
             e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 5))
             p = tuple(rng.choice(sorted(fv(e)) or ["v0^s0"])
                       for _ in range(rng.randint(0, 4)))
-            assert in_class(s, e, p) == (fv(e) <= set(p))
+            assert in_class(e, p) == covered(s, e, p)
 
     def test_perspective_sorts(self, sig):
         assert perspective_sorts(sig, ("v0^a", "v1^b")) == ("a", "b")
         with pytest.raises(UnknownSymbol):
             perspective_sorts(sig, ("ca",))
-
-    def test_pgp_decompose(self, sig):
-        e = parse_expr(sig, "mu((v0^a): P(v1^a))")
-        head, slots = pgp_decompose(sig, e, ("v1^a",))
-        assert head == "mu"
-        (binders, body, ext), = slots
-        assert binders == ("v0^a",)
-        assert ext == ("v1^a", "v0^a")
-        assert in_class(sig, body, ext)
-
-    def test_pgp_decompose_rejects_uncovered(self, sig):
-        with pytest.raises(NotInClass):
-            pgp_decompose(sig, var(sig, "v0^a"), ())
 
 
 def test_forall_chain(sig):
