@@ -154,8 +154,9 @@ def cmd_henkin(args) -> RunReport:
     theory = _load_theory(args.theory)
     ext = henkin_extend(theory, args.levels, args.depth)
     out = args.out or os.path.splitext(args.theory)[0] + ".henkin.flt"
-    fileio.save(out, fileio.print_theory(ext.theory))
-    reparsed = fileio.parse_theory(fileio.print_theory(ext.theory))
+    text = fileio.print_theory(ext.theory)
+    fileio.save(out, text)
+    reparsed = fileio.parse_theory(text)
     rep.cases = len(ext.constants)
     rep.extra["levels"] = args.levels
     rep.extra["depth"] = args.depth

@@ -32,8 +32,7 @@ from .calculus import (
     ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
 )
 from .semantics import (
-    Structure, FnTable, make_full_structure, _fill_distinguished,
-    MissingInterpretation,
+    Structure, FnTable, carriers_for, make_full_structure, _fill_distinguished,
 )
 
 
@@ -202,14 +201,9 @@ def parse_structure(text: str) -> Structure:
             raise FormatError(f"line {lineno}: {exc}") from None
 
     if not selected_raw:
-        user_carriers = {s: a for s, a in carriers.items() if s != PROP}
-        return make_full_structure(sig, user_carriers, interp_raw)
-
-    carriers.setdefault(PROP, ("0", "1"))
-    for sort in sig.sorts:
-        if sort not in carriers:
-            raise MissingInterpretation(f"no carrier for sort {sort!r}")
-    s = Structure(sig, carriers, interp_raw, full=False, selected=dict(selected_raw))
+        return make_full_structure(sig, carriers, interp_raw)
+    s = Structure(sig, carriers_for(sig, carriers), interp_raw, full=False,
+                  selected=dict(selected_raw))
     _fill_distinguished(s)
     return s
 

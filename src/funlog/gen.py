@@ -228,7 +228,7 @@ def rand_structure_signature(rng: random.Random) -> Signature:
 def rand_full_structure(rng: random.Random, sig: Signature,
                         max_carrier=3) -> Structure:
     carriers = {s: tuple(str(i) for i in range(rng.randint(1, max_carrier)))
-                for s in sig.sorts if s != PROP}
+                for s in sorted(sig.sorts) if s != PROP}
     interp = {}
     for name, spec in sig.user_ops().items():
         if spec.arity == 0:

@@ -146,16 +146,10 @@ def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure
                     s.full, dict(s.selected))
     _fill_distinguished(cur)
     for name, phi, x in ext.constants:
-        xsort = variable_sort(cur.signature, x)
-        carrier = cur.carriers[xsort]
-        value = carrier[0]
-        tbl = evaluate(cur, phi, (x,)) if x in fv(phi) else None
-        if tbl is not None:
-            for w in carrier:
-                if tbl.apply((w,)) == cur.true_atom:
-                    value = w
-                    break
-        cur.interp[name] = value
+        carrier = cur.carriers[variable_sort(cur.signature, x)]
+        tbl = evaluate(cur, phi, (x,))
+        cur.interp[name] = next(
+            (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0])
     return cur
 
 

@@ -4,10 +4,11 @@ A structure assigns a finite carrier to every sort (the formula sort carries
 the two truth values), selected function sets M_gamma^sigma to sort/
 binder-sort-sequence pairs, and to each operation either a carrier element or
 a functional over argument tuples, where a slot binding variables is fed a
-function table rather than an element.  Evaluation interprets an expression
-relative to a perspective (a variable sequence covering its free variables)
-as a function table over the perspective's carriers; binder slots extend the
-perspective and are discharged by partial fixing.
+function table rather than an element.  Evaluation works at one assignment:
+a variable reads it, an operation applies its interpretation, and a binder
+slot is fed the table of its body over its binders' carriers.  Under a
+perspective (a variable sequence covering the free variables) the value is
+the table of these values over the perspective's carriers.
 
 Full structures take every selected set to be the whole function space; the
 closure laws (constants, projections, partial fixing, composition) then hold
@@ -20,10 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .signature import (
-    PROP, Signature, forall_op, exists_op, eq_op, extends, variable_sort, sorted_vars,
+    PROP, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
 )
-from .syntax import Expr, ForeignSignature, in_class, perspective_sorts, print_expr
-from .subst import fv
+from .syntax import Expr, ForeignSignature, fv, in_class, perspective_sorts, print_expr
 from .calculus import Theory
 
 
@@ -181,16 +181,23 @@ def _fill_distinguished(s: Structure):
             (tbl,): t if any(v == t for _, v in tbl.rows) else f for tbl in tables}
 
 
-def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structure:
-    """carriers: per non-formula sort, a nonempty tuple of atom names.
-    interp: per user operation, a carrier element (m=0) or a dict/callable
-    over argument tuples (function tables for binder slots)."""
+def carriers_for(sig: Signature, carriers: dict) -> dict:
+    """The carrier of every sort: the given nonempty tuple of atom names, the
+    formula sort's defaulting to 0,1 (false, then true)."""
     cs = {PROP: ("0", "1")}
-    for sort in sig.sorts - {PROP}:
-        atoms = tuple(carriers.get(sort, ()))
+    for sort in sorted(sig.sorts):
+        atoms = tuple(carriers.get(sort, cs.get(sort, ())))
         if not atoms:
             raise MissingInterpretation(f"no carrier for sort {sort!r}")
         cs[sort] = atoms
+    return cs
+
+
+def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structure:
+    """carriers: as for carriers_for.  interp: per user operation, a carrier
+    element (m=0) or a dict/callable over argument tuples (function tables
+    for binder slots)."""
+    cs = carriers_for(sig, carriers)
     s = Structure(sig, cs, {}, full=True)
     for name, spec in sig.user_ops().items():
         if name not in interp:
@@ -236,35 +243,38 @@ def _apply_op(s: Structure, op: str, args: tuple) -> str:
 
 def evaluate(s: Structure, e: Expr, p):
     """Value of e under perspective p: a carrier element for the empty
-    perspective, otherwise a function table over the perspective carriers."""
+    perspective, otherwise the function table over the perspective carriers
+    whose row xs is e's value at the assignment of xs to p."""
     p = tuple(p)
     if not in_class(e, p):
         raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
-    return _evaluate(s, e, p)
-
-
-def _evaluate(s: Structure, e: Expr, p: tuple):
-    """evaluate without the coverage check: e is covered by p, so each body
-    is covered by p extended with its slot's binders."""
-    sig = s.signature
-    if e.head not in sig.ops and variable_sort(sig, e.head) is None:
-        raise ForeignSignature(f"symbol {e.head!r} not in the structure's signature")
-    sorts = perspective_sorts(sig, p)
-
     if not p:
-        if not e.args:
-            return _apply_op(s, e.head, ())
-        return _apply_op(s, e.head, tuple(
-            [_evaluate(s, body, binders) for binders, body in e.args]))
+        return _value(s, e, {})
+    sorts = perspective_sorts(s.signature, p)
+    # dict(zip(...)) keeps the rightmost occurrence of a repeated variable
+    return FnTable.from_map(sorts, e.sort, {
+        xs: _value(s, e, dict(zip(p, xs)))
+        for xs in itertools.product(*(s.carriers[t] for t in sorts))})
 
-    if not e.args:
-        if variable_sort(sig, e.head) is not None:
-            k = max(j for j, u in enumerate(p) if u == e.head)
-            return projection_table(sorts, s.carriers, k)
-        return constant_table(sorts, s.carriers, _apply_op(s, e.head, ()), e.sort)
 
-    return _compose(s, e.head, sorts,
-                    [_evaluate(s, body, p + binders) for binders, body in e.args])
+def _value(s: Structure, e: Expr, env: dict):
+    """Value of e at the assignment env, which covers e's free variables.  A
+    slot binding variables is fed the table of its body over the carriers of
+    its binder sorts, each row taken at env extended by the binders."""
+    spec = s.signature.ops.get(e.head)
+    if spec is None:
+        if e.head in env:
+            return env[e.head]
+        raise ForeignSignature(f"symbol {e.head!r} not in the structure's signature")
+    args = []
+    for (binders, body), (_, bsorts) in zip(e.args, spec.args):
+        if bsorts:
+            args.append(FnTable.from_map(bsorts, body.sort, {
+                xs: _value(s, body, {**env, **dict(zip(binders, xs))})
+                for xs in itertools.product(*(s.carriers[t] for t in bsorts))}))
+        else:
+            args.append(_value(s, body, env))
+    return _apply_op(s, e.head, tuple(args))
 
 
 def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:

@@ -154,6 +154,20 @@ class TestEval:
                      "--persp", "v0^a", "--args", "1"]) == 0
         assert "value: 0" in capsys.readouterr().out
 
+    def test_full_structure_keeps_carrier_pi(self, files, capsys):
+        fls = files["dir"] / "pi.fls"
+        fls.write_text(TOY_FLS.replace("carrier a = 0,1", "carrier a = 0,1\ncarrier pi = f,t"))
+        assert main(["eval", str(fls), "--expr", "top"]) == 0
+        assert "value: t" in capsys.readouterr().out
+
+    def test_pi_row_over_carrier_pi(self, files, capsys):
+        fls = files["dir"] / "pi.fls"
+        fls.write_text(TOY_FLS.replace("op f : (a)a", "op f : (a)a\nop p : (a)pi")
+                       .replace("carrier a = 0,1", "carrier a = 0,1\ncarrier pi = f,t")
+                       + "interp p { (0) -> t, (1) -> f }\n")
+        assert main(["eval", str(fls), "--expr", "p(cb)"]) == 0
+        assert "value: f" in capsys.readouterr().out
+
     def test_uncovered_variable(self, files, capsys):
         assert main(["eval", files["fls"], "--expr", "f(v0^a)"]) == 2
         assert "perspective" in capsys.readouterr().err

@@ -12,10 +12,9 @@ A module-level import counts as used when the module names it, or when
 another file takes the name through the module (``from funlog.m import x``,
 ``from .m import x`` or ``m.x``).
 
-A definition must also be named outside tests/, unless TEST_ONLY lists it
-with the reason it stays: funlog keeps no helper that only its own tests
-call.  Here a definition's own body counts as outside tests/, so a
-recursive function that only tests call (check_expr) passes.
+A definition must also be named outside tests/ and outside its own body,
+unless TEST_ONLY lists it with the reason it stays: funlog keeps no helper
+that only its own tests call.
 
 Every ``module.name`` or ``module.Class.method`` that perfbench's tracer
 wraps resolves in funlog, so that removing a traced name fails a test here
@@ -34,6 +33,8 @@ SEARCHED = ("src", "tests", "scripts", "perfbench")
 
 # Definitions only tests call, and why each stays in funlog.
 TEST_ONLY = {
+    "check_expr": "the forged-node guard: test_syntax's forged-sort test keeps it "
+                  "for hash-consed expressions",
     "conj": "one constructor per connective",
     "derive_symmetry": "acceptance criterion 2, derived symmetry proofs",
     "derive_transitivity": "acceptance criterion 2, derived transitivity proofs",
@@ -135,7 +136,9 @@ def test_no_test_only_definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in definitions(ast.parse(path.read_text(), str(path))):
             name = node.name
-            if not (name.startswith("__") and name.endswith("__")) and not used[name]:
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] - names_used(node)[name] <= 0:
                 test_only.append(name)
     unlisted = sorted(set(test_only) - set(TEST_ONLY))
     assert not unlisted, "referenced only from tests/: " + ", ".join(unlisted)

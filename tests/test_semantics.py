@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from funlog.signature import PROP, make_signature, eq_op, forall_op
-from funlog.syntax import parse_expr, print_expr, ForeignSignature
+from funlog import fileio
+from funlog.signature import PROP, make_signature, eq_op, forall_op, variable_sort
+from funlog.syntax import (
+    ExprError, parse_expr, print_expr, ForeignSignature, in_class, perspective_sorts,
+)
 from funlog.subst import fv, substitute1
 from funlog.calculus import Theory
 from funlog.semantics import (
@@ -11,12 +18,61 @@ from funlog.semantics import (
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     materialize_selected, MissingInterpretation, InterpretationOutOfCarrier,
     NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge,
+    SemanticsError, _apply_op, _compose,
 )
 from funlog.gen import (
     rand_structure_signature, rand_full_structure, rand_expr,
     rand_satisfied_theory, _pool,
 )
-from funlog.henkin import enumerate_exprs
+from funlog.henkin import (
+    ThOracle, TermModelContext, build_term_structure, enumerate_exprs,
+)
+
+
+def reference_evaluate(s: Structure, e, p):
+    """The table evaluator that evaluate replaced, kept as its reference:
+    every subexpression is tabulated over the whole perspective, a binder
+    slot's body over the perspective extended by the slot's binders, and
+    _compose discharges the slot by partial fixing."""
+    p = tuple(p)
+    if not in_class(e, p):
+        raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
+    sig = s.signature
+    if e.head not in sig.ops and variable_sort(sig, e.head) is None:
+        raise ForeignSignature(f"symbol {e.head!r} not in the structure's signature")
+    sorts = perspective_sorts(sig, p)
+    if not p:
+        return _apply_op(s, e.head, tuple(
+            reference_evaluate(s, body, binders) for binders, body in e.args))
+    if not e.args:
+        if variable_sort(sig, e.head) is not None:
+            k = max(j for j, u in enumerate(p) if u == e.head)
+            return projection_table(sorts, s.carriers, k)
+        return constant_table(sorts, s.carriers, _apply_op(s, e.head, ()), e.sort)
+    return _compose(s, e.head, sorts, [
+        reference_evaluate(s, body, p + binders) for binders, body in e.args])
+
+
+def outcome(f, s, e, p):
+    """f's value, or the class of the evaluation error it raises."""
+    try:
+        return f(s, e, p)
+    except (SemanticsError, ExprError) as exc:
+        return type(exc)
+
+
+def agree(s, e, p) -> bool:
+    return outcome(evaluate, s, e, p) == outcome(reference_evaluate, s, e, p)
+
+
+def random_perspective(rng, sig, e) -> tuple:
+    """e's free variables, some of them repeated, and variables e does not
+    need, in random order."""
+    p = sorted(fv(e))
+    p += [rng.choice(p) for _ in range(rng.randint(0, 2))] if p else []
+    p += rng.sample(_pool(sig), rng.randint(0, 2))
+    rng.shuffle(p)
+    return tuple(p)
 
 
 class TestFnTable:
@@ -114,6 +170,13 @@ class TestEvaluate:
             evaluate(toy_structure, e, ("v0^a",))
         assert evaluate(toy_structure, e, ("v1^a",)).apply(("0",)) == "1"
 
+    def test_deep_quantifier_chain(self, small_sig, small_structure):
+        # each level doubles the work: 2^14 evaluations of the body
+        e = parse_expr(small_sig, "forall v0^a. " * 14 + "top")
+        start = time.perf_counter()
+        assert evaluate(small_structure, e, ()) == "1"
+        assert time.perf_counter() - start < 3
+
     def test_mu_toy_values(self, toy_sig, toy_structure):
         # mu picks the first element where its predicate is true, else 1
         s = toy_structure
@@ -135,6 +198,42 @@ class TestEvaluate:
                     closed = substitute1(toy_sig, e, x, c)
                     assert table.apply((w,)) == evaluate(s, closed, ()), \
                         print_expr(e)
+
+
+class TestAgainstReference:
+    """evaluate gives the reference's value, or raises the same error."""
+
+    def test_random_structures(self):
+        misses = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            sig = rand_structure_signature(rng)
+            s = rand_full_structure(rng, sig, max_carrier=2)
+            m = materialize_selected(s, cap=1)
+            # drop one argument tuple of a binding functional, so that some
+            # evaluations miss a selected set
+            binding = sorted(n for n, spec in sig.ops.items()
+                             if any(bs for _, bs in spec.args))
+            op = rng.choice(binding)
+            rows = sorted(m.interp[op].items(), key=repr)
+            gone = rng.choice(rows)[0]
+            m.interp[op] = {args: v for args, v in rows if args != gone}
+            for _ in range(10):
+                e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 3))
+                p = random_perspective(rng, sig, e)
+                for st in (s, m):
+                    assert agree(st, e, p), (seed, print_expr(e), p)
+                misses += outcome(evaluate, m, e, p) is SelectedSetMiss
+        assert misses
+
+    def test_mu_toy_term_structure(self, toy_sig, toy_structure):
+        tm = build_term_structure(
+            TermModelContext(toy_sig, ThOracle(toy_structure), size_bound=4))
+        s, rng = tm.structure, random.Random(0)
+        for sort in ("a", PROP):
+            for e in enumerate_exprs(toy_sig, sort, ("v0^a",), 4):
+                p = random_perspective(rng, toy_sig, e)
+                assert agree(s, e, p), (print_expr(e), p)
 
 
 class TestSatisfies:
@@ -244,6 +343,44 @@ def test_selected_set_miss():
     m.interp[forall_op("a")] = {}
     with pytest.raises(SelectedSetMiss):
         evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
+    # the reference misses, or not, at the same perspectives
+    for text in ("forall v0^a. eq_a(v0^a,c)", "exists v0^a. eq_a(v0^a,v1^a)",
+                 "eq_a(v1^a,c)"):
+        for p in ((), ("v1^a",), ("v0^a", "v1^a", "v0^a")):
+            assert agree(m, parse_expr(sig, text), p), (text, p)
+
+
+def test_satisfies_raises_on_a_later_miss():
+    # false at v1 = 0, and the quantified table at v1 = 1 is missing: the
+    # miss raises rather than reading as "not satisfied"
+    sig = make_signature(["a"], ["a"], {"c": "a"})
+    m = materialize_selected(
+        make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"}), cap=1)
+    at_one = FnTable.from_map(("a",), PROP, {("0",): "0", ("1",): "1"})
+    m.interp[forall_op("a")] = {
+        args: v for args, v in m.interp[forall_op("a")].items() if args != (at_one,)}
+    assert evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ()) == "0"
+    with pytest.raises(SelectedSetMiss):
+        satisfies(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,v1^a)"))
+
+
+def test_draws_independent_of_hash_seed():
+    """A fuzz seed draws the same structures in every process."""
+    script = (
+        "import hashlib, random\n"
+        "from funlog.fileio import print_structure\n"
+        "from funlog.gen import rand_structure_signature, rand_full_structure\n"
+        "rng, h = random.Random(0), hashlib.sha256()\n"
+        "for _ in range(40):\n"
+        "    sig = rand_structure_signature(rng)\n"
+        "    h.update(print_structure(rand_full_structure(rng, sig)).encode())\n"
+        "print(h.hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(fileio.__file__))
+    digests = {subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "3")}
+    assert len(digests) == 1, digests
 
 
 def test_eval_invariance_random():
