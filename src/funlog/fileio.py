@@ -258,12 +258,13 @@ def parse_theory(text: str) -> Theory:
     sorts, var_sorts, ops, rest = _split_decls(text)
     sig = make_signature(sorts, var_sorts, ops)
     axioms = []
+    memo = {}
     for lineno, line in rest:
         head, _, tail = line.partition(" ")
         if head != "axiom":
             raise FormatError(f"line {lineno}: unexpected {head!r}")
         try:
-            axioms.append(parse_expr(sig, tail.strip()))
+            axioms.append(parse_expr(sig, tail.strip(), memo))
         except ExprError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return Theory(sig, tuple(axioms))
@@ -326,21 +327,23 @@ def _typed(value, kind):
     raise TypeError(f"expected {kind.__name__}, got {value!r}")
 
 
-def just_from_text(sig: Signature, text: str):
+def just_from_text(sig: Signature, text: str, memo: dict):
+    """The justification written as text; its expression arguments are
+    parsed through memo (see parse_expr)."""
     keyword, _, tail = text.strip().partition(" ")
     tail = tail.strip()
     try:
-        return _just_from_args(sig, keyword, tail)
+        return _just_from_args(sig, keyword, tail, memo)
     except (KeyError, TypeError, ValueError) as exc:
         # JSONDecodeError is a ValueError
         raise FormatError(f"bad arguments for {keyword!r}: {exc!r}") from None
 
 
-def _just_from_args(sig: Signature, keyword: str, tail: str):
-    if keyword == "taut":
-        return Taut()
-    if keyword == "eqrefl":
-        return EqRefl()
+def _just_from_args(sig: Signature, keyword: str, tail: str, memo: dict):
+    if keyword in ("taut", "eqrefl"):
+        if tail:
+            raise ValueError(f"unexpected {tail!r}")
+        return Taut() if keyword == "taut" else EqRefl()
     if keyword == "axiom":
         return NonlogicalAxiom(int(tail))
     if keyword == "premise":
@@ -351,11 +354,14 @@ def _just_from_args(sig: Signature, keyword: str, tail: str):
     if keyword == "gen":
         frm, x = tail.split()
         return Gen(int(frm) - 1, x)
-    d = json.loads(tail) if tail else {}
+    try:
+        d = json.loads(tail) if tail else {}
+    except RecursionError:
+        raise FormatError("input nested too deep") from None
     if keyword == "forall_elim":
-        return ForallElim(_typed(d["x"], str), parse_expr(sig, d["a"]))
+        return ForallElim(_typed(d["x"], str), parse_expr(sig, d["a"], memo))
     if keyword == "exists_intro":
-        return ExistsIntro(_typed(d["x"], str), parse_expr(sig, d["a"]))
+        return ExistsIntro(_typed(d["x"], str), parse_expr(sig, d["a"], memo))
     if keyword == "forall_imp_dist":
         return ForallImpDist(_typed(d["x"], str))
     if keyword == "exists_imp_dist":
@@ -364,9 +370,9 @@ def _just_from_args(sig: Signature, keyword: str, tail: str):
         return EqCongr(
             _typed(d["op"], str), _typed(d["i"], int),
             _typed(d["xs"], tuple), _typed(d["ys"], tuple), _typed(d["zs"], tuple),
-            parse_expr(sig, d["b1"]), parse_expr(sig, d["b2"]),
-            tuple((_typed(bs, tuple), parse_expr(sig, b)) for bs, b in d["before"]),
-            tuple((_typed(bs, tuple), parse_expr(sig, b)) for bs, b in d["after"]))
+            parse_expr(sig, d["b1"], memo), parse_expr(sig, d["b2"], memo),
+            tuple((_typed(bs, tuple), parse_expr(sig, b, memo)) for bs, b in d["before"]),
+            tuple((_typed(bs, tuple), parse_expr(sig, b, memo)) for bs, b in d["after"]))
     raise FormatError(f"unknown rule {keyword!r}")
 
 
@@ -377,6 +383,7 @@ def parse_proof(text: str, theory: Theory) -> Proof:
     sig = theory.signature
     premises = []
     lines = []
+    memo = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         raw = raw.split("#", 1)[0].strip()
         if not raw:
@@ -385,7 +392,7 @@ def parse_proof(text: str, theory: Theory) -> Proof:
             if raw.startswith("premise "):
                 if lines:
                     raise FormatError("premises must come first")
-                premises.append(parse_expr(sig, raw[len("premise "):]))
+                premises.append(parse_expr(sig, raw[len("premise "):], memo))
                 continue
             m = _STEP.match(raw)
             if not m:
@@ -393,9 +400,9 @@ def parse_proof(text: str, theory: Theory) -> Proof:
             n, formula_text, just_text = m.groups()
             if int(n) != len(lines) + 1:
                 raise FormatError(f"step numbered {n}, expected {len(lines) + 1}")
-            formula = parse_expr(sig, formula_text)
-            lines.append(ProofLine(formula, just_from_text(sig, just_text)))
-        except (FormatError, ExprError, RecursionError) as exc:
+            formula = parse_expr(sig, formula_text, memo)
+            lines.append(ProofLine(formula, just_from_text(sig, just_text, memo)))
+        except (FormatError, ExprError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return Proof(theory, tuple(premises), tuple(lines))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from .signature import (
     PROP, WORD_TOKEN, Signature, Tokens, eq_op, forall_op, exists_op,
@@ -187,6 +188,7 @@ def forall_chain(sig, xs, body: Expr) -> Expr:
 
 _PUNCT = "(),:.="
 _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
+_PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest slot nesting parse_expr accepts.  Every pass over an
 # expression recurses at least once per level; structural == takes about
@@ -196,7 +198,7 @@ _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 MAX_NESTING = 100
 
 
-def parse_expr(sig: Signature, text: str) -> Expr:
+def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     """Parse the concrete syntax::
 
         slot := [ '(' var (',' var)* ')' ':' ]
@@ -204,8 +206,22 @@ def parse_expr(sig: Signature, text: str) -> Expr:
         unit := '(' slot ')' | head [ '(' slot (',' slot)* ')' ]
 
     A binder group is allowed only in an operation's argument slot.  It is
-    told from a parenthesized expression by the tokens up to its ':'."""
+    told from a parenthesized expression by the tokens up to its ':'.
+
+    memo maps the tokens of an operation application ``head(...)``, up to
+    its matching ')', to the expression parsed from them and the number of
+    slot levels its parse went below the unit, so that a caller passing one
+    dict to several parses gets each distinct application parsed once and
+    shared.  Identity stays literal: only the same tokens share an entry.
+    One memo must serve one signature.  Only successful parses are stored,
+    and a reused entry counts against MAX_NESTING at the depth it recurs."""
+    if memo is None:
+        memo = {}
     t = Tokens(_TOKEN, text, ParseError)
+    toks = t.toks
+    # level[i]: parentheses open after token i.  The ')' matching a '(' at
+    # i is the first token after it that brings level back to level[i] - 1.
+    level = list(accumulate(map(_PAREN_STEP.get, toks, repeat(0))))
 
     def word(k: int) -> bool:
         tok = t.peek(k)
@@ -229,13 +245,17 @@ def parse_expr(sig: Signature, text: str) -> Expr:
             raise ParseError("a binder group outside an argument slot")
         return e
 
-    depth = 0
+    # depth is the slot nesting at the cursor; deepest is the deepest slot
+    # reached since the innermost unit being parsed began
+    depth = deepest = 0
 
     def slot() -> tuple:
-        nonlocal depth
+        nonlocal depth, deepest
         depth += 1
         if depth > MAX_NESTING:
             raise ParseError("input nested too deep")
+        if depth > deepest:
+            deepest = depth
         binders = ()
         if t.peek() == "(" and group_ahead():
             t.take("(")
@@ -259,6 +279,8 @@ def parse_expr(sig: Signature, text: str) -> Expr:
         return binders, e
 
     def unit() -> Expr:
+        nonlocal deepest
+        start = t.pos
         head = t.take()
         if head == "(":
             e = bare(slot())
@@ -268,10 +290,28 @@ def parse_expr(sig: Signature, text: str) -> Expr:
             raise ParseError(f"unexpected {head!r}")
         if t.peek() != "(":
             return mk(sig, head)
+        try:
+            end = level.index(level[t.pos] - 1, t.pos)
+        except ValueError:  # an unclosed '(': the parse below fails
+            end = None
+        key = tuple(toks[start:end + 1]) if end is not None else None
+        hit = memo.get(key)
+        if hit is not None:
+            e, levels = hit
+            if depth + levels > MAX_NESTING:
+                raise ParseError("input nested too deep")
+            deepest = max(deepest, depth + levels)
+            t.pos = end + 1
+            return e
+        outer, deepest = deepest, depth
         t.take("(")
         args = t.items(slot)
         t.take(")")
-        return mk(sig, head, args)
+        e = mk(sig, head, args)
+        if t.pos - 1 == end:
+            memo[key] = (e, deepest - depth)
+        deepest = max(outer, deepest)
+        return e
 
     try:
         return bare(t.parse(slot))

@@ -94,6 +94,7 @@ class TestCheck:
         'eqcongr {"op": "f", "i": "0", "xs": [], "ys": [], "zs": [], "b1": "ca", '
         '"b2": "ca", "before": [], "after": []}',
         'forall_imp_dist {"x": 5}',
+        'eqrefl {"x": 1}', "taut 17", "taut ; junk",
     ])
     def test_malformed_justification(self, files, capsys, step):
         bad = files["dir"] / "bad.flp"
@@ -106,6 +107,12 @@ class TestCheck:
         bad.write_text("1. " + "not(" * 3000 + "top" + ")" * 3000 + " ; taut\n")
         assert main(["check", files["flt"], str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: line 1: ")
+
+    def test_deep_json_argument(self, files, capsys):
+        bad = files["dir"] / "bad.flp"
+        bad.write_text('1. top ; eqcongr {"op": ' + "[" * 5000 + "]" * 5000 + "}\n")
+        assert main(["check", files["flt"], str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 1: input nested too deep\n"
 
     def test_deep_theory_axiom(self, files, capsys):
         bad = files["dir"] / "bad.flt"
@@ -419,6 +426,18 @@ class TestNestingBound:
     def test_one_level_deeper(self, files, capsys, form):
         assert self.run_all(files["dir"], nested(form, MAX_NESTING + 1)) == [2] * 5
         assert capsys.readouterr().err.count("input nested too deep") == 5
+
+    @pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (MAX_NESTING + 1, 2)])
+    def test_shared_subterm_counts_where_it_recurs(self, files, capsys, depth, code):
+        # t reaches 41 slot levels below itself; line 2 reuses it below
+        # imp's argument slot and depth - 43 negations
+        t = "eq_a(" + "f(" * 40 + "ca" + ")" * 40 + ",ca)"
+        n = "not(" * (depth - 43) + t + ")" * (depth - 43)
+        flp = files["dir"] / "shared.flp"
+        flp.write_text(f"1. imp({t},{t}) ; taut\n2. imp({n},{n}) ; taut\n")
+        assert main(["check", files["flt"], str(flp)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == "error: line 2: input nested too deep\n"
 
 
 class TestTermmodel:

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from funlog.signature import is_variable, make_signature
+from funlog import fileio
+from funlog.calculus import Theory, derive_equality_rule
+from funlog.signature import PROP, Tokens, is_variable, make_signature
 from funlog.syntax import (
     Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
-    fv, in_class, perspective_sorts,
-    UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
+    fv, in_class, perspective_sorts, MAX_NESTING, _PUNCT, _TOKEN,
+    ExprError, UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
     AliasAmbiguity, ParseError, ForeignSignature,
 )
 from funlog.gen import rand_signature, rand_expr
@@ -157,3 +159,164 @@ class TestPerspectives:
 def test_forall_chain(sig):
     e = forall_chain(sig, ("v0^a", "v1^b"), top(sig))
     assert print_expr(e) == "forall^a((v0^a): forall^b((v1^b): top))"
+
+
+# ---------------------------------------------------------------------------
+# the parse memo, against the parser it replaced
+
+def reference_parse_expr(sig, text: str) -> Expr:
+    """parse_expr before the memo: every application is parsed and
+    validated where it occurs."""
+    t = Tokens(_TOKEN, text, ParseError)
+
+    def word(k: int) -> bool:
+        tok = t.peek(k)
+        return tok is not None and tok not in _PUNCT
+
+    def group_ahead() -> bool:
+        k = 1
+        while word(k) and t.peek(k + 1) == ",":
+            k += 2
+        return word(k) and t.peek(k + 1) == ")" and t.peek(k + 2) == ":"
+
+    def binder() -> str:
+        v = t.take()
+        if not is_variable(sig, v):
+            raise ParseError(f"binder {v!r} is not a variable")
+        return v
+
+    def bare(parsed: tuple) -> Expr:
+        binders, e = parsed
+        if binders:
+            raise ParseError("a binder group outside an argument slot")
+        return e
+
+    depth = 0
+
+    def slot() -> tuple:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError("input nested too deep")
+        binders = ()
+        if t.peek() == "(" and group_ahead():
+            t.take("(")
+            binders = tuple(t.items(binder))
+            t.take(")")
+            t.take(":")
+        if t.peek() in ("forall", "exists") and is_variable(sig, t.peek(1) or ""):
+            quant = t.take()
+            v = t.take()
+            t.take(".")
+            body = bare(slot())
+            if body.sort != PROP:
+                raise SortMismatch("quantified body must be a formula")
+            e = (forall if quant == "forall" else exists)(sig, v, body)
+        else:
+            e = unit()
+            if t.peek() == "=":
+                t.take("=")
+                e = mk_eq(sig, e, unit())
+        depth -= 1
+        return binders, e
+
+    def unit() -> Expr:
+        head = t.take()
+        if head == "(":
+            e = bare(slot())
+            t.take(")")
+            return e
+        if head in _PUNCT:
+            raise ParseError(f"unexpected {head!r}")
+        if t.peek() != "(":
+            return mk(sig, head)
+        t.take("(")
+        args = t.items(slot)
+        t.take(")")
+        return mk(sig, head, args)
+
+    return bare(t.parse(slot))
+
+
+def outcome(parse, s, text):
+    """The parsed expression, or the class of the error raised."""
+    try:
+        return parse(s, text)
+    except ExprError as exc:
+        return type(exc)
+
+
+def mutants(text: str, rng: random.Random) -> list[str]:
+    """The text with one token dropped, one token repeated, and nested
+    one level deeper inside a negation or an equation."""
+    toks = _TOKEN.findall(text)
+    i = rng.randrange(len(toks))
+    return [" ".join(toks[:i] + toks[i + 1:]),
+            " ".join(toks[:i + 1] + toks[i:]),
+            f"not({text})", f"{text} = {text}"]
+
+
+class TestParseMemo:
+    def test_same_as_the_reference(self):
+        """Every text parses as the reference parses it, or fails with the
+        same error class, when parsed twice through one memo shared by all
+        texts over one signature."""
+        rng = random.Random(23)
+        accepted = rejected = 0
+        for _ in range(300):
+            s = rand_signature(rng)
+            memo = {}
+            texts = []
+            for _ in range(3):
+                e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 5))
+                texts += [print_expr(e)] + mutants(print_expr(e), rng)
+            for text in texts:
+                want = outcome(reference_parse_expr, s, text)
+                for _ in range(2):
+                    got = outcome(lambda s, text: parse_expr(s, text, memo), s, text)
+                    assert got == want, text
+                if isinstance(want, Expr):
+                    accepted += 1
+                else:
+                    rejected += 1
+        assert accepted > 1000 and rejected > 500
+
+    def test_nesting_bound_exact_on_hits(self):
+        """A reused application counts its own depth where it recurs, and so
+        does every application parsed around a reuse."""
+        s = make_signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+        memo = {}
+
+        def f_nest(k, e):
+            return "f(" * k + e + ")" * k
+
+        big = f_nest(60, "ca")
+        parse_expr(s, f"eq_a({big},ca)", memo)
+        for k in range(45):
+            text = f"eq_a({f_nest(k, big)},ca)"
+            assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == \
+                outcome(parse_expr, s, text), k
+
+    def test_parse_proof_as_lines_parsed_one_by_one(self, monkeypatch):
+        s = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a",
+                                          "mu": "((a)pi)a"})
+        thy = Theory(s, ())
+        e = parse_expr(s, "f(mu((v0^a): eq_a(f(v1^a),v0^a)))")
+        p = derive_equality_rule(thy, e, "v1^a", parse_expr(s, "ca"),
+                                 parse_expr(s, "f(cb)"))
+        text = fileio.print_proof(p)
+        got = fileio.parse_proof(text, thy)
+        monkeypatch.setattr(fileio, "parse_expr",
+                            lambda s, text, memo=None: reference_parse_expr(s, text))
+        assert got == fileio.parse_proof(text, thy) == p
+
+    def test_a_repeated_subformula_is_one_object(self):
+        s = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+        proof = fileio.parse_proof(
+            "premise eq_a(f(ca),cb)\n"
+            "1. imp(eq_a(f(ca),cb),eq_a(f(ca),cb)) ; taut\n"
+            "2. imp(not(eq_a(f(ca),cb)),bot) ; taut\n", Theory(s, ()))
+        first = proof.lines[0].formula.args[0][1]
+        assert proof.premises[0] is first
+        assert proof.lines[0].formula.args[1][1] is first
+        assert proof.lines[1].formula.args[0][1].args[0][1] is first
