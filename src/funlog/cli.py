@@ -105,15 +105,15 @@ def cmd_eval(args) -> RunReport:
     persp = tuple(x for x in (args.persp or "").split(",") if x)
     val = evaluate(s, e, persp)
     rep.cases = 1
-    if not persp:
-        rep.extra["value"] = val
-    elif args.args:
+    if args.args:
         point = tuple(args.args.split(","))
-        if len(point) != len(persp) or any(
+        if not persp or len(point) != len(persp) or any(
                 x not in s.carriers[srt] for x, srt in zip(point, val.domain_sorts)):
             raise UsageError(f"--args {args.args!r} is not a point of the "
-                             f"carriers of perspective {','.join(persp)}")
+                             f"carriers of perspective {','.join(persp) or '()'}")
         rep.extra["value"] = val.apply(point)
+    elif not persp:
+        rep.extra["value"] = val
     else:
         rep.extra["table"] = {",".join(a): v for a, v in val.rows}
     return rep

@@ -376,7 +376,8 @@ def _just_from_args(sig: Signature, keyword: str, tail: str, memo: dict):
     raise FormatError(f"unknown rule {keyword!r}")
 
 
-_STEP = re.compile(r"^(\d+)\.\s+(.*?)\s*;\s*(.*)$")
+# a step up to its first ';', which no expression contains
+_STEP = re.compile(r"(\d+)\.\s+(.*)")
 
 
 def parse_proof(text: str, theory: Theory) -> Proof:
@@ -394,10 +395,11 @@ def parse_proof(text: str, theory: Theory) -> Proof:
                     raise FormatError("premises must come first")
                 premises.append(parse_expr(sig, raw[len("premise "):], memo))
                 continue
-            m = _STEP.match(raw)
-            if not m:
+            step, semicolon, just_text = raw.partition(";")
+            m = _STEP.fullmatch(step)
+            if not (m and semicolon):
                 raise FormatError("expected '<n>. <formula> ; <rule>'")
-            n, formula_text, just_text = m.groups()
+            n, formula_text = m.groups()
             if int(n) != len(lines) + 1:
                 raise FormatError(f"step numbered {n}, expected {len(lines) + 1}")
             formula = parse_expr(sig, formula_text, memo)

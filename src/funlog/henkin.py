@@ -105,15 +105,14 @@ def henkin_extend(theory: Theory, levels: int,
     sig = theory.signature
     axioms = list(theory.axioms)
     constants: list[tuple[str, Expr, str]] = []
-    known: set[tuple[str, str]] = set()
+    known: set[tuple[Expr, str]] = set()
     for _ in range(levels):
         batch = []
         for srt in sorted(sig.var_sorts):
             x = fresh_vars(sig, (srt,), ())[0]
             for phi in enumerate_exprs(sig, PROP, (x,), size_bound):
-                key = (print_expr(phi), x)
-                if key not in known:
-                    known.add(key)
+                if (phi, x) not in known:
+                    known.add((phi, x))
                     batch.append((phi, x))
         ops = [_witness_op(sig, phi, x) for phi, x in batch]
         sig = Signature(sig.sorts, sig.var_sorts, {**sig.ops, **dict(ops)})
@@ -224,7 +223,6 @@ class TermModelContext:
     norm_cache: dict = field(default_factory=dict, init=False)
     _enum_memo: dict = field(default_factory=dict, init=False)
     _closed: dict = field(default_factory=dict, init=False)
-    _closed_keys: dict = field(default_factory=dict, init=False)
     _least_of_class: dict = field(default_factory=dict, init=False)
 
     def closed(self, sort: str) -> list[Expr]:
@@ -232,13 +230,6 @@ class TermModelContext:
             self._closed[sort] = enumerate_exprs(
                 self.signature, sort, (), self.size_bound, self._enum_memo)
         return self._closed[sort]
-
-    def closed_keys(self, sort: str) -> list:
-        """order_key of each expression of closed(sort), index for index;
-        the list is ascending."""
-        if sort not in self._closed_keys:
-            self._closed_keys[sort] = [order_key(a) for a in self.closed(sort)]
-        return self._closed_keys[sort]
 
     def least_of_class(self, sort: str) -> dict:
         """Oracle class key -> index in closed(sort) of the class's least
@@ -272,22 +263,20 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
     that asks the oracle for each candidate's equality with e in turn."""
     if fv(e):
         raise HenkinError(f"norm of open expression {print_expr(e)}")
-    key = print_expr(e)
-    if key in ctx.norm_cache:
-        return ctx.norm_cache[key]
+    if e in ctx.norm_cache:
+        return ctx.norm_cache[e]
     sig = ctx.signature
 
     if e.sort == PROP:
         verdict = ctx.oracle.decide(e)
         if verdict == "undecided":
-            raise OracleUndecided(f"oracle undecided on {key}")
+            raise OracleUndecided(f"oracle undecided on {print_expr(e)}")
         result = top(sig) if verdict == "provable" else bot(sig)
-        ctx.norm_cache[key] = result
+        ctx.norm_cache[e] = result
         return result
 
     candidates = ctx.closed(e.sort)
-    e_size = size(e)
-    before = bisect.bisect_left(ctx.closed_keys(e.sort), (e_size, key))
+    before = bisect.bisect_left(candidates, order_key(e), key=order_key)
     result = None
     if hasattr(ctx.oracle, "classify"):
         i = ctx.least_of_class(e.sort).get(ctx.oracle.classify(e))
@@ -297,16 +286,16 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
         for a in itertools.islice(candidates, before):
             verdict = ctx.oracle.decide(mk_eq(sig, a, e))
             if verdict == "undecided":
-                raise OracleUndecided(f"oracle undecided on an equality for {key}")
+                raise OracleUndecided(f"oracle undecided on an equality for {print_expr(e)}")
             if verdict == "provable":
                 result = a
                 break
     if result is None:
-        if e_size > ctx.size_bound:
+        if size(e) > ctx.size_bound:
             raise NoRepresentativeInBound(
-                f"no provably equal expression of size <= {ctx.size_bound} for {key}")
+                f"no provably equal expression of size <= {ctx.size_bound} for {print_expr(e)}")
         result = e
-    ctx.norm_cache[key] = result
+    ctx.norm_cache[e] = result
     return result
 
 
@@ -340,18 +329,12 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
     atom_expr: dict[str, dict[str, Expr]] = {}
     for sort in sig.sorts:
         if sort == PROP:
-            f, t = bot(sig), top(sig)
-            carriers[sort] = (print_expr(f), print_expr(t))
-            atom_expr[sort] = {print_expr(f): f, print_expr(t): t}
-            continue
-        norms: dict[str, Expr] = {}
-        for e in ctx.closed(sort):
-            n = norm(ctx, e)
-            norms.setdefault(print_expr(n), n)
-        if not norms:
+            ordered = [bot(sig), top(sig)]
+        else:
+            ordered = sorted({norm(ctx, e) for e in ctx.closed(sort)}, key=order_key)
+        if not ordered:
             raise NoRepresentativeInBound(
                 f"no closed expression of sort {sort!r} within the bound")
-        ordered = sorted(norms.values(), key=order_key)
         carriers[sort] = tuple(print_expr(n) for n in ordered)
         atom_expr[sort] = {print_expr(n): n for n in ordered}
 

@@ -46,7 +46,8 @@ def substitutable(sig: Signature, d: Expr, x: str, e: Expr) -> bool:
 
 
 def substitute(sig: Signature, e: Expr, xs, ds) -> Expr:
-    """e[xs <- ds], simultaneous, rightmost pair winning at a variable."""
+    """e[xs <- ds], simultaneous, rightmost pair winning at a variable.  A
+    subtree in which no target is free comes back as it is."""
     xs = tuple(xs)
     ds = tuple(ds)
     if len(xs) != len(ds):
@@ -56,11 +57,12 @@ def substitute(sig: Signature, e: Expr, xs, ds) -> Expr:
             raise SortClash(f"cannot substitute sort {d.sort!r} for variable {x!r}")
 
     def go(e: Expr, xs, ds) -> Expr:
-        if not e.args:
+        if e.fv.isdisjoint(xs):
+            return e
+        if not e.args:  # a target variable: its rightmost pair wins
             for j in range(len(xs) - 1, -1, -1):
                 if xs[j] == e.head:
                     return ds[j]
-            return e
         new_args = []
         for binders, body in e.args:
             ext_xs = xs + binders

@@ -14,7 +14,7 @@ perspective u.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from itertools import accumulate, repeat
 
 from .signature import (
@@ -55,14 +55,45 @@ class ParseError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
+# Every live node, keyed on its fields; weak, so that a node nobody holds
+# leaves it.  Unlocked: funlog builds expressions from one thread.
+_TABLE = weakref.WeakValueDictionary()
+_CLOSED = frozenset()  # the fv of every closed node
+
+
 class Expr:
-    head: str
-    args: tuple[tuple[tuple[str, ...], "Expr"], ...]
-    sort: str
+    """An expression node.  Expr(head, args, sort) returns the one live node
+    with these fields, so equal expressions are one object and == and hash
+    are identity.  A node is immutable; its free variables fv, node count
+    size and printed form text are computed once from its children's.  Only
+    variables have names of the variable shape."""
+    __slots__ = ("head", "args", "sort", "fv", "size", "text", "__weakref__")
+
+    def __new__(cls, head: str, args: tuple[tuple[tuple[str, ...], Expr], ...], sort: str):
+        e = _TABLE.get((head, args, sort))
+        if e is not None:
+            return e
+        free = frozenset((head,)) if not args and is_variable_name(head) else _CLOSED
+        for binders, body in args:
+            f = body.fv.difference(binders) if binders and body.fv else body.fv
+            if not f <= free:
+                free = free | f if free else f
+        text = head + "(" + ",".join(
+            "(" + ",".join(binders) + "): " + body.text if binders else body.text
+            for binders, body in args) + ")" if args else head
+        size = 1 + sum(body.size for _, body in args)
+        e = _TABLE[head, args, sort] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (head, args, sort, free, size, text)):
+            object.__setattr__(e, name, value)
+        return e
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"an Expr is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
-        return f"Expr({print_expr(self)!r})"
+        return f"Expr({self.text!r})"
 
 
 def var(sig: Signature, name: str) -> Expr:
@@ -113,20 +144,11 @@ def check_expr(sig: Signature, e: Expr) -> None:
 
 
 def size(e: Expr) -> int:
-    return 1 + sum(size(body) for _, body in e.args)
+    return e.size
 
 
 def fv(e: Expr) -> frozenset[str]:
-    """Free variables.  A leaf is a variable or a constant, and only
-    variables have names of the variable shape."""
-    if not e.args:
-        if is_variable_name(e.head):
-            return frozenset({e.head})
-        return frozenset()
-    out = set()
-    for binders, body in e.args:
-        out |= fv(body) - set(binders)
-    return frozenset(out)
+    return e.fv
 
 
 # shorthand constructors for formulas
@@ -190,11 +212,11 @@ _PUNCT = "(),:.="
 _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
-# The deepest slot nesting parse_expr accepts.  Every pass over an
-# expression recurses at least once per level; structural == takes about
-# five recursion levels per node and fails near 195 levels under Python's
-# default limit of 1000.  At 100 each pass leaves half the limit to its
-# callers.
+# The deepest slot nesting parse_expr accepts.  ==, hash, fv, size and
+# printing do not recurse.  parse_expr, at three recursion levels a slot, is
+# the tightest pass left and fails near 330 levels under Python's default
+# limit of 1000; check_expr, gv, substitute, evaluate and is_tautology fail
+# near 990.  At 100 every pass leaves two thirds of the limit to its callers.
 MAX_NESTING = 100
 
 
@@ -211,8 +233,7 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     memo maps the tokens of an operation application ``head(...)``, up to
     its matching ')', to the expression parsed from them and the number of
     slot levels its parse went below the unit, so that a caller passing one
-    dict to several parses gets each distinct application parsed once and
-    shared.  Identity stays literal: only the same tokens share an entry.
+    dict to several parses gets each distinct application parsed once.
     One memo must serve one signature.  Only successful parses are stored,
     and a reused entry counts against MAX_NESTING at the depth it recurs."""
     if memo is None:
@@ -322,15 +343,7 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
 
 
 def print_expr(e: Expr) -> str:
-    if not e.args:
-        return e.head
-    parts = []
-    for binders, body in e.args:
-        if binders:
-            parts.append("(" + ",".join(binders) + "): " + print_expr(body))
-        else:
-            parts.append(print_expr(body))
-    return e.head + "(" + ",".join(parts) + ")"
+    return e.text
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,10 @@ class TestEval:
                      "--persp", "v0^a", "--args", point]) == 2
         assert "not a point" in capsys.readouterr().err
 
+    def test_args_without_a_perspective(self, files, capsys):
+        assert main(["eval", files["fls"], "--expr", "ca", "--args", "1"]) == 2
+        assert "not a point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["interp ca", "interp ca =", "interp"])
     def test_interp_without_value(self, files, capsys, line):
         bad = files["dir"] / "bad.fls"

@@ -7,7 +7,8 @@ from funlog.syntax import parse_expr, print_expr, var
 from funlog.subst import (
     fv, gv, substitutable, substitute, substitute1, SortClash,
 )
-from funlog.gen import rand_signature, rand_expr, SUBST_CHECKS
+from funlog.gen import rand_signature, rand_expr, SUBST_CHECKS, _rand_terms_for, _rand_vec
+from funlog.syntax import Expr
 
 
 @pytest.fixture
@@ -126,3 +127,34 @@ def test_substitution_composition_vs_simultaneous_differ_when_overlapping(sig):
     seq = substitute1(sig, substitute1(sig, e, "v0^a", var(sig, "v1^a")),
                       "v1^a", var(sig, "v0^a"))
     assert sim != seq
+
+
+def reference_substitute(sig, e, xs, ds):
+    """substitute without its shortcut for subtrees free of targets: the
+    inductive definition, rebuilding every node."""
+    if not e.args:
+        for x, d in reversed(list(zip(xs, ds))):
+            if x == e.head:
+                return d
+        return e
+    return Expr(e.head, tuple(
+        (binders, reference_substitute(sig, body, tuple(xs) + binders,
+                                       tuple(ds) + tuple(var(sig, b) for b in binders)))
+        for binders, body in e.args), e.sort)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_substitute_as_the_reference(seed):
+    rng = random.Random(seed)
+    changed = 0
+    for _ in range(300):
+        s = rand_signature(rng)
+        e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+        xs = _rand_vec(s, rng, rng.randint(0, 3))
+        if rng.random() < 0.5:  # a target that is free in e, when there is one
+            xs += tuple(sorted(fv(e)))[:1]
+        ds = _rand_terms_for(s, rng, xs)
+        got = substitute(s, e, xs, ds)
+        assert got is reference_substitute(s, e, xs, ds), print_expr(e)
+        changed += got is not e
+    assert changed > 30

@@ -1,10 +1,11 @@
 import random
+import weakref
 
 import pytest
 
-from funlog import fileio
+from funlog import fileio, syntax
 from funlog.calculus import Theory, derive_equality_rule
-from funlog.signature import PROP, Tokens, is_variable, make_signature
+from funlog.signature import PROP, Tokens, is_variable, is_variable_name, make_signature
 from funlog.syntax import (
     Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
@@ -320,3 +321,83 @@ class TestParseMemo:
         assert proof.premises[0] is first
         assert proof.lines[0].formula.args[1][1] is first
         assert proof.lines[1].formula.args[0][1].args[0][1] is first
+
+
+# ---------------------------------------------------------------------------
+# hash-consing, and the recursive walks the cached fields replaced
+
+def reference_size(e: Expr) -> int:
+    return 1 + sum(reference_size(body) for _, body in e.args)
+
+
+def reference_fv(e: Expr) -> frozenset[str]:
+    if not e.args:
+        return frozenset({e.head}) if is_variable_name(e.head) else frozenset()
+    out = set()
+    for binders, body in e.args:
+        out |= reference_fv(body) - set(binders)
+    return frozenset(out)
+
+
+def reference_print(e: Expr) -> str:
+    if not e.args:
+        return e.head
+    parts = []
+    for binders, body in e.args:
+        if binders:
+            parts.append("(" + ",".join(binders) + "): " + reference_print(body))
+        else:
+            parts.append(reference_print(body))
+    return e.head + "(" + ",".join(parts) + ")"
+
+
+class TestHashConsing:
+    def test_mk_twice_is_one_object(self, sig):
+        args = (((), mk(sig, "ca")), ((), var(sig, "v0^b")))
+        assert mk(sig, "g", args) is mk(sig, "g", args)
+        assert mk(sig, "ca") is mk(sig, "ca") and var(sig, "v3^a") is var(sig, "v3^a")
+
+    def test_no_walk_recurses(self, sig):
+        """Equality, hashing and the cached fields read one node, so they
+        work on a chain deeper than Python's recursion limit."""
+        assert Expr.__eq__ is object.__eq__ and Expr.__hash__ is object.__hash__
+        e = var(sig, "v0^a")
+        for _ in range(1500):
+            e = mk(sig, "g", (((), e), ((), var(sig, "v0^b"))))
+        assert e == e and hash(e) == hash(e) and size(e) == 3001
+        assert fv(e) == {"v0^a", "v0^b"} and print_expr(e).startswith("g(g(")
+
+    def test_two_parses_without_a_shared_memo_are_one_object(self, sig):
+        text = "bind2((v0^a,v1^b): and(P(v0^a),P(g(ca,v1^b))),mu((v2^a): P(v2^a)))"
+        assert parse_expr(sig, text) is parse_expr(sig, text)
+        assert parse_expr(sig, "forall v0^a. P(v0^a)") is \
+            forall(sig, "v0^a", mk(sig, "P", (((), var(sig, "v0^a")),)))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, sig):
+        e = parse_expr(sig, "P(ca)")
+        for field in ("head", "args", "sort", "fv", "size", "text", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, None)
+            with pytest.raises(AttributeError):
+                delattr(e, field)
+        assert print_expr(e) == "P(ca)" and e.sort == PROP
+
+    def test_unheld_node_leaves_the_table(self, sig):
+        e = parse_expr(sig, "g(g(ca,v9^b),v8^b)")
+        key, ref = (e.head, e.args, e.sort), weakref.ref(e)
+        assert syntax._TABLE[key] is e
+        del e
+        assert ref() is None and key not in syntax._TABLE
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cached_fields_match_the_recursive_walks(self, seed):
+        rng = random.Random(seed)
+        nodes = 0
+        for _ in range(200):
+            s = rand_signature(rng)
+            e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+            assert size(e) == reference_size(e)
+            assert fv(e) == reference_fv(e)
+            assert print_expr(e) == reference_print(e)
+            nodes += size(e)
+        assert nodes > 500
