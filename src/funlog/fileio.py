@@ -240,6 +240,7 @@ def print_structure(s: Structure) -> str:
             out.append(f"interp {name} = {quote_atom(v)}")
         else:
             rows = []
+            # key=repr, here and for selected sets, reads FnTable.__repr__
             for args, val in sorted(v.items(), key=repr):
                 lhs = "(" + ",".join(_print_value(a) for a in args) + ")"
                 rows.append(f"{lhs} -> {quote_atom(val)}")

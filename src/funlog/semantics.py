@@ -14,6 +14,13 @@ Full structures take every selected set to be the whole function space; the
 closure laws (constants, projections, partial fixing, composition) then hold
 by construction.  Non-full structures carry explicit selected sets and are
 audited by check_closure.
+
+A function table (FnTable) keeps its argument tuples sorted, as keys, and its
+values aligned with them.  Tables with the same argument tuples share one
+keys object, which indexes itself on first use: applying a table is one dict
+lookup, partial fixing slices the contiguous block of keys that start with
+the fixed arguments, and the audit composes tables column by column over the
+sorted carrier product.
 """
 from __future__ import annotations
 
@@ -55,31 +62,116 @@ class SpaceTooLarge(SemanticsError):
     pass
 
 
-@dataclass(frozen=True)
-class FnTable:
-    """A total function from tuples over the domain carriers to the codomain
-    carrier, stored extensionally with canonically sorted rows."""
-    domain_sorts: tuple[str, ...]
-    codomain_sort: str
-    rows: tuple[tuple[tuple[str, ...], str], ...]
+class _Keys(tuple):
+    """A sorted, duplicate-free sequence of argument tuples, the keys of a
+    table.  _shared_keys keeps one object per distinct sequence, so tables
+    compare keys by identity.  It indexes itself on first use: the position
+    of each tuple (for apply), and per fixed prefix the contiguous block of
+    the tuples that start with it (for fix)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.rows))
+    def position(self, args: tuple) -> int:
+        try:
+            index = self._position
+        except AttributeError:
+            index = self._position = {k: i for i, k in enumerate(self)}
+        return index[args]
+
+    def block(self, prefix: tuple):
+        """(start, stop, rest): the slice of the tuples that start with
+        prefix, and the shared sequence of their remainders; empty when no
+        tuple starts with prefix."""
+        try:
+            return self._blocks[prefix]
+        except AttributeError:
+            self._blocks = {}
+        except KeyError:
+            pass
+        k, start = len(prefix), 0  # index every prefix of this length
+        for head, block in itertools.groupby(self, key=lambda args: args[:k]):
+            rest, _ = _shared_keys(tuple(args[k:] for args in block))
+            self._blocks[head] = (start, start + len(rest), rest)
+            start += len(rest)
+        return self._blocks.setdefault(prefix, (0, 0, _shared_keys(())[0]))
+
+
+# Argument tuples in a table's insertion order -> (the shared sorted _Keys,
+# the positions that sort them, or None when already sorted).  It grows with
+# the distinct key sequences a process meets, a few per structure.
+_KEY_ORDERS: dict[tuple, tuple[_Keys, tuple | None]] = {}
+
+
+def _shared_keys(keys: tuple):
+    hit = _KEY_ORDERS.get(keys)
+    if hit is None:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        ordered = tuple(keys[i] for i in order)
+        shared, _ = _KEY_ORDERS.setdefault(ordered, (_Keys(ordered), None))
+        hit = _KEY_ORDERS[keys] = (
+            shared, None if ordered == keys else tuple(order))
+    return hit
+
+
+class FnTable:
+    """A function from argument tuples to values, stored as the sorted
+    argument tuples (keys) and the values aligned with them.  A table over
+    the whole carrier product is total; a partial one (parsed from a file,
+    say) lists fewer tuples.  keys is shared by every table with the same key
+    sequence, so fix slices a block of it and two tables compare keys by
+    identity.  Tables are values: equal fields mean equal tables, the hash
+    is computed once, and no field changes after construction."""
+    __slots__ = ("domain_sorts", "codomain_sort", "keys", "values", "_hash")
+
+    def __init__(self, domain_sorts: tuple, codomain_sort: str, keys: _Keys,
+                 values: tuple):
+        self.domain_sorts = domain_sorts
+        self.codomain_sort = codomain_sort
+        self.keys = keys
+        self.values = values
+        self._hash = hash((domain_sorts, codomain_sort, values))
 
     @classmethod
-    def from_map(cls, domain_sorts, codomain_sort, mapping) -> "FnTable":
-        rows = tuple(sorted((tuple(k), v) for k, v in mapping.items()))
-        return cls(tuple(domain_sorts), codomain_sort, rows)
+    def from_map(cls, domain_sorts, codomain_sort, mapping, keys=None) -> "FnTable":
+        """The table of mapping, a dict from argument tuples to values.  With
+        keys, a shared key sequence, mapping is instead the tuple of values
+        aligned with it."""
+        values = mapping
+        if keys is None:
+            keys, order = _shared_keys(tuple(mapping))
+            values = tuple(mapping.values())
+            if order is not None:
+                values = tuple([values[i] for i in order])
+        return cls(tuple(domain_sorts), codomain_sort, keys, values)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(zip(self.keys, self.values))
 
     def apply(self, args) -> str:
-        return self._lookup[tuple(args)]
+        return self.values[self.keys.position(tuple(args))]
 
     def fix(self, prefix) -> "FnTable":
         """Partial fixing: freeze the first len(prefix) arguments."""
-        k = len(prefix)
-        prefix = tuple(prefix)
-        rows = {args[k:]: v for args, v in self.rows if args[:k] == prefix}
-        return FnTable.from_map(self.domain_sorts[k:], self.codomain_sort, rows)
+        start, stop, rest = self.keys.block(tuple(prefix))
+        return FnTable.from_map(self.domain_sorts[len(prefix):], self.codomain_sort,
+                                self.values[start:stop], keys=rest)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not FnTable:
+            return NotImplemented
+        return (self._hash == other._hash and self.keys is other.keys
+                and self.values == other.values
+                and self.codomain_sort == other.codomain_sort
+                and self.domain_sorts == other.domain_sorts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        # fileio.print_structure orders tables by this text
+        return (f"FnTable(domain_sorts={self.domain_sorts!r}, "
+                f"codomain_sort={self.codomain_sort!r}, rows={self.rows!r})")
 
 
 def constant_table(domain_sorts, carriers, value, codomain_sort) -> FnTable:
@@ -102,6 +194,7 @@ class Structure:
     full: bool = True
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
     _spaces: dict = field(default_factory=dict, init=False, repr=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def false_atom(self) -> str:
@@ -116,6 +209,15 @@ class Structure:
         for s in domain_sorts:
             n *= len(self.carriers[s])
         return n
+
+    def product_keys(self, domain_sorts: tuple) -> _Keys:
+        """The shared sorted product of the carriers of domain_sorts: the
+        keys of every total table over them."""
+        keys = self._products.get(domain_sorts)
+        if keys is None:
+            keys = self._products[domain_sorts] = _shared_keys(tuple(sorted(
+                itertools.product(*(self.carriers[t] for t in domain_sorts)))))[0]
+        return keys
 
     def space_size(self, gamma, domain_sorts) -> int:
         return len(self.carriers[gamma]) ** self.domain_size(domain_sorts)
@@ -144,8 +246,8 @@ class Structure:
             return False
         declared = self.selected_tables(gamma, domain_sorts)
         if declared is None:
-            return (len(tbl.rows) == self.domain_size(domain_sorts)
-                    and all(v in self.carriers[gamma] for _, v in tbl.rows))
+            return (tbl.keys is self.product_keys(tuple(domain_sorts))
+                    and set(tbl.values).issubset(self.carriers[gamma]))
         return tbl in declared
 
 
@@ -176,9 +278,9 @@ def _fill_distinguished(s: Structure):
         declared = s.selected_tables(PROP, (a,))
         tables = s.full_space(PROP, (a,)) if declared is None else declared
         s.interp[forall_op(a)] = {
-            (tbl,): t if all(v == t for _, v in tbl.rows) else f for tbl in tables}
+            (tbl,): t if all(v == t for v in tbl.values) else f for tbl in tables}
         s.interp[exists_op(a)] = {
-            (tbl,): t if any(v == t for _, v in tbl.rows) else f for tbl in tables}
+            (tbl,): t if t in tbl.values else f for tbl in tables}
 
 
 def carriers_for(sig: Signature, carriers: dict) -> dict:
@@ -236,9 +338,13 @@ def _apply_op(s: Structure, op: str, args: tuple) -> str:
     try:
         return interp[args]
     except KeyError:
-        raise SelectedSetMiss(
-            f"argument tuple outside the domain of {op!r} "
-            "(a required table is missing from its selected set)") from None
+        raise _miss(op) from None
+
+
+def _miss(op: str) -> SelectedSetMiss:
+    return SelectedSetMiss(
+        f"argument tuple outside the domain of {op!r} "
+        "(a required table is missing from its selected set)")
 
 
 def evaluate(s: Structure, e: Expr, p):
@@ -280,15 +386,27 @@ def _value(s: Structure, e: Expr, env: dict):
 def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
     """Composition through op: the table over sorts whose row xs is op
     applied to each argument table's value at xs, where a binder slot's
-    table is instead partially fixed at xs."""
+    table is instead partially fixed at xs.  It is built column by column
+    over the sorted carrier product: a plain slot's column is its table's
+    values when the table has exactly those keys."""
     spec = s.signature.ops[op]
-    rows = {}
-    for xs in itertools.product(*[s.carriers[t] for t in sorts]):
-        args = []
-        for (_, binds), g in zip(spec.args, tables):
-            args.append(g.fix(xs) if binds else g.apply(xs))
-        rows[xs] = _apply_op(s, op, tuple(args))
-    return FnTable.from_map(sorts, spec.result, rows)
+    keys = s.product_keys(sorts)
+    columns = []
+    for (_, binds), g in zip(spec.args, tables):
+        if binds:
+            columns.append([g.fix(xs) for xs in keys])
+        elif g.keys is keys:
+            columns.append(g.values)
+        else:
+            columns.append([g.apply(xs) for xs in keys])
+    interp = s.interp.get(op)
+    if interp is None:
+        raise MissingInterpretation(f"no interpretation for {op!r}")
+    try:
+        values = tuple(map(interp.__getitem__, zip(*columns)))
+    except KeyError:
+        raise _miss(op) from None
+    return FnTable.from_map(sorts, spec.result, values, keys=keys)
 
 
 def satisfies(s: Structure, phi: Expr) -> bool:
@@ -300,7 +418,7 @@ def satisfies(s: Structure, phi: Expr) -> bool:
     val = evaluate(s, phi, p)
     if not p:
         return val == s.true_atom
-    return all(v == s.true_atom for _, v in val.rows)
+    return all(v == s.true_atom for v in val.values)
 
 
 def satisfies_theory(s: Structure, t: Theory) -> bool:
