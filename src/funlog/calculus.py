@@ -293,7 +293,7 @@ def _reflexivity(sig: Signature, just: EqRefl, phi: Expr) -> bool:
 
 
 def _congruence(sig: Signature, just: EqCongr, phi: Expr) -> bool:
-    spec = sig.opsig(just.op)
+    spec = sig.ops.get(just.op)
     if spec is None or not (0 <= just.i < spec.arity):
         return False
     if len(set(just.zs)) != len(just.zs):

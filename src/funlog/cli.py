@@ -179,7 +179,7 @@ def cmd_termmodel(args) -> RunReport:
     for sort, atoms in s.carriers.items():
         if sort == PROP:
             continue
-        named = {s.interp[c] for c in constants if sig.opsig(c).result == sort}
+        named = {s.interp[c] for c in constants if sig.ops[c].result == sort}
         unnamed = [a for a in atoms if a not in named]
         if unnamed:
             raise UsageError(

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
+from functools import partial
 
 from .signature import (
     PROP, Signature, Tokens, make_signature, print_ustype,
@@ -167,7 +169,7 @@ def parse_structure(text: str) -> Structure:
                 if not val.strip():
                     raise FormatError(f"interp {name.strip()!r} has no value")
                 name = name.strip()
-                spec = sig.opsig(name)
+                spec = sig.ops.get(name)
                 if spec is None:
                     raise FormatError(f"unknown operation {name!r}")
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
@@ -233,8 +235,7 @@ def print_structure(s: Structure) -> str:
             continue
         out.append(f"carrier {sort} = " +
                    ",".join(quote_atom(a) for a in s.carriers[sort]))
-    for name in sorted(sig.user_ops()):
-        spec = sig.opsig(name)
+    for name, spec in sorted(sig.user_ops().items()):
         v = s.interp[name]
         if spec.arity == 0:
             out.append(f"interp {name} = {quote_atom(v)}")
@@ -280,42 +281,16 @@ def print_theory(t: Theory) -> str:
 
 # --- proofs -----------------------------------------------------------------
 
-def _args_to_json(sig, just) -> str:
-    if isinstance(just, (ForallElim, ExistsIntro)):
-        return json.dumps({"x": just.x, "a": print_expr(just.a)})
-    if isinstance(just, (ForallImpDist, ExistsImpDist)):
-        return json.dumps({"x": just.x})
-    if isinstance(just, EqCongr):
-        return json.dumps({
-            "op": just.op, "i": just.i,
-            "xs": list(just.xs), "ys": list(just.ys), "zs": list(just.zs),
-            "b1": print_expr(just.b1), "b2": print_expr(just.b2),
-            "before": [[list(bs), print_expr(b)] for bs, b in just.before],
-            "after": [[list(bs), print_expr(b)] for bs, b in just.after],
-        })
-    raise FormatError(f"unhandled justification {just!r}")
-
-
-RULE_NAMES = {
-    Taut: "taut", EqRefl: "eqrefl", ForallElim: "forall_elim",
-    ExistsIntro: "exists_intro", ForallImpDist: "forall_imp_dist",
-    ExistsImpDist: "exists_imp_dist", EqCongr: "eqcongr",
-    NonlogicalAxiom: "axiom", Premise: "premise", MP: "mp", Gen: "gen",
+RULES = {
+    "taut": Taut, "eqrefl": EqRefl, "axiom": NonlogicalAxiom, "premise": Premise,
+    "mp": MP, "gen": Gen, "forall_elim": ForallElim, "exists_intro": ExistsIntro,
+    "forall_imp_dist": ForallImpDist, "exists_imp_dist": ExistsImpDist,
+    "eqcongr": EqCongr,
 }
-
-
-def just_to_text(sig: Signature, just) -> str:
-    if isinstance(just, (Taut, EqRefl)):
-        return RULE_NAMES[type(just)]
-    if isinstance(just, NonlogicalAxiom):
-        return f"axiom {just.index}"
-    if isinstance(just, Premise):
-        return f"premise {just.index}"
-    if isinstance(just, MP):
-        return f"mp {just.frm + 1} {just.impl + 1}"
-    if isinstance(just, Gen):
-        return f"gen {just.frm + 1} {just.x}"
-    return f"{RULE_NAMES[type(just)]} {_args_to_json(sig, just)}"
+_KEYWORDS = {cls: kw for kw, cls in RULES.items()}
+# rules whose arguments are space-separated words; every other rule takes
+# one JSON object keyed by its fields
+_WORD_RULES = frozenset({"taut", "eqrefl", "axiom", "premise", "mp", "gen"})
 
 
 def _typed(value, kind):
@@ -328,53 +303,61 @@ def _typed(value, kind):
     raise TypeError(f"expected {kind.__name__}, got {value!r}")
 
 
+_LINE = (lambda n: n + 1, lambda w, expr: int(w) - 1)  # 1-based in the text
+_NAME = (str, lambda v, expr: _typed(v, str))
+_NAMES = (list, lambda v, expr: _typed(v, tuple))
+_EXPR = (print_expr, lambda v, expr: expr(v))
+_SLOTS = (lambda slots: [[list(bs), print_expr(b)] for bs, b in slots],
+          lambda v, expr: tuple((_typed(bs, tuple), expr(b)) for bs, b in v))
+
+# justification field name -> (write, read).  write gives the field's word
+# or JSON value; read(value, expr) takes it back, where expr parses an
+# expression argument.
+_FIELDS = {
+    "index": (int, lambda w, expr: int(w)),
+    "frm": _LINE, "impl": _LINE,
+    "x": _NAME, "op": _NAME,
+    "i": (int, lambda v, expr: _typed(v, int)),
+    "a": _EXPR, "b1": _EXPR, "b2": _EXPR,
+    "xs": _NAMES, "ys": _NAMES, "zs": _NAMES,
+    "before": _SLOTS, "after": _SLOTS,
+}
+
+
+def just_to_text(just) -> str:
+    keyword = _KEYWORDS[type(just)]
+    args = {f.name: _FIELDS[f.name][0](getattr(just, f.name)) for f in fields(just)}
+    if keyword in _WORD_RULES:
+        return " ".join([keyword, *map(str, args.values())])
+    return f"{keyword} {json.dumps(args)}"
+
+
 def just_from_text(sig: Signature, text: str, memo: dict):
     """The justification written as text; its expression arguments are
     parsed through memo (see parse_expr)."""
     keyword, _, tail = text.strip().partition(" ")
-    tail = tail.strip()
+    cls = RULES.get(keyword)
+    if cls is None:
+        raise FormatError(f"unknown rule {keyword!r}")
+    names = [f.name for f in fields(cls)]
+    expr = partial(parse_expr, sig, memo=memo)
     try:
-        return _just_from_args(sig, keyword, tail, memo)
-    except (KeyError, TypeError, ValueError) as exc:
+        if keyword in _WORD_RULES:
+            values = tail.split()
+            if len(values) != len(names):
+                raise ValueError(f"expected {len(names)} words, got {tail.strip()!r}")
+        else:
+            try:
+                d = json.loads(tail)
+            except RecursionError:
+                raise FormatError("input nested too deep") from None
+            if type(d) is not dict or d.keys() != set(names):
+                raise TypeError(f"expected a JSON object with keys {names}")
+            values = [d[n] for n in names]
+        return cls(*(_FIELDS[n][1](v, expr) for n, v in zip(names, values)))
+    except (TypeError, ValueError) as exc:
         # JSONDecodeError is a ValueError
         raise FormatError(f"bad arguments for {keyword!r}: {exc!r}") from None
-
-
-def _just_from_args(sig: Signature, keyword: str, tail: str, memo: dict):
-    if keyword in ("taut", "eqrefl"):
-        if tail:
-            raise ValueError(f"unexpected {tail!r}")
-        return Taut() if keyword == "taut" else EqRefl()
-    if keyword == "axiom":
-        return NonlogicalAxiom(int(tail))
-    if keyword == "premise":
-        return Premise(int(tail))
-    if keyword == "mp":
-        frm, impl = tail.split()
-        return MP(int(frm) - 1, int(impl) - 1)
-    if keyword == "gen":
-        frm, x = tail.split()
-        return Gen(int(frm) - 1, x)
-    try:
-        d = json.loads(tail) if tail else {}
-    except RecursionError:
-        raise FormatError("input nested too deep") from None
-    if keyword == "forall_elim":
-        return ForallElim(_typed(d["x"], str), parse_expr(sig, d["a"], memo))
-    if keyword == "exists_intro":
-        return ExistsIntro(_typed(d["x"], str), parse_expr(sig, d["a"], memo))
-    if keyword == "forall_imp_dist":
-        return ForallImpDist(_typed(d["x"], str))
-    if keyword == "exists_imp_dist":
-        return ExistsImpDist(_typed(d["x"], str))
-    if keyword == "eqcongr":
-        return EqCongr(
-            _typed(d["op"], str), _typed(d["i"], int),
-            _typed(d["xs"], tuple), _typed(d["ys"], tuple), _typed(d["zs"], tuple),
-            parse_expr(sig, d["b1"], memo), parse_expr(sig, d["b2"], memo),
-            tuple((_typed(bs, tuple), parse_expr(sig, b, memo)) for bs, b in d["before"]),
-            tuple((_typed(bs, tuple), parse_expr(sig, b, memo)) for bs, b in d["after"]))
-    raise FormatError(f"unknown rule {keyword!r}")
 
 
 # a step up to its first ';', which no expression contains
@@ -411,11 +394,10 @@ def parse_proof(text: str, theory: Theory) -> Proof:
 
 
 def print_proof(p: Proof) -> str:
-    sig = p.theory.signature
     out = ["premise " + print_expr(e) for e in p.premises]
     for i, line in enumerate(p.lines):
         out.append(f"{i + 1}. {print_expr(line.formula)} ; "
-                   f"{just_to_text(sig, line.justification)}")
+                   f"{just_to_text(line.justification)}")
     return "\n".join(out) + "\n"
 
 

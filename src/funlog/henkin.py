@@ -10,7 +10,6 @@ and the term structure can be compared against the source structure.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from .signature import (
     PROP, Signature, OpSig, fresh_vars, variable_sort,
 )
 from .syntax import (
-    Expr, mk, var, top, bot, neg, imp, exists, mk_eq, print_expr, size,
+    Expr, mk, var, top, bot, neg, imp, exists, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
 from .calculus import Theory, OracleUndecided
@@ -48,6 +47,10 @@ DEFAULT_SIZE_BOUND = 6  # expression-size cutoff (node count) for bounded enumer
 
 
 # --- oracles ----------------------------------------------------------------
+
+# An oracle has decide(formula) -> "provable", "refutable" or "undecided",
+# and classify(closed expression) -> a key that two expressions of one sort
+# share iff their equality is provable.
 
 class ThOracle:
     """The complete theory of a finite structure: a formula is provable iff
@@ -233,7 +236,7 @@ class TermModelContext:
 
     def least_of_class(self, sort: str) -> dict:
         """Oracle class key -> index in closed(sort) of the class's least
-        member; only for oracles with ``classify``."""
+        member."""
         if sort not in self._least_of_class:
             least = {}
             for i, a in enumerate(self.closed(sort)):
@@ -255,12 +258,10 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
     value for formulas, otherwise the order-least provably equal closed
     expression within the bound.
 
-    Only the closed candidates ordered before e can beat e itself.  An
-    oracle may define ``classify(closed_expr) -> key`` with the contract that
-    two closed expressions of one sort get equal keys iff their equality is
-    provable; the least candidate of e's class is then one dict lookup away.
-    An oracle without ``classify`` gets the definition itself: a linear scan
-    that asks the oracle for each candidate's equality with e in turn."""
+    The oracle's ``classify(closed_expr) -> key`` gives two closed
+    expressions of one sort equal keys iff their equality is provable, so
+    the least candidate of e's class is one dict lookup away; only a
+    candidate ordered before e can beat e itself."""
     if fv(e):
         raise HenkinError(f"norm of open expression {print_expr(e)}")
     if e in ctx.norm_cache:
@@ -276,24 +277,13 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
         return result
 
     candidates = ctx.closed(e.sort)
-    before = bisect.bisect_left(candidates, order_key(e), key=order_key)
-    result = None
-    if hasattr(ctx.oracle, "classify"):
-        i = ctx.least_of_class(e.sort).get(ctx.oracle.classify(e))
-        if i is not None and i < before:
-            result = candidates[i]
+    i = ctx.least_of_class(e.sort).get(ctx.oracle.classify(e))
+    if i is not None and order_key(candidates[i]) < order_key(e):
+        result = candidates[i]
+    elif size(e) > ctx.size_bound:
+        raise NoRepresentativeInBound(
+            f"no provably equal expression of size <= {ctx.size_bound} for {print_expr(e)}")
     else:
-        for a in itertools.islice(candidates, before):
-            verdict = ctx.oracle.decide(mk_eq(sig, a, e))
-            if verdict == "undecided":
-                raise OracleUndecided(f"oracle undecided on an equality for {print_expr(e)}")
-            if verdict == "provable":
-                result = a
-                break
-    if result is None:
-        if size(e) > ctx.size_bound:
-            raise NoRepresentativeInBound(
-                f"no provably equal expression of size <= {ctx.size_bound} for {print_expr(e)}")
         result = e
     ctx.norm_cache[e] = result
     return result

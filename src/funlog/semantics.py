@@ -25,6 +25,7 @@ sorted carrier product.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .signature import (
@@ -51,6 +52,10 @@ class NotInPerspective(SemanticsError):
 
 
 class SelectedSetMiss(SemanticsError):
+    pass
+
+
+class PartialTable(SemanticsError):
     pass
 
 
@@ -204,12 +209,6 @@ class Structure:
     def true_atom(self) -> str:
         return self.carriers[PROP][1]
 
-    def domain_size(self, domain_sorts) -> int:
-        n = 1
-        for s in domain_sorts:
-            n *= len(self.carriers[s])
-        return n
-
     def product_keys(self, domain_sorts: tuple) -> _Keys:
         """The shared sorted product of the carriers of domain_sorts: the
         keys of every total table over them."""
@@ -220,7 +219,8 @@ class Structure:
         return keys
 
     def space_size(self, gamma, domain_sorts) -> int:
-        return len(self.carriers[gamma]) ** self.domain_size(domain_sorts)
+        return len(self.carriers[gamma]) ** math.prod(
+            len(self.carriers[s]) for s in domain_sorts)
 
     def full_space(self, gamma, domain_sorts) -> tuple[FnTable, ...]:
         key = (gamma, tuple(domain_sorts))
@@ -388,17 +388,21 @@ def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
     applied to each argument table's value at xs, where a binder slot's
     table is instead partially fixed at xs.  It is built column by column
     over the sorted carrier product: a plain slot's column is its table's
-    values when the table has exactly those keys."""
+    values when the table has exactly those keys.  A plain slot's table
+    that lacks a row of the product is a PartialTable."""
     spec = s.signature.ops[op]
     keys = s.product_keys(sorts)
     columns = []
-    for (_, binds), g in zip(spec.args, tables):
+    for (arg_sort, binds), g in zip(spec.args, tables):
         if binds:
             columns.append([g.fix(xs) for xs in keys])
         elif g.keys is keys:
             columns.append(g.values)
         else:
-            columns.append([g.apply(xs) for xs in keys])
+            try:
+                columns.append([g.apply(xs) for xs in keys])
+            except KeyError:
+                raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial") from None
     interp = s.interp.get(op)
     if interp is None:
         raise MissingInterpretation(f"no interpretation for {op!r}")
@@ -524,6 +528,10 @@ def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
                     report.violations.append(
                         f"composition: functional of {op} undefined on a "
                         f"composable tuple at {sigma}")
+                    continue
+                except PartialTable as exc:
+                    report.violations.append(
+                        f"composition: {exc}, composing through {op} at {sigma}")
                     continue
                 if not s.has_table(spec.result, sigma, tbl):
                     report.violations.append(

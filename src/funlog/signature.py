@@ -211,9 +211,6 @@ class Signature:
     var_sorts: frozenset[str]
     ops: dict[str, OpSig] = field(default_factory=dict)
 
-    def opsig(self, name: str) -> OpSig | None:
-        return self.ops.get(name)
-
     def user_ops(self) -> dict[str, OpSig]:
         dist = distinguished_ops(self.sorts, self.var_sorts)
         return {n: s for n, s in self.ops.items() if n not in dist}

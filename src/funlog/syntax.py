@@ -65,9 +65,10 @@ class Expr:
     """An expression node.  Expr(head, args, sort) returns the one live node
     with these fields, so equal expressions are one object and == and hash
     are identity.  A node is immutable; its free variables fv, node count
-    size and printed form text are computed once from its children's.  Only
-    variables have names of the variable shape."""
-    __slots__ = ("head", "args", "sort", "fv", "size", "text", "__weakref__")
+    size, nesting depth (1 at a leaf) and printed form text are computed
+    once from its children's.  Only variables have names of the variable
+    shape."""
+    __slots__ = ("head", "args", "sort", "fv", "size", "depth", "text", "__weakref__")
 
     def __new__(cls, head: str, args: tuple[tuple[tuple[str, ...], Expr], ...], sort: str):
         e = _TABLE.get((head, args, sort))
@@ -82,9 +83,13 @@ class Expr:
             "(" + ",".join(binders) + "): " + body.text if binders else body.text
             for binders, body in args) + ")" if args else head
         size = 1 + sum(body.size for _, body in args)
-        e = _TABLE[head, args, sort] = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (head, args, sort, free, size, text)):
+        depth = 1 + max((body.depth for _, body in args), default=0)
+        e = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (head, args, sort, free, size, depth, text)):
             object.__setattr__(e, name, value)
+        # interned only once complete: the parser lets a RecursionError
+        # unwind through here on input nested past the recursion limit
+        _TABLE[head, args, sort] = e
         return e
 
     def __setattr__(self, name, *_):
@@ -212,11 +217,13 @@ _PUNCT = "(),:.="
 _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
-# The deepest slot nesting parse_expr accepts.  ==, hash, fv, size and
-# printing do not recurse.  parse_expr, at three recursion levels a slot, is
-# the tightest pass left and fails near 330 levels under Python's default
-# limit of 1000; check_expr, gv, substitute, evaluate and is_tautology fail
-# near 990.  At 100 every pass leaves two thirds of the limit to its callers.
+# The deepest expression parse_expr accepts, in nodes from the root to the
+# deepest leaf (Expr.depth).  ==, hash, fv, size, depth and printing do not
+# recurse.  parse_expr is the tightest pass left: at three recursion levels
+# a slot it fails near 330 levels under Python's default limit of 1000,
+# which Tokens.parse reports as input nested too deep.  check_expr, gv,
+# substitute, evaluate and is_tautology fail near 990.  At 100 every pass
+# leaves two thirds of the limit to its callers.
 MAX_NESTING = 100
 
 
@@ -228,14 +235,15 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
         unit := '(' slot ')' | head [ '(' slot (',' slot)* ')' ]
 
     A binder group is allowed only in an operation's argument slot.  It is
-    told from a parenthesized expression by the tokens up to its ':'.
+    told from a parenthesized expression by the tokens up to its ':'.  An
+    expression deeper than MAX_NESTING nodes is a parse error; parentheses
+    build no node, and the sugar ``forall v. e`` and ``a = b`` builds one.
 
     memo maps the tokens of an operation application ``head(...)``, up to
-    its matching ')', to the expression parsed from them and the number of
-    slot levels its parse went below the unit, so that a caller passing one
-    dict to several parses gets each distinct application parsed once.
-    One memo must serve one signature.  Only successful parses are stored,
-    and a reused entry counts against MAX_NESTING at the depth it recurs."""
+    its matching ')', to the expression parsed from them, so that a caller
+    passing one dict to several parses gets each distinct application
+    parsed once.  One memo must serve one signature.  Only successful
+    parses are stored."""
     if memo is None:
         memo = {}
     t = Tokens(_TOKEN, text, ParseError)
@@ -266,17 +274,7 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
             raise ParseError("a binder group outside an argument slot")
         return e
 
-    # depth is the slot nesting at the cursor; deepest is the deepest slot
-    # reached since the innermost unit being parsed began
-    depth = deepest = 0
-
     def slot() -> tuple:
-        nonlocal depth, deepest
-        depth += 1
-        if depth > MAX_NESTING:
-            raise ParseError("input nested too deep")
-        if depth > deepest:
-            deepest = depth
         binders = ()
         if t.peek() == "(" and group_ahead():
             t.take("(")
@@ -296,11 +294,9 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
             if t.peek() == "=":
                 t.take("=")
                 e = mk_eq(sig, e, unit())
-        depth -= 1
         return binders, e
 
     def unit() -> Expr:
-        nonlocal deepest
         start = t.pos
         head = t.take()
         if head == "(":
@@ -316,30 +312,27 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
         except ValueError:  # an unclosed '(': the parse below fails
             end = None
         key = tuple(toks[start:end + 1]) if end is not None else None
-        hit = memo.get(key)
-        if hit is not None:
-            e, levels = hit
-            if depth + levels > MAX_NESTING:
-                raise ParseError("input nested too deep")
-            deepest = max(deepest, depth + levels)
+        e = memo.get(key)
+        if e is not None:
             t.pos = end + 1
             return e
-        outer, deepest = deepest, depth
         t.take("(")
         args = t.items(slot)
         t.take(")")
         e = mk(sig, head, args)
         if t.pos - 1 == end:
-            memo[key] = (e, deepest - depth)
-        deepest = max(outer, deepest)
+            memo[key] = e
         return e
 
     try:
-        return bare(t.parse(slot))
+        e = bare(t.parse(slot))
     finally:
         # slot and unit refer to each other through their closures; break
         # the cycle so that it is freed now, not by the cyclic collector
         del slot, unit
+    if e.depth > MAX_NESTING:
+        raise ParseError("input nested too deep")
+    return e
 
 
 def print_expr(e: Expr) -> str:

@@ -102,6 +102,19 @@ class TestCheck:
         assert main(["check", files["flt"], str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: line 5: ")
 
+    @pytest.mark.parametrize("step", [
+        'forall_elim {"x": "v0^a", "a": "ca", "junk": 1}',
+        'forall_imp_dist {"x": "v0^a", "a": "ca"}',
+        'forall_elim {"x": "v0^a"}',
+    ])
+    def test_json_keys_must_be_the_fields(self, files, capsys, step):
+        bad = files["dir"] / "bad.flp"
+        bad.write_text(TOY_FLP + f"5. top ; {step}\n")
+        assert main(["check", files["flt"], str(bad)]) == 2
+        rule = step.split()[0]
+        assert capsys.readouterr().err.startswith(
+            f"error: line 5: bad arguments for {rule!r}: ")
+
     def test_deep_proof_step(self, files, capsys):
         bad = files["dir"] / "bad.flp"
         bad.write_text("1. " + "not(" * 3000 + "top" + ")" * 3000 + " ; taut\n")
@@ -429,6 +442,15 @@ class TestNestingBound:
     @pytest.mark.parametrize("form", ["sugar", "printed"])
     def test_one_level_deeper(self, files, capsys, form):
         assert self.run_all(files["dir"], nested(form, MAX_NESTING + 1)) == [2] * 5
+        assert capsys.readouterr().err.count("input nested too deep") == 5
+
+    def test_parentheses_add_no_level(self, files, capsys):
+        expr = "((" + nested("printed", MAX_NESTING) + "))"
+        assert self.run_all(files["dir"], expr) == [0, 0, 0, 1, 0]
+
+    def test_equation_sugar_adds_a_level(self, files, capsys):
+        expr = "forall v0^a. " * (MAX_NESTING - 1) + "ca = ca"
+        assert self.run_all(files["dir"], expr) == [2] * 5
         assert capsys.readouterr().err.count("input nested too deep") == 5
 
     @pytest.mark.parametrize("depth, code", [(MAX_NESTING, 0), (MAX_NESTING + 1, 2)])

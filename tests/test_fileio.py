@@ -1,10 +1,15 @@
+import pathlib
 import random
+from functools import partial
 
 import pytest
 
 from funlog.signature import make_signature
 from funlog.syntax import parse_expr, print_expr
-from funlog.calculus import Theory, Premise, MP, Gen, Taut, check_proof
+from funlog.calculus import (
+    Theory, Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
+    ForallElim, ExistsIntro, ForallImpDist, ExistsImpDist, EqCongr, check_proof,
+)
 from funlog.semantics import evaluate, satisfies
 from funlog import fileio
 from funlog.gen import rand_signature, rand_structure_signature, rand_full_structure, rand_proof
@@ -102,7 +107,6 @@ class TestProofFormat:
     def test_roundtrip_simple(self, toy_theory):
         sig = toy_theory.signature
         prem = parse_expr(sig, "eq_a(ca,ca)")
-        from funlog.calculus import Proof, ProofLine
         p = Proof(toy_theory, (prem,), (
             ProofLine(prem, Premise(0)),
             ProofLine(parse_expr(sig, "imp(eq_a(ca,ca),eq_a(ca,ca))"), Taut()),
@@ -146,3 +150,33 @@ class TestProofFormat:
     def test_unknown_rule(self, toy_theory):
         with pytest.raises(fileio.FormatError, match="unknown rule"):
             fileio.parse_proof("1. top ; abracadabra", toy_theory)
+
+    def test_every_rule_round_trips(self):
+        sig = make_signature(["a"], ["a"], {"ca": "a", "f": "(a)a",
+                                            "h": "((a)pi,a,(a)a)a"})
+        thy = Theory(sig, (parse_expr(sig, "top"),))
+        e = partial(parse_expr, sig)
+        justs = [
+            Taut(), EqRefl(), NonlogicalAxiom(0), Premise(0), MP(0, 2),
+            Gen(1, "v0^a"), ForallElim("v0^a", e("f(ca)")),
+            ExistsIntro("v1^a", e("ca")), ForallImpDist("v0^a"),
+            ExistsImpDist("v1^a"),
+            EqCongr("h", 1, (), (), (), e("ca"), e("f(ca)"),
+                    ((("v0^a",), e("eq_a(v0^a,ca)")),),
+                    ((("v1^a",), e("f(v1^a)")),)),
+            EqCongr("h", 2, ("v0^a",), ("v1^a",), ("v2^a",), e("f(v0^a)"),
+                    e("f(v1^a)"), ((("v2^a",), e("top")), ((), e("ca"))), ()),
+        ]
+        assert {type(j) for j in justs} == set(fileio.RULES.values())
+        p = Proof(thy, (e("top"),), tuple(ProofLine(e("top"), j) for j in justs))
+        text = fileio.print_proof(p)
+        assert fileio.parse_proof(text, thy) == p
+        assert fileio.print_proof(fileio.parse_proof(text, thy)) == text
+
+    @pytest.mark.parametrize("name", ["long.flp", "long_bad.flp", "taut.flp"])
+    def test_committed_proofs_reprint_byte_identically(self, name):
+        inputs = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+            "inputs" / "check-proof"
+        thy = fileio.parse_theory((inputs / "theory.flt").read_text())
+        text = (inputs / name).read_text()
+        assert fileio.print_proof(fileio.parse_proof(text, thy)) == text

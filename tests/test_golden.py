@@ -1,12 +1,12 @@
 """The committed seed-0 benchmark inputs still give their recorded results.
 
-Every CLI run of the termmodel-mu, check-proof and henkin-emit workloads is
-made in-process on the inputs committed under ``perfbench/inputs/<workload>/``,
-and its exit code, its JSON report without ``seconds`` and the sha256 of the
-file it emits must equal the results recorded in that directory's
-``golden.json``.  So a byte of drift in the kernel's output fails here, and
-not only in perfbench's own self-tests.  The closure-audit workload has no
-input files; perfbench checks it.
+Every CLI run of the four workloads is made in-process on the inputs
+committed under ``perfbench/inputs/<workload>/``, and its exit code, its JSON
+report without ``seconds`` and the sha256 of any file it emits must equal the
+results recorded in that directory's ``golden.json``.  So a byte of drift in
+the kernel's output fails here, and not only in perfbench's own self-tests.
+The closure-audit workload (``fuzz closure``) reads no input files: it draws
+its structures from the CLI seed recorded in its ``golden.json``.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ sys.path.append(str(PERFBENCH))
 import workloads  # noqa: E402  (perfbench's invocations and result format)
 
 
-@pytest.mark.parametrize("workload", ["termmodel-mu", "check-proof", "henkin-emit"])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_seed0_inputs_give_the_golden_results(workload, tmp_path, monkeypatch, capsys):
     inputs = PERFBENCH / "inputs" / workload
     golden = json.loads((inputs / "golden.json").read_text())

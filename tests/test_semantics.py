@@ -326,6 +326,15 @@ class TestFnTable:
         assert s.has_table("a", ("a",), partial)
         assert repr(partial) == repr(RefFnTable.from_map(("a",), "a", {("1",): "0"}))
 
+    def test_partial_table_is_a_composition_violation(self):
+        s = fileio.parse_structure(
+            "sort a\nvarsort a\nop f : (a)a\ncarrier a = 0,1\n"
+            "interp f { (0) -> 1, (1) -> 0 }\nselected a^(a) = {1->0}\n")
+        report = check_closure(s, cap=1)
+        assert not report.ok and report.skipped == []
+        assert "composition: a table of M_a^('a',) is partial, composing " \
+            "through f at ('a',)" in report.violations
+
     def test_fix_of_an_absent_prefix_is_empty(self):
         t = FnTable.from_map(("a", "b"), "a", {("0", "x"): "1", ("0", "y"): "0"})
         empty = t.fix(("1",))

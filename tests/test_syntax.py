@@ -322,6 +322,21 @@ class TestParseMemo:
         assert proof.lines[0].formula.args[1][1] is first
         assert proof.lines[1].formula.args[0][1].args[0][1] is first
 
+    def test_bound_counts_nodes(self):
+        """The bound is on the parsed expression's depth in nodes, so
+        parentheses add no level and the node a = b builds adds one,
+        whether or not the memo holds the chain's applications."""
+        s = make_signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+
+        def chain(depth):
+            return "f(" * (depth - 1) + "ca" + ")" * (depth - 1)
+        memo = {}
+        for m in (None, memo, memo):
+            assert parse_expr(s, "((" + chain(MAX_NESTING) + "))", m).depth == MAX_NESTING
+            assert parse_expr(s, chain(MAX_NESTING - 1) + " = ca", m).depth == MAX_NESTING
+            with pytest.raises(ParseError, match="input nested too deep"):
+                parse_expr(s, "not(" + chain(MAX_NESTING - 1) + " = ca)", m)
+
 
 # ---------------------------------------------------------------------------
 # hash-consing, and the recursive walks the cached fields replaced
@@ -337,6 +352,10 @@ def reference_fv(e: Expr) -> frozenset[str]:
     for binders, body in e.args:
         out |= reference_fv(body) - set(binders)
     return frozenset(out)
+
+
+def reference_depth(e: Expr) -> int:
+    return 1 + max((reference_depth(body) for _, body in e.args), default=0)
 
 
 def reference_print(e: Expr) -> str:
@@ -364,7 +383,7 @@ class TestHashConsing:
         e = var(sig, "v0^a")
         for _ in range(1500):
             e = mk(sig, "g", (((), e), ((), var(sig, "v0^b"))))
-        assert e == e and hash(e) == hash(e) and size(e) == 3001
+        assert e == e and hash(e) == hash(e) and size(e) == 3001 and e.depth == 1501
         assert fv(e) == {"v0^a", "v0^b"} and print_expr(e).startswith("g(g(")
 
     def test_two_parses_without_a_shared_memo_are_one_object(self, sig):
@@ -375,7 +394,7 @@ class TestHashConsing:
 
     def test_fields_cannot_be_assigned_or_deleted(self, sig):
         e = parse_expr(sig, "P(ca)")
-        for field in ("head", "args", "sort", "fv", "size", "text", "other"):
+        for field in ("head", "args", "sort", "fv", "size", "depth", "text", "other"):
             with pytest.raises(AttributeError):
                 setattr(e, field, None)
             with pytest.raises(AttributeError):
@@ -397,6 +416,7 @@ class TestHashConsing:
             s = rand_signature(rng)
             e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
             assert size(e) == reference_size(e)
+            assert e.depth == reference_depth(e)
             assert fv(e) == reference_fv(e)
             assert print_expr(e) == reference_print(e)
             nodes += size(e)
