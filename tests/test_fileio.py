@@ -107,6 +107,7 @@ class TestProofFormat:
     def test_roundtrip_simple(self, toy_theory):
         sig = toy_theory.signature
         prem = parse_expr(sig, "eq_a(ca,ca)")
+        from funlog.calculus import Proof, ProofLine
         p = Proof(toy_theory, (prem,), (
             ProofLine(prem, Premise(0)),
             ProofLine(parse_expr(sig, "imp(eq_a(ca,ca),eq_a(ca,ca))"), Taut()),

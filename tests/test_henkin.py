@@ -19,7 +19,7 @@ from funlog.henkin import (
     saturate_bounded, extend_structure_for_henkin, enumerate_exprs,
     TermModelContext, TermModel, order_key, norm, build_term_structure,
     check_cm_expr, check_ded_sat,
-    HenkinError, NotSingleFree, NoRepresentativeInBound,
+    NotSingleFree, NoRepresentativeInBound,
 )
 
 
@@ -244,26 +244,15 @@ class DecideOnly:
 def reference_norm(ctx, e):
     """norm by its definition, which norm used for an oracle without
     classify: a linear scan that asks decide about the equality of e with
-    each closed candidate ordered before it, in order."""
-    if fv(e):
-        raise HenkinError(f"norm of open expression {print_expr(e)}")
-    if e in ctx.norm_cache:
-        return ctx.norm_cache[e]
-    sig = ctx.signature
-
-    if e.sort == PROP:
-        verdict = ctx.oracle.decide(e)
-        if verdict == "undecided":
-            raise OracleUndecided(f"oracle undecided on {print_expr(e)}")
-        result = top(sig) if verdict == "provable" else bot(sig)
-        ctx.norm_cache[e] = result
-        return result
-
+    each closed candidate ordered before it, in order.  Open expressions,
+    formulas and cached ones go to norm, which uses no classify for them."""
+    if fv(e) or e.sort == PROP or e in ctx.norm_cache:
+        return norm(ctx, e)
     candidates = ctx.closed(e.sort)
     before = bisect.bisect_left(candidates, order_key(e), key=order_key)
     result = None
     for a in itertools.islice(candidates, before):
-        verdict = ctx.oracle.decide(mk_eq(sig, a, e))
+        verdict = ctx.oracle.decide(mk_eq(ctx.signature, a, e))
         if verdict == "undecided":
             raise OracleUndecided(f"oracle undecided on an equality for {print_expr(e)}")
         if verdict == "provable":
