@@ -13,9 +13,11 @@ and optional selected function sets::
 
 Atoms containing punctuation (term-model carriers are printed expressions)
 are written in double quotes.  A file with any ``selected`` line describes a
-non-full structure; otherwise interpretations are completed over the full
-function spaces.  Theory files use the same signature header plus ``axiom``
-lines; proof files hold ``premise`` lines and numbered steps of the form
+non-full structure; otherwise interpretations are tabulated over the full
+function spaces.  Each sort, operation and selected set is declared by at
+most one carrier, interp or selected line; logical symbols take no interp.
+Theory files use the same signature header plus ``axiom`` lines; proof
+files hold ``premise`` lines and numbered steps of the form
 ``<n>. <formula> ; <rule> <args>`` with 1-based line references.
 """
 from __future__ import annotations
@@ -33,9 +35,7 @@ from .calculus import (
     Theory, Proof, ProofLine, Taut, ForallElim, ExistsIntro, ForallImpDist,
     ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
 )
-from .semantics import (
-    Structure, FnTable, carriers_for, make_full_structure, _fill_distinguished,
-)
+from .semantics import Structure, FnTable, make_full_structure
 
 
 class FormatError(Exception):
@@ -90,6 +90,8 @@ def _coerce(raw, arg_sort: str, binder_sorts: tuple[str, ...]):
         if not (isinstance(raw, tuple) and raw[0] == "table"):
             raise FormatError(f"expected a function table, got {raw!r}")
         rows = {args: v for args, v in raw[1]}
+        if len(rows) != len(raw[1]):
+            raise FormatError("a table repeats an argument tuple")
         for args, v in rows.items():
             if any(isinstance(a, tuple) for a in args) or isinstance(v, tuple):
                 raise FormatError("nested tables are not supported")
@@ -137,12 +139,20 @@ def signature_lines(sig: Signature) -> list[str]:
 
 # --- structures -------------------------------------------------------------
 
+def _once(table: dict, key, value, what: str):
+    """table[key] = value, unless an earlier line declared key."""
+    if key in table:
+        raise FormatError(f"{what} declared twice")
+    table[key] = value
+
+
 def parse_structure(text: str) -> Structure:
     sorts, var_sorts, ops, rest = _split_decls(text)
     sig = make_signature(sorts, var_sorts, ops)
+    user_ops = sig.user_ops()
     carriers = {}
     interp_raw = {}
-    selected_raw = []
+    selected_raw = {}
     for lineno, line in rest:
         head, _, tail = line.partition(" ")
         tail = tail.strip()
@@ -160,7 +170,7 @@ def parse_structure(text: str) -> Structure:
                     raise FormatError(f"carrier {sort} repeats an atom")
                 if sort == PROP and len(atoms) != 2:
                     raise FormatError(f"carrier {PROP} needs two atoms, false then true")
-                carriers[sort] = atoms
+                _once(carriers, sort, atoms, f"carrier {sort}")
             elif head == "interp":
                 name, sep, val = tail.partition("=")
                 if not sep:
@@ -169,13 +179,15 @@ def parse_structure(text: str) -> Structure:
                 if not val.strip():
                     raise FormatError(f"interp {name.strip()!r} has no value")
                 name = name.strip()
-                spec = sig.ops.get(name)
+                spec = user_ops.get(name)
                 if spec is None:
-                    raise FormatError(f"unknown operation {name!r}")
+                    raise FormatError(
+                        f"{name!r} is a logical symbol, which takes no interp"
+                        if name in sig.ops else f"unknown operation {name!r}")
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
                 raw = t.parse(lambda: _value(t))
                 if spec.arity == 0:
-                    interp_raw[name] = _coerce(raw, spec.result, ())
+                    value = _coerce(raw, spec.result, ())
                 else:
                     if not (isinstance(raw, tuple) and raw[0] == "table"):
                         raise FormatError(f"interp for {name!r} must be a table")
@@ -185,8 +197,10 @@ def parse_structure(text: str) -> Structure:
                             raise FormatError(f"wrong arity in row for {name!r}")
                         key = tuple(_coerce(a, s, bs)
                                     for a, (s, bs) in zip(args, spec.args))
-                        table[key] = _coerce(v, spec.result, ())
-                    interp_raw[name] = table
+                        _once(table, key, _coerce(v, spec.result, ()),
+                              f"row {key!r} of {name!r}")
+                    value = table
+                _once(interp_raw, name, value, f"interp {name}")
             elif head == "selected":
                 decl, sep, val = tail.partition("=")
                 m = re.fullmatch(r"(\w+)\^\(([\w,]*)\)", decl.strip())
@@ -196,7 +210,8 @@ def parse_structure(text: str) -> Structure:
                 dom = tuple(x for x in m.group(2).split(",") if x)
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
                 tables = t.parse(lambda: t.items(lambda: _coerce(_value(t), gamma, dom)))
-                selected_raw.append(((gamma, dom), frozenset(tables)))
+                _once(selected_raw, (gamma, dom), frozenset(tables),
+                      f"selected {gamma}^({','.join(dom)})")
             else:
                 raise FormatError(f"unexpected {head!r}")
         except FormatError as exc:
@@ -204,10 +219,7 @@ def parse_structure(text: str) -> Structure:
 
     if not selected_raw:
         return make_full_structure(sig, carriers, interp_raw)
-    s = Structure(sig, carriers_for(sig, carriers), interp_raw, full=False,
-                  selected=dict(selected_raw))
-    _fill_distinguished(s)
-    return s
+    return Structure(sig, carriers, interp_raw, selected_raw)
 
 
 def _print_table(t: FnTable) -> str:
@@ -246,11 +258,10 @@ def print_structure(s: Structure) -> str:
                 lhs = "(" + ",".join(_print_value(a) for a in args) + ")"
                 rows.append(f"{lhs} -> {quote_atom(val)}")
             out.append(f"interp {name} {{ " + ", ".join(rows) + " }")
-    if not s.full:
-        for (gamma, dom), tables in sorted(s.selected.items()):
-            decl = f"{gamma}^(" + ",".join(dom) + ")"
-            body = ", ".join(_print_table(t) for t in sorted(tables, key=repr))
-            out.append(f"selected {decl} = {body}")
+    for (gamma, dom), tables in sorted(s.selected.items()):
+        decl = f"{gamma}^(" + ",".join(dom) + ")"
+        body = ", ".join(_print_table(t) for t in sorted(tables, key=repr))
+        out.append(f"selected {decl} = {body}")
     return "\n".join(out) + "\n"
 
 

@@ -22,9 +22,7 @@ from .syntax import (
 )
 from .subst import fv, substitute, substitute1
 from .calculus import Theory, OracleUndecided
-from .semantics import (
-    Structure, FnTable, evaluate, satisfies, _fill_distinguished,
-)
+from .semantics import Structure, FnTable, evaluate, satisfies
 
 
 class HenkinError(Exception):
@@ -143,10 +141,11 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
 def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure:
     """Interpret the special constants over the source structure: each one
     names the first carrier element witnessing its formula, or the first
-    carrier element if there is none."""
-    cur = Structure(ext.theory.signature, dict(s.carriers), dict(s.interp),
-                    s.full, dict(s.selected))
-    _fill_distinguished(cur)
+    carrier element if there is none.  This is the one place that adds
+    interpretations to a structure after its construction, and it adds only
+    the new constants, each before the formulas that mention it are
+    evaluated."""
+    cur = Structure(ext.theory.signature, s.carriers, s.interp, s.selected)
     for name, phi, x in ext.constants:
         carrier = cur.carriers[variable_sort(cur.signature, x)]
         tbl = evaluate(cur, phi, (x,))
@@ -347,13 +346,12 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
             witnesses[(gamma, sigma)] = wits
             selected[(gamma, sigma)] = frozenset(t for t, _ in wits)
 
-    s = Structure(sig, carriers, {}, full=False, selected=selected)
-
     # user operations: every combination of witnesses, normed; conflicting
     # values for one argument tuple would refute the oracle's consistency
+    interp = {}
     for name, spec in sig.user_ops().items():
         if spec.arity == 0:
-            s.interp[name] = print_expr(norm(ctx, mk(sig, name)))
+            interp[name] = print_expr(norm(ctx, mk(sig, name)))
             continue
         slot_wits = []
         slot_binders = []
@@ -376,10 +374,8 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
                 raise OracleInconsistent(
                     f"operation {name!r} not functional on norms at {keys}")
             table[keys] = value
-        s.interp[name] = table
-
-    _fill_distinguished(s)
-    return TermModel(ctx, s, atom_expr)
+        interp[name] = table
+    return TermModel(ctx, Structure(sig, carriers, interp, selected), atom_expr)
 
 
 # --- verdicts ---------------------------------------------------------------

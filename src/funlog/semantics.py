@@ -10,10 +10,14 @@ slot is fed the table of its body over its binders' carriers.  Under a
 perspective (a variable sequence covering the free variables) the value is
 the table of these values over the perspective's carriers.
 
-Full structures take every selected set to be the whole function space; the
-closure laws (constants, projections, partial fixing, composition) then hold
-by construction.  Non-full structures carry explicit selected sets and are
-audited by check_closure.
+Structure's constructor is the one place a structure is built.  It completes
+the carriers, checks that every interpretation it is given lies in them, and
+interprets each logical symbol it is not given; nothing after it has to
+restore these.  A structure is full iff it declares no selected set: every
+selected set is then the whole function space, and the closure laws
+(constants, projections, partial fixing, composition) hold by construction.
+An explicit structure's selected sets are taken as given; check_closure
+audits them on request.
 
 A function table (FnTable) keeps its argument tuples sorted, as keys, and its
 values aligned with them.  Tables with the same argument tuples share one
@@ -191,15 +195,58 @@ def projection_table(domain_sorts, carriers, j) -> FnTable:
         {args: args[j] for args in itertools.product(*(carriers[s] for s in domain_sorts))})
 
 
+def _carriers_for(sig: Signature, carriers: dict) -> dict:
+    """The carrier of every sort: the given nonempty tuple of atom names, the
+    formula sort's defaulting to 0,1 (false, then true)."""
+    cs = {PROP: ("0", "1")}
+    for sort in sorted(sig.sorts):
+        atoms = tuple(carriers.get(sort, cs.get(sort, ())))
+        if not atoms:
+            raise MissingInterpretation(f"no carrier for sort {sort!r}")
+        cs[sort] = atoms
+    return cs
+
+
+def _function_space(spaces: dict, carriers: dict, gamma, domain_sorts) -> tuple[FnTable, ...]:
+    """Every table from the carriers of domain_sorts into gamma's, enumerated
+    once per spaces, the cache of one structure."""
+    key = (gamma, tuple(domain_sorts))
+    if key not in spaces:
+        rows = math.prod(len(carriers[s]) for s in domain_sorts)
+        if len(carriers[gamma]) ** rows > 1 << 16:
+            raise SpaceTooLarge(f"function space for {key} too large to enumerate")
+        dom = list(itertools.product(*(carriers[s] for s in domain_sorts)))
+        spaces[key] = tuple(
+            FnTable.from_map(domain_sorts, gamma, dict(zip(dom, values)))
+            for values in itertools.product(carriers[gamma], repeat=len(dom)))
+    return spaces[key]
+
+
 @dataclass
 class Structure:
+    """carriers: per sort, a nonempty tuple of atoms (the formula sort's
+    defaults to 0,1, false then true).  interp: per operation, a carrier
+    element (m=0) or a dict from argument tuples to carrier elements, a
+    binder slot's argument being a function table over its binder sorts."""
     signature: Signature
     carriers: dict[str, tuple[str, ...]]
     interp: dict[str, object]
-    full: bool = True
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
-    _spaces: dict = field(default_factory=dict, init=False, repr=False)
+    # the full spaces already enumerated over these carriers:
+    # make_full_structure hands over those it tabulated over
+    _spaces: dict = field(default_factory=dict, repr=False)
     _products: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.carriers = _carriers_for(self.signature, self.carriers)
+        self.selected = dict(self.selected)
+        self.interp = dict(self.interp)
+        _check_in_carriers(self)
+        _fill_distinguished(self)
+
+    @property
+    def full(self) -> bool:
+        return not self.selected
 
     @property
     def false_atom(self) -> str:
@@ -223,22 +270,11 @@ class Structure:
             len(self.carriers[s]) for s in domain_sorts)
 
     def full_space(self, gamma, domain_sorts) -> tuple[FnTable, ...]:
-        key = (gamma, tuple(domain_sorts))
-        if key not in self._spaces:
-            if self.space_size(gamma, domain_sorts) > 1 << 16:
-                raise SpaceTooLarge(f"function space for {key} too large to enumerate")
-            dom = list(itertools.product(*(self.carriers[s] for s in domain_sorts)))
-            tables = tuple(
-                FnTable.from_map(domain_sorts, gamma, dict(zip(dom, values)))
-                for values in itertools.product(self.carriers[gamma], repeat=len(dom)))
-            self._spaces[key] = tables
-        return self._spaces[key]
+        return _function_space(self._spaces, self.carriers, gamma, domain_sorts)
 
     def selected_tables(self, gamma, domain_sorts):
         """The selected set for (gamma, domain_sorts), or None meaning the
         whole space (full structures and undeclared pairs)."""
-        if self.full:
-            return None
         return self.selected.get((gamma, tuple(domain_sorts)))
 
     def has_table(self, gamma, domain_sorts, tbl: FnTable) -> bool:
@@ -249,6 +285,33 @@ class Structure:
             return (tbl.keys is self.product_keys(tuple(domain_sorts))
                     and set(tbl.values).issubset(self.carriers[gamma]))
         return tbl in declared
+
+
+def _check_in_carriers(s: Structure):
+    """Raise InterpretationOutOfCarrier unless every row of every
+    interpretation lies in s's carriers: its value and each plain argument in
+    the carrier of its sort, and each binder slot's argument a table from the
+    carriers of the slot's binder sorts into the carrier of its sort."""
+    cs, tables = s.carriers, set()  # tables: those already found to be so
+
+    def within(a, sort, bsorts) -> bool:
+        if not bsorts:
+            return a in cs[sort]
+        if a not in tables:
+            if getattr(a, "domain_sorts", None) != bsorts or a.codomain_sort != sort or not all(
+                    len(xs) == len(bsorts) and v in cs[sort]
+                    and all(x in cs[b] for x, b in zip(xs, bsorts)) for xs, v in a.rows):
+                return False
+            tables.add(a)
+        return True
+
+    for name, value in s.interp.items():
+        spec = s.signature.ops[name]
+        for args, v in value.items() if spec.args else [((), value)]:
+            if v not in cs[spec.result] or len(args) != spec.arity or not all(
+                    within(a, sort, bsorts) for a, (sort, bsorts) in zip(args, spec.args)):
+                raise InterpretationOutOfCarrier(
+                    f"{name!r}{args or ''} -> {v!r} lies outside the carriers")
 
 
 def _bool_tables(f, t):
@@ -268,65 +331,52 @@ def _bool_tables(f, t):
 
 
 def _fill_distinguished(s: Structure):
+    """Give each logical symbol missing from s.interp its fixed meaning."""
     sig = s.signature
     f, t = s.false_atom, s.true_atom
-    s.interp.update(_bool_tables(f, t))
+    meaning = _bool_tables(f, t)
     for a in sig.sorts:
-        s.interp[eq_op(a)] = {(x, y): t if x == y else f
-                              for x in s.carriers[a] for y in s.carriers[a]}
+        meaning[eq_op(a)] = {(x, y): t if x == y else f
+                             for x in s.carriers[a] for y in s.carriers[a]}
     for a in sig.var_sorts:
+        if forall_op(a) in s.interp and exists_op(a) in s.interp:
+            continue  # enumerate no space for quantifiers already given
         declared = s.selected_tables(PROP, (a,))
         tables = s.full_space(PROP, (a,)) if declared is None else declared
-        s.interp[forall_op(a)] = {
+        meaning[forall_op(a)] = {
             (tbl,): t if all(v == t for v in tbl.values) else f for tbl in tables}
-        s.interp[exists_op(a)] = {
+        meaning[exists_op(a)] = {
             (tbl,): t if t in tbl.values else f for tbl in tables}
-
-
-def carriers_for(sig: Signature, carriers: dict) -> dict:
-    """The carrier of every sort: the given nonempty tuple of atom names, the
-    formula sort's defaulting to 0,1 (false, then true)."""
-    cs = {PROP: ("0", "1")}
-    for sort in sorted(sig.sorts):
-        atoms = tuple(carriers.get(sort, cs.get(sort, ())))
-        if not atoms:
-            raise MissingInterpretation(f"no carrier for sort {sort!r}")
-        cs[sort] = atoms
-    return cs
+    for name, table in meaning.items():
+        s.interp.setdefault(name, table)
 
 
 def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structure:
-    """carriers: as for carriers_for.  interp: per user operation, a carrier
-    element (m=0) or a dict/callable over argument tuples (function tables
-    for binder slots)."""
-    cs = carriers_for(sig, carriers)
-    s = Structure(sig, cs, {}, full=True)
+    """The full structure whose user operations tabulate interp over the
+    full spaces.  carriers: as for Structure.  interp: per user operation, a
+    carrier element (m=0) or a dict/callable over argument tuples (function
+    tables for binder slots); a dict gives exactly the rows of the full
+    spaces."""
+    cs, spaces, tabulated = _carriers_for(sig, carriers), {}, {}
     for name, spec in sig.user_ops().items():
         if name not in interp:
             raise MissingInterpretation(f"no interpretation for {name!r}")
         given = interp[name]
         if spec.arity == 0:
-            if given not in cs[spec.result]:
-                raise InterpretationOutOfCarrier(f"{name!r} -> {given!r}")
-            s.interp[name] = given
+            tabulated[name] = given
             continue
-        slot_ranges = []
-        for arg_sort, bsorts in spec.args:
-            if bsorts:
-                slot_ranges.append(s.full_space(arg_sort, bsorts))
-            else:
-                slot_ranges.append(cs[arg_sort])
-        table = {}
+        slot_ranges = [_function_space(spaces, cs, arg_sort, bsorts) if bsorts else cs[arg_sort]
+                       for arg_sort, bsorts in spec.args]
+        table = tabulated[name] = {}
         for args in itertools.product(*slot_ranges):
             if isinstance(given, dict) and args not in given:
                 raise MissingInterpretation(f"no value for {name!r}{args}")
-            v = given[args] if isinstance(given, dict) else given(*args)
-            if v not in cs[spec.result]:
-                raise InterpretationOutOfCarrier(f"{name!r}{args} -> {v!r}")
-            table[args] = v
-        s.interp[name] = table
-    _fill_distinguished(s)
-    return s
+            table[args] = given[args] if isinstance(given, dict) else given(*args)
+        if isinstance(given, dict) and len(given) > len(table):
+            args = next(args for args in given if args not in table)
+            raise InterpretationOutOfCarrier(
+                f"{name!r}{args} -> {given[args]!r} lies outside the full function spaces")
+    return Structure(sig, cs, tabulated, _spaces=spaces)
 
 
 def _apply_op(s: Structure, op: str, args: tuple) -> str:
@@ -433,7 +483,7 @@ def restrict_structure(s: Structure, to: Signature) -> Structure:
     if not extends(to, s.signature):
         raise NotAnExtension("target signature is not a reduct of the structure's")
     interp = {name: v for name, v in s.interp.items() if name in to.ops}
-    return Structure(to, dict(s.carriers), interp, s.full, dict(s.selected))
+    return Structure(to, s.carriers, interp, s.selected)
 
 
 # --- closure checking -------------------------------------------------------
@@ -548,5 +598,4 @@ def materialize_selected(s: Structure, cap: int = 2) -> Structure:
         for gamma in s.signature.sorts:
             if s.space_size(gamma, sigma) <= AUDIT_SPACE:
                 selected[(gamma, sigma)] = frozenset(s.full_space(gamma, sigma))
-    return Structure(s.signature, dict(s.carriers), dict(s.interp),
-                     full=False, selected=selected)
+    return Structure(s.signature, s.carriers, s.interp, selected)

@@ -284,6 +284,8 @@ interp cb = 1
 interp mu { ({"0"->0,1->0}) -> "0", ({0->0,1->1}) -> 1, ({0->1,1->0}) -> 0, ({0->1,1->1}) -> 1 }
 selected pi^(a) = {0->0,1->0}, {0->0,1->1}, {0->1,1->0}, {0->1,1->1}
 """
+TOY_EXPLICIT = TOY_FLS + "selected a^(a) = {0->0,1->1}, {0->1,1->0}\n"
+MU_FULL = MU_FLS[:MU_FLS.index("selected")]
 
 
 class TestStructureValues:
@@ -320,6 +322,72 @@ class TestStructureValues:
         bad.write_text(text.replace(old, new))
         assert main(["eval", str(bad), "--expr", "top"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: {reason}")
+
+    @pytest.mark.parametrize("text, old, new, line, reason", [
+        (TOY_FLS, "interp cb = 1\n", "interp cb = 1\ninterp imp { (0,0) -> 0 }\n", 9,
+         "'imp' is a logical symbol"),
+        (TOY_EXPLICIT, "interp cb = 1\n", "interp cb = 1\ninterp imp { (0,0) -> 0 }\n", 9,
+         "'imp' is a logical symbol"),
+        (TOY_FLS, "interp cb = 1\n", "interp cb = 1\ninterp top = 0\n", 9,
+         "'top' is a logical symbol"),
+        (TOY_EXPLICIT, "interp cb = 1\n", "interp cb = 1\ninterp eq_a { (0,0) -> 0 }\n", 9,
+         "'eq_a' is a logical symbol"),
+        (MU_FULL, "interp cb = 1\n", "interp cb = 1\ninterp forall^a { ({0->1,1->1}) -> 0 }\n",
+         9, "'forall^a' is a logical symbol"),
+        (MU_FLS, "interp cb = 1\n", "interp cb = 1\ninterp exists^a { ({0->1,1->1}) -> 0 }\n",
+         9, "'exists^a' is a logical symbol"),
+        (TOY_FLS, "interp cb = 1\n", "interp cb = 1\ninterp ca = 1\n", 9,
+         "interp ca declared twice"),
+        (TOY_EXPLICIT, "interp cb = 1\n", "interp cb = 1\ninterp ca = 1\n", 9,
+         "interp ca declared twice"),
+        (TOY_FLS, "interp ca = 0\n", "interp ca = 0\ncarrier a = 0,1\n", 8,
+         "carrier a declared twice"),
+        (TOY_EXPLICIT, "interp ca = 0\n", "interp ca = 0\ncarrier a = 0,1\n", 8,
+         "carrier a declared twice"),
+        (MU_FLS, "interp ca = \"0\"\n", "selected pi^(a) = {0->0,1->0}\ninterp ca = \"0\"\n",
+         11, "selected pi^(a) declared twice"),
+        (TOY_FLS, "(1) -> 0 }", "(1) -> 0, (1) -> 1 }", 9, "row ('1',) of 'f' declared twice"),
+        (TOY_EXPLICIT, "(1) -> 0 }", "(1) -> 0, (1) -> 1 }", 9,
+         "row ('1',) of 'f' declared twice"),
+        (MU_FLS, "({0->1,1->1})", "({0->1,0->1})", 9, "a table repeats an argument tuple"),
+    ], ids=["connective-full", "connective-explicit", "constant-connective", "equality",
+            "forall", "exists", "interp-full", "interp-explicit", "carrier-full",
+            "carrier-explicit", "selected", "row-full", "row-explicit", "table-row"])
+    def test_declared_once(self, files, capsys, text, old, new, line, reason):
+        """A logical symbol takes no interp line, and no sort, operation,
+        selected set or row is declared twice: the last one does not win."""
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(text.replace(old, new))
+        for argv in (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: line {line}: {reason}")
+
+    @pytest.mark.parametrize("text, old, new, op", [
+        (TOY_FLS, "interp ca = 0", "interp ca = 2", "'ca'"),
+        (TOY_EXPLICIT, "interp ca = 0", "interp ca = 2", "'ca'"),
+        (TOY_FLS, "(0) -> 1", "(0) -> 9", "'f'"),
+        (TOY_EXPLICIT, "(0) -> 1", "(0) -> 9", "'f'"),
+        (TOY_FLS, "(1) -> 0 }", "(1) -> 0, (5) -> 0 }", "'f'"),
+        (TOY_EXPLICIT, "(1) -> 0 }", "(1) -> 0, (5) -> 0 }", "'f'"),
+        (MU_FULL, "-> 1 }", "-> 1, ({(0,1)->1}) -> 1 }", "'mu'"),
+        (MU_FLS, "-> 1 }", "-> 1, ({(0,1)->1}) -> 1 }", "'mu'"),
+        (MU_FULL, "-> 1 }", "-> 1, ({0->1,5->1}) -> 1 }", "'mu'"),
+        (MU_FLS, "-> 1 }", "-> 1, ({0->1,5->1}) -> 1 }", "'mu'"),
+        (MU_FULL, "-> 1 }", "-> 1, ({0->1,1->2}) -> 1 }", "'mu'"),
+        (MU_FLS, "-> 1 }", "-> 1, ({0->1,1->2}) -> 1 }", "'mu'"),
+    ], ids=["constant-full", "constant-explicit", "value-full", "value-explicit",
+            "argument-full", "argument-explicit", "binder-arity-full", "binder-arity-explicit",
+            "binder-argument-full", "binder-argument-explicit", "binder-value-full",
+            "binder-value-explicit"])
+    def test_value_outside_the_carriers(self, files, capsys, text, old, new, op):
+        """Every interpretation lies in the carriers, in full and explicit
+        structures alike; the error names the operation."""
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(text.replace(old, new))
+        for argv in (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {op}") and "outside" in err, err
 
 
 DEEP = ["not(" * 3000 + "top" + ")" * 3000, "(" * 3000 + "ca" + ")" * 3000,

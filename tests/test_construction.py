@@ -1,0 +1,102 @@
+"""Every Structure is finished by its own constructor.
+
+Structure's constructor (src/funlog/semantics.py) completes the carriers,
+checks every given interpretation against them and interprets the logical
+symbols it is not given, so no later write can undo what it established.
+Outside semantics.py, funlog code therefore neither assigns into nor
+deletes from a ``.interp``, nor calls one of its mutating methods.  The one
+exception is henkin.extend_structure_for_henkin: it interprets the new
+special constants one at a time, each before the formulas that mention it
+are evaluated, and writes no other name.  No module but semantics.py names
+the helpers the constructor uses.
+
+The check reads the source, so it goes by the attribute name ``interp``.
+"""
+from __future__ import annotations
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "funlog"
+HOME = "semantics.py"
+
+# module:top-level definition -> why it may write a structure's interp
+WRITERS = {
+    "henkin.py:extend_structure_for_henkin":
+        "adds the special constants, which the structure it extends lacks",
+}
+PRIVATE = ("_fill_distinguished", "_carriers_for")
+MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
+
+
+def written(node: ast.AST) -> list[ast.AST]:
+    """The objects node writes into: the target of an assignment or deletion
+    (for a subscripted target, the object subscripted), or the object whose
+    mutating method node calls."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+        stack = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in MUTATORS):
+        return [node.func.value]
+    else:
+        return []
+    out = []
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            out.append(target.value if isinstance(target, ast.Subscript) else target)
+    return out
+
+
+def interp_writers(tree: ast.Module) -> set[str]:
+    """The top-level definitions (or "<module>") that write into a .interp."""
+    found = set()
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if any(isinstance(w, ast.Attribute) and w.attr == "interp"
+                   for w in written(node)):
+                found.add(name)
+    return found
+
+
+def modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != HOME:
+            yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def test_only_the_henkin_extension_writes_an_interp():
+    found = {f"{name}:{writer}" for name, tree in modules()
+             for writer in interp_writers(tree)}
+    assert found == set(WRITERS), found
+
+
+def test_the_constructors_helpers_stay_in_semantics():
+    named = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if word in PRIVATE:
+                named.append(f"{name}:{getattr(node, 'lineno', '?')} {word}")
+    assert not named, named
+
+
+def test_the_check_sees_each_kind_of_write():
+    source = (
+        "def a(s):\n    s.interp['c'] = '0'\n"
+        "def b(s):\n    s.interp.update({})\n"
+        "def c(s):\n    s.interp.setdefault('c', '0')\n"
+        "def d(s):\n    s.interp = {}\n"
+        "def e(s):\n    del s.interp['c']\n"
+        "def f(s):\n    x, s.interp['c'] = 1, '0'\n"
+        "def g(s):\n    return s.interp['c'], dict(s.interp).update({})\n")
+    assert interp_writers(ast.parse(source)) == set("abcdef")

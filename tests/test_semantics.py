@@ -155,7 +155,7 @@ def as_reference(s: Structure) -> RefStructure:
     interp = {op: {tuple(map(ref, args)): val for args, val in v.items()}
               if isinstance(v, dict) else v for op, v in s.interp.items()}
     selected = {key: frozenset(map(ref, tables)) for key, tables in s.selected.items()}
-    return RefStructure(s.signature, dict(s.carriers), interp, s.full, selected)
+    return RefStructure(s.signature, dict(s.carriers), interp, selected)
 
 
 def reference_check_closure(s: RefStructure, cap: int) -> ClosureReport:
