@@ -3,12 +3,13 @@
 import argparse
 import time
 
+from funlog.cli import count
 from funlog.gen import SUITES
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=500)
+    ap.add_argument("--n", type=count, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

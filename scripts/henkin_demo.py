@@ -8,6 +8,7 @@ the structure's theory-oracle.
 """
 import argparse
 
+from funlog.cli import count
 from funlog.signature import PROP, make_signature
 from funlog.syntax import parse_expr
 from funlog.calculus import Theory, is_consistent_up_to
@@ -19,8 +20,8 @@ from funlog.henkin import (
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--levels", type=int, default=1)
-    ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--levels", type=count, default=1)
+    ap.add_argument("--depth", type=count, default=3)
     args = ap.parse_args()
 
     sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})

@@ -9,6 +9,7 @@ every in-bound closed formula.
 import argparse
 import time
 
+from funlog.cli import count
 from funlog.signature import PROP, make_signature
 from funlog.syntax import parse_expr, print_expr
 from funlog.subst import fv
@@ -23,7 +24,7 @@ from funlog import fileio
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--depth", type=int, default=5)
+    ap.add_argument("--depth", type=count, default=5)
     ap.add_argument("--out", default="termmodel_demo.fls")
     args = ap.parse_args()
 

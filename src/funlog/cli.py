@@ -232,6 +232,15 @@ def cmd_termmodel(args) -> RunReport:
     return rep
 
 
+def count(text: str) -> int:
+    """The value of a count option (--n, --levels, --depth): an integer of
+    at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is below 0")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="funlog")
     ap.add_argument("--json", action="store_true",
@@ -259,21 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a randomized property suite")
     p.add_argument("suite")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("henkin", help="emit a witness-saturated theory")
     p.add_argument("theory")
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--depth", type=int, default=DEFAULT_SIZE_BOUND)
+    p.add_argument("--levels", type=count, default=1)
+    p.add_argument("--depth", type=count, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_henkin)
 
     p = sub.add_parser("termmodel",
                        help="build and audit the term structure of a model")
     p.add_argument("structure")
-    p.add_argument("--depth", type=int, default=DEFAULT_SIZE_BOUND)
+    p.add_argument("--depth", type=count, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_termmodel)
     return ap

@@ -22,7 +22,7 @@ from .syntax import (
 )
 from .subst import fv, substitute, substitute1
 from .calculus import Theory, OracleUndecided
-from .semantics import Structure, FnTable, evaluate, satisfies
+from .semantics import Structure, FnTable, carrier_product, evaluate, satisfies, tabulate
 
 
 class HenkinError(Exception):
@@ -297,15 +297,16 @@ class TermModel:
     atom_expr: dict[str, dict[str, Expr]]  # sort -> carrier atom -> norm Expr
 
 
-def _subst_table(ctx: TermModelContext, tm_carriers, atom_expr, e: Expr,
+def _subst_table(ctx: TermModelContext, keys, atom_expr, e: Expr,
                  u: tuple[str, ...], dom_sorts) -> FnTable:
-    """The substitution map of (u, e): carrier tuple -> norm of e[u <- .]."""
+    """The substitution map of (u, e) over keys, the carrier product of
+    dom_sorts: carrier tuple -> norm of e[u <- .]."""
     sig = ctx.signature
-    rows = {}
-    for cvec in itertools.product(*(tm_carriers[s] for s in dom_sorts)):
+
+    def row(cvec):
         inst = substitute(sig, e, u, [atom_expr[s][c] for s, c in zip(dom_sorts, cvec)])
-        rows[cvec] = print_expr(norm(ctx, inst))
-    return FnTable.from_map(dom_sorts, e.sort, rows)
+        return print_expr(norm(ctx, inst))
+    return tabulate(keys, dom_sorts, e.sort, row)
 
 
 def build_term_structure(ctx: TermModelContext) -> TermModel:
@@ -337,11 +338,11 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
             if bsorts and bsorts not in sigmas:
                 sigmas.append(bsorts)
     for sigma in sigmas:
-        u = fresh_vars(sig, sigma, ())
+        u, keys = fresh_vars(sig, sigma, ()), carrier_product(carriers, sigma)
         for gamma in sig.sorts:
             wits = []
             for e in ctx.scoped(gamma, u):
-                tbl = _subst_table(ctx, carriers, atom_expr, e, u, sigma)
+                tbl = _subst_table(ctx, keys, atom_expr, e, u, sigma)
                 wits.append((tbl, e))
             witnesses[(gamma, sigma)] = wits
             selected[(gamma, sigma)] = frozenset(t for t, _ in wits)
@@ -400,8 +401,8 @@ def check_cm_expr(tm: TermModel, e: Expr, xs) -> Verdict:
         if got != want:
             return Verdict(False, f"{print_expr(e)}: evaluated {got!r}, norm {want!r}")
         return Verdict(True)
-    want = _subst_table(ctx, tm.structure.carriers, tm.atom_expr, e, xs, val.domain_sorts)
-    for (cvec, got), (_, normed) in zip(val.rows, want.rows):
+    want = _subst_table(ctx, val.keys, tm.atom_expr, e, xs, val.domain_sorts)
+    for cvec, got, normed in zip(val.keys, val.values, want.values):
         if got != normed:
             return Verdict(False,
                            f"{print_expr(e)} at {cvec}: evaluated {got!r}, norm {normed!r}")

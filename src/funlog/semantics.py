@@ -12,19 +12,25 @@ the table of these values over the perspective's carriers.
 
 Structure's constructor is the one place a structure is built.  It completes
 the carriers, checks that every interpretation it is given lies in them, and
-interprets each logical symbol it is not given; nothing after it has to
-restore these.  A structure is full iff it declares no selected set: every
-selected set is then the whole function space, and the closure laws
-(constants, projections, partial fixing, composition) hold by construction.
-An explicit structure's selected sets are taken as given; check_closure
-audits them on request.
+that every selected set M_gamma^sigma has a sort gamma and variable sorts
+sigma and holds only tables, total or partial, from the carriers of sigma
+into gamma's; and it interprets each logical symbol it is not given.
+Nothing after it has to restore these.  A structure is full iff it declares
+no selected set: every selected set is then the whole function space, and
+the closure laws (constants, projections, partial fixing, composition) hold
+by construction.  Whether an explicit structure's selected sets are closed
+is taken as given; check_closure audits it on request.
 
 A function table (FnTable) keeps its argument tuples sorted, as keys, and its
 values aligned with them.  Tables with the same argument tuples share one
 keys object, which indexes itself on first use: applying a table is one dict
 lookup, partial fixing slices the contiguous block of keys that start with
-the fixed arguments, and the audit composes tables column by column over the
-sorted carrier product.
+the fixed arguments, and the audit composes tables column by column.  Every
+total table is built one way: tabulate computes its values in the order of
+carrier_product, the shared sorted product of its carriers, which
+Structure.product_keys caches per structure; fix and _compose build their
+results in the same aligned form.  Only a parsed table, which may be partial,
+is built from a mapping, whose rows from_map sorts.
 """
 from __future__ import annotations
 
@@ -73,7 +79,7 @@ class SpaceTooLarge(SemanticsError):
 
 class _Keys(tuple):
     """A sorted, duplicate-free sequence of argument tuples, the keys of a
-    table.  _shared_keys keeps one object per distinct sequence, so tables
+    table.  _shared keeps one object per distinct sequence, so tables
     compare keys by identity.  It indexes itself on first use: the position
     of each tuple (for apply), and per fixed prefix the contiguous block of
     the tuples that start with it (for fix)."""
@@ -97,27 +103,26 @@ class _Keys(tuple):
             pass
         k, start = len(prefix), 0  # index every prefix of this length
         for head, block in itertools.groupby(self, key=lambda args: args[:k]):
-            rest, _ = _shared_keys(tuple(args[k:] for args in block))
+            rest = _shared(tuple(args[k:] for args in block))
             self._blocks[head] = (start, start + len(rest), rest)
             start += len(rest)
-        return self._blocks.setdefault(prefix, (0, 0, _shared_keys(())[0]))
+        return self._blocks.setdefault(prefix, (0, 0, _shared(())))
 
 
-# Argument tuples in a table's insertion order -> (the shared sorted _Keys,
-# the positions that sort them, or None when already sorted).  It grows with
-# the distinct key sequences a process meets, a few per structure.
-_KEY_ORDERS: dict[tuple, tuple[_Keys, tuple | None]] = {}
+# Sorted argument-tuple sequence -> its one shared _Keys.  It grows with the
+# distinct key sequences a process meets, a few per structure.
+_KEYS: dict[tuple, _Keys] = {}
 
 
-def _shared_keys(keys: tuple):
-    hit = _KEY_ORDERS.get(keys)
-    if hit is None:
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        ordered = tuple(keys[i] for i in order)
-        shared, _ = _KEY_ORDERS.setdefault(ordered, (_Keys(ordered), None))
-        hit = _KEY_ORDERS[keys] = (
-            shared, None if ordered == keys else tuple(order))
-    return hit
+def _shared(ordered: tuple) -> _Keys:
+    keys = _KEYS.get(ordered)
+    return _KEYS.setdefault(ordered, _Keys(ordered)) if keys is None else keys
+
+
+def carrier_product(carriers: dict, domain_sorts) -> _Keys:
+    """The shared sorted product of the carriers of domain_sorts: the keys
+    of every total table over them."""
+    return _shared(tuple(itertools.product(*(sorted(carriers[s]) for s in domain_sorts))))
 
 
 class FnTable:
@@ -140,16 +145,13 @@ class FnTable:
 
     @classmethod
     def from_map(cls, domain_sorts, codomain_sort, mapping, keys=None) -> "FnTable":
-        """The table of mapping, a dict from argument tuples to values.  With
-        keys, a shared key sequence, mapping is instead the tuple of values
-        aligned with it."""
-        values = mapping
+        """The one way a table is built: from mapping, the values aligned with
+        keys, a shared key sequence; or without keys, from mapping, a dict of
+        rows (a parsed table, maybe partial), which are sorted."""
         if keys is None:
-            keys, order = _shared_keys(tuple(mapping))
-            values = tuple(mapping.values())
-            if order is not None:
-                values = tuple([values[i] for i in order])
-        return cls(tuple(domain_sorts), codomain_sort, keys, values)
+            rows = sorted(mapping.items())
+            keys, mapping = _shared(tuple(k for k, _ in rows)), tuple(v for _, v in rows)
+        return cls(tuple(domain_sorts), codomain_sort, keys, mapping)
 
     @property
     def rows(self) -> tuple:
@@ -183,16 +185,20 @@ class FnTable:
                 f"codomain_sort={self.codomain_sort!r}, rows={self.rows!r})")
 
 
+def tabulate(keys: _Keys, domain_sorts, codomain_sort, fn) -> FnTable:
+    """The total table over keys, a carrier product, whose row xs is
+    fn(xs), computed in the order of keys."""
+    return FnTable.from_map(domain_sorts, codomain_sort, tuple(map(fn, keys)), keys=keys)
+
+
 def constant_table(domain_sorts, carriers, value, codomain_sort) -> FnTable:
-    return FnTable.from_map(
-        domain_sorts, codomain_sort,
-        {args: value for args in itertools.product(*(carriers[s] for s in domain_sorts))})
+    return tabulate(carrier_product(carriers, domain_sorts), domain_sorts, codomain_sort,
+                    lambda args: value)
 
 
 def projection_table(domain_sorts, carriers, j) -> FnTable:
-    return FnTable.from_map(
-        domain_sorts, domain_sorts[j],
-        {args: args[j] for args in itertools.product(*(carriers[s] for s in domain_sorts))})
+    return tabulate(carrier_product(carriers, domain_sorts), domain_sorts, domain_sorts[j],
+                    lambda args: args[j])
 
 
 def _carriers_for(sig: Signature, carriers: dict) -> dict:
@@ -215,10 +221,9 @@ def _function_space(spaces: dict, carriers: dict, gamma, domain_sorts) -> tuple[
         rows = math.prod(len(carriers[s]) for s in domain_sorts)
         if len(carriers[gamma]) ** rows > 1 << 16:
             raise SpaceTooLarge(f"function space for {key} too large to enumerate")
-        dom = list(itertools.product(*(carriers[s] for s in domain_sorts)))
-        spaces[key] = tuple(
-            FnTable.from_map(domain_sorts, gamma, dict(zip(dom, values)))
-            for values in itertools.product(carriers[gamma], repeat=len(dom)))
+        keys = carrier_product(carriers, domain_sorts)
+        spaces[key] = tuple(FnTable.from_map(domain_sorts, gamma, values, keys=keys)
+                            for values in itertools.product(carriers[gamma], repeat=rows))
     return spaces[key]
 
 
@@ -242,6 +247,7 @@ class Structure:
         self.selected = dict(self.selected)
         self.interp = dict(self.interp)
         _check_in_carriers(self)
+        _check_selected(self)
         _fill_distinguished(self)
 
     @property
@@ -257,12 +263,10 @@ class Structure:
         return self.carriers[PROP][1]
 
     def product_keys(self, domain_sorts: tuple) -> _Keys:
-        """The shared sorted product of the carriers of domain_sorts: the
-        keys of every total table over them."""
+        """carrier_product over these carriers, cached per structure."""
         keys = self._products.get(domain_sorts)
         if keys is None:
-            keys = self._products[domain_sorts] = _shared_keys(tuple(sorted(
-                itertools.product(*(self.carriers[t] for t in domain_sorts)))))[0]
+            keys = self._products[domain_sorts] = carrier_product(self.carriers, domain_sorts)
         return keys
 
     def space_size(self, gamma, domain_sorts) -> int:
@@ -298,9 +302,7 @@ def _check_in_carriers(s: Structure):
         if not bsorts:
             return a in cs[sort]
         if a not in tables:
-            if getattr(a, "domain_sorts", None) != bsorts or a.codomain_sort != sort or not all(
-                    len(xs) == len(bsorts) and v in cs[sort]
-                    and all(x in cs[b] for x, b in zip(xs, bsorts)) for xs, v in a.rows):
+            if not _table_within(s, a, sort, bsorts):
                 return False
             tables.add(a)
         return True
@@ -312,6 +314,36 @@ def _check_in_carriers(s: Structure):
                     within(a, sort, bsorts) for a, (sort, bsorts) in zip(args, spec.args)):
                 raise InterpretationOutOfCarrier(
                     f"{name!r}{args or ''} -> {v!r} lies outside the carriers")
+
+
+def _table_within(s: Structure, tbl, gamma, sigma) -> bool:
+    """Whether tbl is a table, total or partial, from the carriers of sigma
+    into gamma's.  A total one has the shared product as keys and needs only
+    its values checked; a partial one is checked row by row."""
+    if getattr(tbl, "domain_sorts", None) != sigma or tbl.codomain_sort != gamma:
+        return False
+    cs = s.carriers
+    if getattr(tbl, "keys", None) is s.product_keys(sigma):
+        return set(tbl.values).issubset(cs[gamma])
+    return all(len(xs) == len(sigma) and v in cs[gamma]
+               and all(x in cs[t] for x, t in zip(xs, sigma)) for xs, v in tbl.rows)
+
+
+def _check_selected(s: Structure):
+    """Raise InterpretationOutOfCarrier, naming the set, unless every
+    selected set M_gamma^sigma has a sort gamma and a tuple sigma of
+    variable sorts, and holds only tables from the carriers of sigma into
+    gamma's."""
+    sig = s.signature
+    for (gamma, sigma), tables in s.selected.items():
+        name = f"selected {gamma}^({','.join(sigma)})"
+        if gamma not in sig.sorts or not all(t in sig.var_sorts for t in sigma):
+            raise InterpretationOutOfCarrier(
+                f"{name} lies outside the signature: it needs a sort and variable sorts")
+        for tbl in tables:
+            if not _table_within(s, tbl, gamma, sigma):
+                raise InterpretationOutOfCarrier(
+                    f"{name} holds {tbl!r}, which lies outside the carriers")
 
 
 def _bool_tables(f, t):
@@ -408,9 +440,8 @@ def evaluate(s: Structure, e: Expr, p):
         return _value(s, e, {})
     sorts = perspective_sorts(s.signature, p)
     # dict(zip(...)) keeps the rightmost occurrence of a repeated variable
-    return FnTable.from_map(sorts, e.sort, {
-        xs: _value(s, e, dict(zip(p, xs)))
-        for xs in itertools.product(*(s.carriers[t] for t in sorts))})
+    return tabulate(s.product_keys(sorts), sorts, e.sort,
+                    lambda xs: _value(s, e, dict(zip(p, xs))))
 
 
 def _value(s: Structure, e: Expr, env: dict):
@@ -425,9 +456,9 @@ def _value(s: Structure, e: Expr, env: dict):
     args = []
     for (binders, body), (_, bsorts) in zip(e.args, spec.args):
         if bsorts:
-            args.append(FnTable.from_map(bsorts, body.sort, {
-                xs: _value(s, body, {**env, **dict(zip(binders, xs))})
-                for xs in itertools.product(*(s.carriers[t] for t in bsorts))}))
+            args.append(tabulate(
+                s.product_keys(bsorts), bsorts, body.sort,
+                lambda xs: _value(s, body, {**env, **dict(zip(binders, xs))})))
         else:
             args.append(_value(s, body, env))
     return _apply_op(s, e.head, tuple(args))
@@ -438,8 +469,9 @@ def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
     applied to each argument table's value at xs, where a binder slot's
     table is instead partially fixed at xs.  It is built column by column
     over the sorted carrier product: a plain slot's column is its table's
-    values when the table has exactly those keys.  A plain slot's table
-    that lacks a row of the product is a PartialTable."""
+    values.  The constructor admits only tables within the carriers, so a
+    plain slot's table without the product as keys lacks a row of it: it is
+    a PartialTable."""
     spec = s.signature.ops[op]
     keys = s.product_keys(sorts)
     columns = []
@@ -449,10 +481,7 @@ def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
         elif g.keys is keys:
             columns.append(g.values)
         else:
-            try:
-                columns.append([g.apply(xs) for xs in keys])
-            except KeyError:
-                raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial") from None
+            raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial")
     interp = s.interp.get(op)
     if interp is None:
         raise MissingInterpretation(f"no interpretation for {op!r}")
@@ -549,7 +578,7 @@ def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
             for k in range(1, len(sigma)):
                 prefix, rest = sigma[:k], sigma[k:]
                 for g in pool:
-                    for xs in itertools.product(*(s.carriers[t] for t in prefix)):
+                    for xs in s.product_keys(prefix):
                         if not s.has_table(gamma, rest, g.fix(xs)):
                             report.violations.append(
                                 f"fixing: fixing M_{gamma}^{sigma} at {xs} "
@@ -558,17 +587,9 @@ def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
         for op, spec in sig.ops.items():
             if spec.arity == 0:
                 continue
-            pools = []
-            for arg_sort, bsorts in spec.args:
-                pool = tables_of(arg_sort, sigma + tuple(bsorts))
-                pools.append(pool)
-            if any(p is None for p in pools):
-                report.skipped.append(f"composition through {op} at {sigma}")
-                continue
-            total = 1
-            for p in pools:
-                total *= len(p)
-            if total > AUDIT_SPACE * 8:
+            pools = [tables_of(arg_sort, sigma + tuple(bsorts))
+                     for arg_sort, bsorts in spec.args]
+            if None in pools or math.prod(map(len, pools)) > AUDIT_SPACE * 8:
                 report.skipped.append(f"composition through {op} at {sigma}")
                 continue
             for gs in itertools.product(*pools):

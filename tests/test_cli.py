@@ -284,7 +284,8 @@ interp cb = 1
 interp mu { ({"0"->0,1->0}) -> "0", ({0->0,1->1}) -> 1, ({0->1,1->0}) -> 0, ({0->1,1->1}) -> 1 }
 selected pi^(a) = {0->0,1->0}, {0->0,1->1}, {0->1,1->0}, {0->1,1->1}
 """
-TOY_EXPLICIT = TOY_FLS + "selected a^(a) = {0->0,1->1}, {0->1,1->0}\n"
+SEL = "{0->0,1->1}, {0->1,1->0}"
+TOY_EXPLICIT = TOY_FLS + f"selected a^(a) = {SEL}\n"
 MU_FULL = MU_FLS[:MU_FLS.index("selected")]
 
 
@@ -375,19 +376,49 @@ class TestStructureValues:
         (MU_FLS, "-> 1 }", "-> 1, ({0->1,5->1}) -> 1 }", "'mu'"),
         (MU_FULL, "-> 1 }", "-> 1, ({0->1,1->2}) -> 1 }", "'mu'"),
         (MU_FLS, "-> 1 }", "-> 1, ({0->1,1->2}) -> 1 }", "'mu'"),
+        (TOY_EXPLICIT, SEL, "{0->7,1->1}, {(0,5)->1}", "selected a^(a)"),
+        (TOY_EXPLICIT, SEL, "{0->1,1->0}, {0->1,1->7}", "selected a^(a)"),
+        (TOY_EXPLICIT, SEL, "{0->1,1->0}, {0->1,5->0}", "selected a^(a)"),
+        (TOY_EXPLICIT, SEL, "{0->1,1->0}, {(0,1)->1}", "selected a^(a)"),
+        (TOY_EXPLICIT, SEL, "{0->1}, {1->7}", "selected a^(a)"),
+        (TOY_EXPLICIT, "a^(a) = " + SEL, "zz^(a) = {0->1}", "selected zz^(a)"),
+        (TOY_EXPLICIT, "a^(a) = " + SEL, "a^(pi) = {0->1,1->0}", "selected a^(pi)"),
+        (MU_FLS, "{0->1,1->1}\n", "{0->1,1->2}\n", "selected pi^(a)"),
     ], ids=["constant-full", "constant-explicit", "value-full", "value-explicit",
             "argument-full", "argument-explicit", "binder-arity-full", "binder-arity-explicit",
             "binder-argument-full", "binder-argument-explicit", "binder-value-full",
-            "binder-value-explicit"])
+            "binder-value-explicit", "selected-values", "selected-value",
+            "selected-argument", "selected-arity", "selected-partial-value",
+            "selected-gamma", "selected-sigma", "selected-pi-value"])
     def test_value_outside_the_carriers(self, files, capsys, text, old, new, op):
         """Every interpretation lies in the carriers, in full and explicit
-        structures alike; the error names the operation."""
+        structures alike, and so does every table, total or partial, of a
+        selected set M_gamma^sigma, whose gamma is a sort and sigma variable
+        sorts; the error names the operation or the set."""
         bad = files["dir"] / "bad.fls"
         bad.write_text(text.replace(old, new))
         for argv in (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]]):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith(f"error: {op}") and "outside" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "closure", "--n", "-5"],
+    ["henkin", "toy.flt", "--levels", "-1"],
+    ["henkin", "toy.flt", "--depth", "-1"],
+    ["termmodel", "toy.fls", "--depth", "-1"],
+])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"{argv[-1]} is below 0" in capsys.readouterr().err
+
+
+def test_zero_fuzz_cases_is_ok(capsys):
+    assert main(["fuzz", "closure", "--n", "0"]) == 0
+    assert "cases:    0" in capsys.readouterr().out
 
 
 DEEP = ["not(" * 3000 + "top" + ")" * 3000, "(" * 3000 + "ca" + ")" * 3000,

@@ -10,7 +10,13 @@ special constants one at a time, each before the formulas that mention it
 are evaluated, and writes no other name.  No module but semantics.py names
 the helpers the constructor uses.
 
-The check reads the source, so it goes by the attribute name ``interp``.
+Every function table is built by FnTable.from_map, and every total one is
+tabulated over its carriers' shared sorted product: each from_map call
+passes ``keys=``.  The one exception is fileio._coerce, whose parsed tables
+may be partial and list their rows in any order.
+
+The checks read the source, so they go by the attribute names ``interp``
+and ``from_map``.
 """
 from __future__ import annotations
 
@@ -26,6 +32,10 @@ WRITERS = {
         "adds the special constants, which the structure it extends lacks",
 }
 PRIVATE = ("_fill_distinguished", "_carriers_for")
+# module:top-level definition -> why it may build a table from a mapping
+FROM_MAPPING = {
+    "fileio.py:_coerce": "a parsed table may be partial and list its rows in any order",
+}
 MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
 
 
@@ -66,9 +76,27 @@ def interp_writers(tree: ast.Module) -> set[str]:
     return found
 
 
-def modules():
+def mapping_builders(tree: ast.Module) -> set[str]:
+    """The top-level definitions (or "<module>") that build a table other
+    than from aligned values and keys: a from_map call without ``keys=``, or
+    a direct FnTable call."""
+    found = set()
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "from_map"
+                    and not any(kw.arg == "keys" for kw in node.keywords)
+                    or isinstance(func, ast.Name) and func.id == "FnTable"):
+                found.add(name)
+    return found
+
+
+def modules(home: bool = False):
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != HOME:
+        if home or path.name != HOME:
             yield path.name, ast.parse(path.read_text(), str(path))
 
 
@@ -100,3 +128,19 @@ def test_the_check_sees_each_kind_of_write():
         "def f(s):\n    x, s.interp['c'] = 1, '0'\n"
         "def g(s):\n    return s.interp['c'], dict(s.interp).update({})\n")
     assert interp_writers(ast.parse(source)) == set("abcdef")
+
+
+def test_every_kernel_table_is_tabulated_over_its_keys():
+    found = {f"{name}:{builder}" for name, tree in modules(home=True)
+             for builder in mapping_builders(tree)}
+    assert found == set(FROM_MAPPING), found
+
+
+def test_the_check_sees_each_kind_of_table_build():
+    source = (
+        "def a(d):\n    return FnTable.from_map(('a',), 'a', d)\n"
+        "def b(v, k):\n    return FnTable.from_map(('a',), 'a', v, keys=k)\n"
+        "class C:\n    def c(self, d):\n        return semantics.FnTable.from_map((), 'a', d)\n"
+        "def d(k, v):\n    return FnTable(('a',), 'a', k, v)\n"
+        "def e(k, v):\n    return cls(('a',), 'a', k, v), FnTable.fix(v, ())\n")
+    assert mapping_builders(ast.parse(source)) == {"a", "C", "d"}

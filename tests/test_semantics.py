@@ -19,7 +19,7 @@ from funlog.semantics import (
     FnTable, Structure, constant_table, projection_table, make_full_structure,
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     materialize_selected, MissingInterpretation, InterpretationOutOfCarrier,
-    NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge,
+    NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge, PartialTable,
     SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
     _sigma_sequences,
 )
@@ -111,10 +111,15 @@ RefFnTable.__qualname__ = "FnTable"  # so that its repr is the dataclass form
 
 
 def reference_compose(s, op, sorts, tables) -> RefFnTable:
-    """_compose row by row over the carrier product, as it was."""
+    """_compose row by row over the carrier product, as it was, once no
+    plain slot's table lacks a row of the product."""
     spec = s.signature.ops[op]
+    dom = list(itertools.product(*[s.carriers[t] for t in sorts]))
+    for (arg_sort, binds), g in zip(spec.args, tables):
+        if not binds and not all(xs in g._lookup for xs in dom):
+            raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial")
     rows = {}
-    for xs in itertools.product(*[s.carriers[t] for t in sorts]):
+    for xs in dom:
         args = []
         for (_, binds), g in zip(spec.args, tables):
             args.append(g.fix(xs) if binds else g.apply(xs))
@@ -221,6 +226,10 @@ def reference_check_closure(s: RefStructure, cap: int) -> ClosureReport:
                         f"composition: functional of {op} undefined on a "
                         f"composable tuple at {sigma}")
                     continue
+                except PartialTable as exc:
+                    report.violations.append(
+                        f"composition: {exc}, composing through {op} at {sigma}")
+                    continue
                 if not s.has_table(spec.result, sigma, tbl):
                     report.violations.append(
                         f"composition: composite through {op} missing from "
@@ -238,14 +247,18 @@ def audits_agree(s: Structure, cap: int):
     return got
 
 
+def reversed_form(s: Structure) -> Structure:
+    """s with the carriers of the non-formula sorts in reverse, so that the
+    carrier product is not in sorted order."""
+    return Structure(
+        s.signature, {k: v if k == PROP else v[::-1] for k, v in s.carriers.items()},
+        dict(s.interp))
+
+
 def closure_forms(rng, s: Structure, cap: int):
     """The forms of the full structure s that the differential test audits."""
     yield "full", s
-    # the carriers of the non-formula sorts in reverse, so that the carrier
-    # product is not in sorted order
-    yield "reversed", Structure(
-        s.signature, {k: v if k == PROP else v[::-1] for k, v in s.carriers.items()},
-        dict(s.interp))
+    yield "reversed", reversed_form(s)
     yield "materialized", materialize_selected(s, cap)
     # one table dropped from each selected set, with the interpretation rows
     # that take it, so that compositions miss
@@ -256,16 +269,14 @@ def closure_forms(rng, s: Structure, cap: int):
         m.interp = {op: {args: v for args, v in rows.items() if gone not in args}
                     if isinstance(rows, dict) else rows for op, rows in m.interp.items()}
     yield "dropped", m
-    # one table of each selected set widened by a row outside the carriers:
-    # its keys are not the carrier product, so _compose falls back to apply
+    # one table of each selected set without its first row: its keys are
+    # not the carrier product, so a composition through it is partial
     m = materialize_selected(s, cap)
     for key in sorted(m.selected):
         t = rng.choice(sorted(m.selected[key], key=repr))
-        (args, v), *_ = t.rows
-        wide = FnTable.from_map(t.domain_sorts, t.codomain_sort,
-                                {**dict(t.rows), args[:-1] + ("junk",): v})
-        m.selected[key] = m.selected[key] - {t} | {wide}
-    yield "widened", m
+        part = FnTable.from_map(t.domain_sorts, t.codomain_sort, dict(t.rows[1:]))
+        m.selected[key] = m.selected[key] - {t} | {part}
+    yield "partial", m
 
 
 class TestFnTable:
@@ -334,6 +345,14 @@ class TestFnTable:
         assert not report.ok and report.skipped == []
         assert "composition: a table of M_a^('a',) is partial, composing " \
             "through f at ('a',)" in report.violations
+
+    def test_selected_tables_have_their_sets_sorts(self, small_structure):
+        s, rows = small_structure, {("0",): "1", ("1",): "0"}
+        for table in (FnTable.from_map(("a",), PROP, rows),
+                      FnTable.from_map(("a", "a"), "a", {("0", "0"): "1"}),
+                      FnTable.from_map((), "a", {(): "0"})):
+            with pytest.raises(InterpretationOutOfCarrier, match=r"^selected a\^\(a\) holds"):
+                Structure(s.signature, s.carriers, {}, {("a", ("a",)): frozenset({table})})
 
     def test_fix_of_an_absent_prefix_is_empty(self):
         t = FnTable.from_map(("a", "b"), "a", {("0", "x"): "1", ("0", "y"): "0"})
@@ -473,7 +492,8 @@ class TestEvaluate:
 
 
 class TestAgainstReference:
-    """evaluate gives the reference's value, or raises the same error."""
+    """evaluate gives the reference's value, or raises the same error, and
+    tabulates every table over the structure's shared product keys."""
 
     def test_random_structures(self):
         misses = 0
@@ -490,11 +510,16 @@ class TestAgainstReference:
             rows = sorted(m.interp[op].items(), key=repr)
             gone = rng.choice(rows)[0]
             m.interp[op] = {args: v for args, v in rows if args != gone}
+            forms = (s, reversed_form(s), m)
             for _ in range(10):
                 e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 3))
                 p = random_perspective(rng, sig, e)
-                for st in (s, m):
-                    assert agree(st, e, p), (seed, print_expr(e), p)
+                for st in forms:
+                    got = outcome(evaluate, st, e, p)
+                    assert got == outcome(reference_evaluate, st, e, p), (
+                        seed, print_expr(e), p)
+                    if isinstance(got, FnTable):
+                        assert got.keys is st.product_keys(got.domain_sorts)
                 misses += outcome(evaluate, m, e, p) is SelectedSetMiss
         assert misses
 
