@@ -31,6 +31,18 @@ carrier_product, the shared sorted product of its carriers, which
 Structure.product_keys caches per structure; fix and _compose build their
 results in the same aligned form.  Only a parsed table, which may be partial,
 is built from a mapping, whose rows from_map sorts.
+
+Each structure memoizes evaluation: _value stores the value of an operation
+node in the structure's _values, keyed on the node when it is closed and
+otherwise on the node and the values the assignment gives its free
+variables.  Expressions are hash-consed, so the node part of a key hashes in
+O(1).  The memo rests on one condition: after construction a structure's
+interpretations are only added, never changed.  The one writer,
+extend_structure_for_henkin, adds each new constant before any formula that
+mentions it is evaluated, and a value is stored only once it is computed, so
+an evaluation that raised stored nothing.  A structure built from another
+(restrict_structure, materialize_selected, extend_structure_for_henkin)
+starts with an empty memo, and no cache takes part in a structure's ==.
 """
 from __future__ import annotations
 
@@ -239,8 +251,10 @@ class Structure:
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
     # the full spaces already enumerated over these carriers:
     # make_full_structure hands over those it tabulated over
-    _spaces: dict = field(default_factory=dict, repr=False)
-    _products: dict = field(default_factory=dict, init=False, repr=False)
+    _spaces: dict = field(default_factory=dict, repr=False, compare=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _value's memo: a node's value at an assignment of its free variables
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.carriers = _carriers_for(self.signature, self.carriers)
@@ -447,12 +461,23 @@ def evaluate(s: Structure, e: Expr, p):
 def _value(s: Structure, e: Expr, env: dict):
     """Value of e at the assignment env, which covers e's free variables.  A
     slot binding variables is fed the table of its body over the carriers of
-    its binder sorts, each row taken at env extended by the binders."""
+    its binder sorts, each row taken at env extended by the binders.
+
+    The value of an operation node is memoized in s._values, keyed on the
+    node when it is closed and otherwise on the node and the values env gives
+    its free variables, read in the fixed order of the node's fv set.  This
+    is sound because s's interpretations are only ever added, never changed,
+    after construction, and a value is stored only once _apply_op returns: a
+    node whose evaluation raised was not stored, and is evaluated afresh."""
     spec = s.signature.ops.get(e.head)
     if spec is None:
         if e.head in env:
             return env[e.head]
         raise ForeignSignature(f"symbol {e.head!r} not in the structure's signature")
+    key = (e, *map(env.__getitem__, e.fv)) if e.fv else e
+    value = s._values.get(key)
+    if value is not None:
+        return value
     args = []
     for (binders, body), (_, bsorts) in zip(e.args, spec.args):
         if bsorts:
@@ -461,7 +486,8 @@ def _value(s: Structure, e: Expr, env: dict):
                 lambda xs: _value(s, body, {**env, **dict(zip(binders, xs))})))
         else:
             args.append(_value(s, body, env))
-    return _apply_op(s, e.head, tuple(args))
+    value = s._values[key] = _apply_op(s, e.head, tuple(args))
+    return value
 
 
 def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from funlog import fileio
+from funlog import fileio, gen
 from funlog.cli import main, build_parser, RunReport
 from funlog.syntax import MAX_NESTING, parse_expr
 from funlog.semantics import satisfies_theory
@@ -419,6 +419,24 @@ def test_negative_counts_are_usage_errors(argv, capsys):
 def test_zero_fuzz_cases_is_ok(capsys):
     assert main(["fuzz", "closure", "--n", "0"]) == 0
     assert "cases:    0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, per_law", [(0, [0] * 6), (7, [2, 1, 1, 1, 1, 1])])
+def test_subst_fuzz_runs_exactly_n_cases(n, per_law, capsys, monkeypatch):
+    # the six laws share the n cases, the first n % 6 laws one more each
+    runs = []
+
+    def counted(i, check):
+        def run(sig, rng):
+            runs.append(i)
+            return check(sig, rng)
+        return run
+
+    monkeypatch.setattr(gen, "SUBST_CHECKS", tuple(
+        counted(i, check) for i, check in enumerate(gen.SUBST_CHECKS)))
+    assert main(["--json", "fuzz", "subst", "--n", str(n), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == n
+    assert [runs.count(i) for i in range(6)] == per_law
 
 
 DEEP = ["not(" * 3000 + "top" + ")" * 3000, "(" * 3000 + "ca" + ")" * 3000,

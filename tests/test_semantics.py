@@ -64,8 +64,17 @@ def outcome(f, s, e, p):
         return type(exc)
 
 
-def agree(s, e, p) -> bool:
-    return outcome(evaluate, s, e, p) == outcome(reference_evaluate, s, e, p)
+def agree_twice(s, cases, *context):
+    """evaluate gives the reference's outcome for each (e, p) of cases on s,
+    tabulated over s's product keys, in a pass in order and then in one in
+    reverse, so that later evaluations read what earlier ones memoized."""
+    want = [outcome(reference_evaluate, s, e, p) for e, p in cases]
+    for i in [*range(len(cases)), *reversed(range(len(cases)))]:
+        e, p = cases[i]
+        got = outcome(evaluate, s, e, p)
+        assert got == want[i], (*context, print_expr(e), p)
+        if isinstance(got, FnTable):
+            assert got.keys is s.product_keys(got.domain_sorts)
 
 
 def random_perspective(rng, sig, e) -> tuple:
@@ -449,11 +458,12 @@ class TestEvaluate:
     def test_foreign_symbol(self, small_sig, small_structure):
         big = make_signature(["a"], ["a"],
                              {"ca": "a", "cb": "a", "f": "(a)a", "extra": "a"})
-        e = parse_expr(big, "extra")
-        with pytest.raises(ForeignSignature):
-            evaluate(small_structure, e, ())
-        with pytest.raises(ForeignSignature):
-            evaluate(small_structure, parse_expr(big, "f(f(extra))"), ())
+        for text, p in (("extra", ()), ("f(f(extra))", ()),
+                        ("eq_a(f(extra),v0^a)", ("v0^a",)),
+                        ("forall v0^a. eq_a(f(v0^a),extra)", ())):
+            for _ in range(2):  # a raise is not memoized: it raises again
+                with pytest.raises(ForeignSignature):
+                    evaluate(small_structure, parse_expr(big, text), p)
 
     def test_uncovered_under_binder(self, toy_sig, toy_structure):
         e = parse_expr(toy_sig, "f(mu((v0^a): eq_a(v0^a,v1^a)))")
@@ -493,7 +503,8 @@ class TestEvaluate:
 
 class TestAgainstReference:
     """evaluate gives the reference's value, or raises the same error, and
-    tabulates every table over the structure's shared product keys."""
+    tabulates every table over the structure's shared product keys, each
+    expression evaluated twice on one structure, under two perspectives."""
 
     def test_random_structures(self):
         misses = 0
@@ -510,27 +521,75 @@ class TestAgainstReference:
             rows = sorted(m.interp[op].items(), key=repr)
             gone = rng.choice(rows)[0]
             m.interp[op] = {args: v for args, v in rows if args != gone}
-            forms = (s, reversed_form(s), m)
+            cases = []
             for _ in range(10):
                 e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 3))
-                p = random_perspective(rng, sig, e)
-                for st in forms:
-                    got = outcome(evaluate, st, e, p)
-                    assert got == outcome(reference_evaluate, st, e, p), (
-                        seed, print_expr(e), p)
-                    if isinstance(got, FnTable):
-                        assert got.keys is st.product_keys(got.domain_sorts)
-                misses += outcome(evaluate, m, e, p) is SelectedSetMiss
+                cases += [(e, random_perspective(rng, sig, e)) for _ in range(2)]
+            for st in (s, reversed_form(s), m):
+                agree_twice(st, cases, seed)
+            misses += sum(outcome(evaluate, m, e, p) is SelectedSetMiss for e, p in cases)
         assert misses
 
     def test_mu_toy_term_structure(self, toy_sig, toy_structure):
         tm = build_term_structure(
             TermModelContext(toy_sig, ThOracle(toy_structure), size_bound=4))
-        s, rng = tm.structure, random.Random(0)
-        for sort in ("a", PROP):
-            for e in enumerate_exprs(toy_sig, sort, ("v0^a",), 4):
-                p = random_perspective(rng, toy_sig, e)
-                assert agree(s, e, p), (print_expr(e), p)
+        rng = random.Random(0)
+        agree_twice(tm.structure, [
+            (e, random_perspective(rng, toy_sig, e)) for sort in ("a", PROP)
+            for e in enumerate_exprs(toy_sig, sort, ("v0^a",), 4) for _ in range(2)])
+
+
+SMALL_FLS = """\
+sort a
+varsort a
+op ca : a
+op cb : a
+op f : (a)a
+carrier a = 0,1
+interp ca = 0
+interp cb = 1
+interp f { (0) -> 1, (1) -> 0 }
+"""
+
+
+class TestMemo:
+    """A structure memoizes the values of nodes; neither its caches nor a
+    raise shows through."""
+
+    def test_equality_ignores_the_caches(self, small_sig, small_structure):
+        built = make_full_structure(
+            small_sig, {"a": ("0", "1")},
+            {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
+        for one, two in ((fileio.parse_structure(SMALL_FLS), fileio.parse_structure(SMALL_FLS)),
+                         (small_structure, built)):
+            assert one == two
+            e = parse_expr(one.signature, "eq_a(f(v0^a),v1^a)")
+            assert evaluate(one, e, ("v0^a", "v1^a")).values == ("0", "1", "1", "0")
+            assert one == two
+
+    def test_a_missing_interpretation_is_not_memoized(self, small_structure):
+        # as extend_structure_for_henkin does: the new constants are
+        # interpreted one at a time, here after formulas that need them
+        # were tried and raised
+        sig = make_signature(["a"], ["a"], {
+            "ca": "a", "cb": "a", "f": "(a)a", "d": "a", "e": "a"})
+        s = Structure(sig, small_structure.carriers, small_structure.interp)
+        on_d, open_d, on_e = (
+            (parse_expr(sig, text), p) for text, p in (
+                ("eq_a(f(d),cb)", ()), ("eq_a(f(d),v0^a)", ("v0^a",)),
+                ("forall v0^a. or(eq_a(v0^a,e),eq_a(f(v0^a),e))", ())))
+        assert evaluate(s, parse_expr(sig, "eq_a(f(ca),cb)"), ()) == "1"
+        for _ in range(2):
+            for e, p in (on_d, open_d, on_e):
+                with pytest.raises(MissingInterpretation):
+                    evaluate(s, e, p)
+        s.interp["d"] = "0"
+        assert evaluate(s, *on_d) == "1"
+        assert evaluate(s, *open_d).values == ("0", "1")
+        with pytest.raises(MissingInterpretation):
+            evaluate(s, *on_e)
+        s.interp["e"] = "1"
+        assert evaluate(s, *on_e) == "1"
 
 
 class TestSatisfies:
@@ -684,13 +743,14 @@ def test_selected_set_miss():
     # drop every unary pi table, then quantify over the now-empty set
     m.selected[(PROP, ("a",))] = frozenset()
     m.interp[forall_op("a")] = {}
-    with pytest.raises(SelectedSetMiss):
-        evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
+    for _ in range(2):  # a miss is not memoized: it raises again
+        with pytest.raises(SelectedSetMiss):
+            evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
     # the reference misses, or not, at the same perspectives
-    for text in ("forall v0^a. eq_a(v0^a,c)", "exists v0^a. eq_a(v0^a,v1^a)",
-                 "eq_a(v1^a,c)"):
-        for p in ((), ("v1^a",), ("v0^a", "v1^a", "v0^a")):
-            assert agree(m, parse_expr(sig, text), p), (text, p)
+    agree_twice(m, [(parse_expr(sig, text), p)
+                    for text in ("forall v0^a. eq_a(v0^a,c)",
+                                 "exists v0^a. eq_a(v0^a,v1^a)", "eq_a(v1^a,c)")
+                    for p in ((), ("v1^a",), ("v0^a", "v1^a", "v0^a"))])
 
 
 def test_satisfies_raises_on_a_later_miss():
@@ -703,8 +763,9 @@ def test_satisfies_raises_on_a_later_miss():
     m.interp[forall_op("a")] = {
         args: v for args, v in m.interp[forall_op("a")].items() if args != (at_one,)}
     assert evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ()) == "0"
-    with pytest.raises(SelectedSetMiss):
-        satisfies(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,v1^a)"))
+    for _ in range(2):  # a miss is not memoized: it raises again
+        with pytest.raises(SelectedSetMiss):
+            satisfies(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,v1^a)"))
 
 
 def test_draws_independent_of_hash_seed():
