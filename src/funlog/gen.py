@@ -402,7 +402,9 @@ def suite_eval_invariance(n: int, seed: int) -> SuiteResult:
         ext = base + tuple(rng.choice(extras) for _ in range(rng.randint(1, 2)))
         try:
             v1 = evaluate(s, e, base)
-            v2 = evaluate(s, e, ext)
+            # on a copy, whose memo is empty: on s, v2 would read back v1's
+            # values, stored under the same free variables' values
+            v2 = evaluate(Structure(s.signature, s.carriers, s.interp, s.selected), e, ext)
         except Exception as exc:
             failures += 1
             detail = detail or f"evaluation error: {exc}"

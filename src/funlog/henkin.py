@@ -142,15 +142,15 @@ def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure
     """Interpret the special constants over the source structure: each one
     names the first carrier element witnessing its formula, or the first
     carrier element if there is none.  This is the one place that adds
-    interpretations to a structure after its construction, and it adds only
-    the new constants, each before the formulas that mention it are
-    evaluated."""
+    interpretations to a structure after its construction: through
+    interpret_constant, it adds only the new constants, each before the
+    formulas that mention it are evaluated."""
     cur = Structure(ext.theory.signature, s.carriers, s.interp, s.selected)
     for name, phi, x in ext.constants:
         carrier = cur.carriers[variable_sort(cur.signature, x)]
         tbl = evaluate(cur, phi, (x,))
-        cur.interp[name] = next(
-            (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0])
+        cur.interpret_constant(name, next(
+            (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0]))
     return cur
 
 

@@ -37,18 +37,25 @@ node in the structure's _values, keyed on the node when it is closed and
 otherwise on the node and the values the assignment gives its free
 variables.  Expressions are hash-consed, so the node part of a key hashes in
 O(1).  The memo rests on one condition: after construction a structure's
-interpretations are only added, never changed.  The one writer,
-extend_structure_for_henkin, adds each new constant before any formula that
-mentions it is evaluated, and a value is stored only once it is computed, so
-an evaluation that raised stored nothing.  A structure built from another
-(restrict_structure, materialize_selected, extend_structure_for_henkin)
-starts with an empty memo, and no cache takes part in a structure's ==.
+interpretations are only added, never changed.  The constructor makes it
+hold: it copies what it is given and hands out interp, and each operation's
+rows, as read-only mappings.  The one way to add is
+Structure.interpret_constant, which refuses a name already interpreted;
+extend_structure_for_henkin uses it to add each new constant before any
+formula that mentions it is evaluated.  A value is stored only once it is
+computed, so an evaluation that raised, on a name not yet interpreted among
+others, stored nothing.  Evaluation reads no selected set, so the memo does
+not rest on those.  A structure built from another (restrict_structure,
+materialize_selected, extend_structure_for_henkin) starts with an empty
+memo, and no cache takes part in a structure's ==.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .signature import (
     PROP, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
@@ -82,6 +89,10 @@ class PartialTable(SemanticsError):
 
 
 class NotAnExtension(SemanticsError):
+    pass
+
+
+class AlreadyInterpreted(SemanticsError):
     pass
 
 
@@ -244,10 +255,12 @@ class Structure:
     """carriers: per sort, a nonempty tuple of atoms (the formula sort's
     defaults to 0,1, false then true).  interp: per operation, a carrier
     element (m=0) or a dict from argument tuples to carrier elements, a
-    binder slot's argument being a function table over its binder sorts."""
+    binder slot's argument being a function table over its binder sorts.
+    The constructor copies interp and hands it out read-only, each
+    operation's rows too; interpret_constant is the one way to add to it."""
     signature: Signature
     carriers: dict[str, tuple[str, ...]]
-    interp: dict[str, object]
+    interp: Mapping[str, object]
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
     # the full spaces already enumerated over these carriers:
     # make_full_structure hands over those it tabulated over
@@ -255,6 +268,9 @@ class Structure:
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _value's memo: a node's value at an assignment of its free variables
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the interpretations, which evaluation reads; interp shows them
+    # read-only (a read-only mapping's bound __getitem__ is slower)
+    _interp: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.carriers = _carriers_for(self.signature, self.carriers)
@@ -263,6 +279,25 @@ class Structure:
         _check_in_carriers(self)
         _check_selected(self)
         _fill_distinguished(self)
+        self._interp = {name: dict(v) if isinstance(v, Mapping) else v
+                        for name, v in self.interp.items()}
+        self.interp = MappingProxyType({name: MappingProxyType(v) if isinstance(v, dict) else v
+                                        for name, v in self._interp.items()})
+
+    def interpret_constant(self, name: str, value: str):
+        """Interpret name, a constant of the signature that is not yet
+        interpreted, as value, an element of its sort's carrier.  It only
+        adds, so no value in _values goes stale: an evaluation that read
+        name before raised, and stored nothing."""
+        spec = self.signature.ops.get(name)
+        if spec is None or spec.args:
+            raise ForeignSignature(f"{name!r} is not a constant of the structure's signature")
+        if name in self._interp:
+            raise AlreadyInterpreted(f"{name!r} is already interpreted")
+        if value not in self.carriers[spec.result]:
+            raise InterpretationOutOfCarrier(f"{name!r} -> {value!r} lies outside the carriers")
+        self._interp[name] = value
+        self.interp = MappingProxyType({**self.interp, name: value})
 
     @property
     def full(self) -> bool:
@@ -426,7 +461,7 @@ def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structu
 
 
 def _apply_op(s: Structure, op: str, args: tuple) -> str:
-    interp = s.interp.get(op)
+    interp = s._interp.get(op)
     if interp is None:
         raise MissingInterpretation(f"no interpretation for {op!r}")
     if not args:
@@ -467,8 +502,10 @@ def _value(s: Structure, e: Expr, env: dict):
     node when it is closed and otherwise on the node and the values env gives
     its free variables, read in the fixed order of the node's fv set.  This
     is sound because s's interpretations are only ever added, never changed,
-    after construction, and a value is stored only once _apply_op returns: a
-    node whose evaluation raised was not stored, and is evaluated afresh."""
+    after construction (interp is read-only, and interpret_constant adds
+    only names not yet interpreted), and a value is stored only once
+    _apply_op returns: a node whose evaluation raised was not stored, and is
+    evaluated afresh."""
     spec = s.signature.ops.get(e.head)
     if spec is None:
         if e.head in env:
@@ -508,7 +545,7 @@ def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
             columns.append(g.values)
         else:
             raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial")
-    interp = s.interp.get(op)
+    interp = s._interp.get(op)
     if interp is None:
         raise MissingInterpretation(f"no interpretation for {op!r}")
     try:

@@ -2,10 +2,11 @@
 
 Structure's constructor (src/funlog/semantics.py) completes the carriers,
 checks every given interpretation against them and interprets the logical
-symbols it is not given, so no later write can undo what it established.
-Outside semantics.py, funlog code therefore neither assigns into nor
-deletes from a ``.interp``, nor calls one of its mutating methods.  The one
-exception is henkin.extend_structure_for_henkin: it interprets the new
+symbols it is not given, and hands out ``interp`` read-only, so no later
+write can undo what it established.  Outside semantics.py, funlog code
+therefore neither assigns into nor deletes from a ``.interp``, nor calls
+one of its mutating methods, nor adds to it by ``interpret_constant``.  The
+one exception is henkin.extend_structure_for_henkin: it interprets the new
 special constants one at a time, each before the formulas that mention it
 are evaluated, and writes no other name.  No module but semantics.py names
 the helpers the constructor uses.
@@ -37,6 +38,7 @@ FROM_MAPPING = {
     "fileio.py:_coerce": "a parsed table may be partial and list its rows in any order",
 }
 MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
+ADDER = "interpret_constant"  # Structure's one way to add to its interp
 
 
 def written(node: ast.AST) -> list[ast.AST]:
@@ -65,13 +67,16 @@ def written(node: ast.AST) -> list[ast.AST]:
 
 
 def interp_writers(tree: ast.Module) -> set[str]:
-    """The top-level definitions (or "<module>") that write into a .interp."""
+    """The top-level definitions (or "<module>") that write into a .interp,
+    or add to one by ADDER."""
     found = set()
     for top in tree.body:
         name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             if any(isinstance(w, ast.Attribute) and w.attr == "interp"
-                   for w in written(node)):
+                   for w in written(node)) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == ADDER):
                 found.add(name)
     return found
 
@@ -126,8 +131,9 @@ def test_the_check_sees_each_kind_of_write():
         "def d(s):\n    s.interp = {}\n"
         "def e(s):\n    del s.interp['c']\n"
         "def f(s):\n    x, s.interp['c'] = 1, '0'\n"
-        "def g(s):\n    return s.interp['c'], dict(s.interp).update({})\n")
-    assert interp_writers(ast.parse(source)) == set("abcdef")
+        "def g(s):\n    return s.interp['c'], dict(s.interp).update({})\n"
+        "def h(s):\n    s.interpret_constant('c', '0')\n")
+    assert interp_writers(ast.parse(source)) == set("abcdefh")
 
 
 def test_every_kernel_table_is_tabulated_over_its_keys():

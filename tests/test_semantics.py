@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import pytest
@@ -20,7 +21,7 @@ from funlog.semantics import (
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     materialize_selected, MissingInterpretation, InterpretationOutOfCarrier,
     NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge, PartialTable,
-    SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
+    AlreadyInterpreted, SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
     _sigma_sequences,
 )
 from funlog.gen import (
@@ -167,7 +168,7 @@ def as_reference(s: Structure) -> RefStructure:
             return RefFnTable.from_map(v.domain_sorts, v.codomain_sort, dict(v.rows))
         return v
     interp = {op: {tuple(map(ref, args)): val for args, val in v.items()}
-              if isinstance(v, dict) else v for op, v in s.interp.items()}
+              if isinstance(v, Mapping) else v for op, v in s.interp.items()}
     selected = {key: frozenset(map(ref, tables)) for key, tables in s.selected.items()}
     return RefStructure(s.signature, dict(s.carriers), interp, selected)
 
@@ -275,8 +276,10 @@ def closure_forms(rng, s: Structure, cap: int):
     for key in sorted(m.selected):
         gone = rng.choice(sorted(m.selected[key], key=repr))
         m.selected[key] = m.selected[key] - {gone}
-        m.interp = {op: {args: v for args, v in rows.items() if gone not in args}
-                    if isinstance(rows, dict) else rows for op, rows in m.interp.items()}
+        m = Structure(m.signature, m.carriers, {
+            op: {args: v for args, v in rows.items() if gone not in args}
+            if isinstance(rows, Mapping) else rows for op, rows in m.interp.items()},
+            m.selected)
     yield "dropped", m
     # one table of each selected set without its first row: its keys are
     # not the carrier product, so a composition through it is partial
@@ -520,7 +523,8 @@ class TestAgainstReference:
             op = rng.choice(binding)
             rows = sorted(m.interp[op].items(), key=repr)
             gone = rng.choice(rows)[0]
-            m.interp[op] = {args: v for args, v in rows if args != gone}
+            m = Structure(m.signature, m.carriers, {
+                **m.interp, op: {args: v for args, v in rows if args != gone}}, m.selected)
             cases = []
             for _ in range(10):
                 e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 3))
@@ -539,19 +543,6 @@ class TestAgainstReference:
             for e in enumerate_exprs(toy_sig, sort, ("v0^a",), 4) for _ in range(2)])
 
 
-SMALL_FLS = """\
-sort a
-varsort a
-op ca : a
-op cb : a
-op f : (a)a
-carrier a = 0,1
-interp ca = 0
-interp cb = 1
-interp f { (0) -> 1, (1) -> 0 }
-"""
-
-
 class TestMemo:
     """A structure memoizes the values of nodes; neither its caches nor a
     raise shows through."""
@@ -560,7 +551,8 @@ class TestMemo:
         built = make_full_structure(
             small_sig, {"a": ("0", "1")},
             {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
-        for one, two in ((fileio.parse_structure(SMALL_FLS), fileio.parse_structure(SMALL_FLS)),
+        text = fileio.print_structure(small_structure)
+        for one, two in ((fileio.parse_structure(text), fileio.parse_structure(text)),
                          (small_structure, built)):
             assert one == two
             e = parse_expr(one.signature, "eq_a(f(v0^a),v1^a)")
@@ -583,13 +575,34 @@ class TestMemo:
             for e, p in (on_d, open_d, on_e):
                 with pytest.raises(MissingInterpretation):
                     evaluate(s, e, p)
-        s.interp["d"] = "0"
+        s.interpret_constant("d", "0")
         assert evaluate(s, *on_d) == "1"
         assert evaluate(s, *open_d).values == ("0", "1")
         with pytest.raises(MissingInterpretation):
             evaluate(s, *on_e)
-        s.interp["e"] = "1"
+        s.interpret_constant("e", "1")
         assert evaluate(s, *on_e) == "1"
+
+    def test_interpretations_are_only_added(self, small_sig):
+        given = {"ca": "0", "cb": "1", "f": {("0",): "1", ("1",): "0"}}
+        s = Structure(small_sig, {"a": ("0", "1")}, given)
+        f_ca = parse_expr(small_sig, "f(ca)")
+        assert evaluate(s, f_ca, ()) == "1"
+        given["ca"], given["f"][("0",)] = "1", "0"  # the caller's dicts, not s's
+        with pytest.raises(TypeError):
+            s.interp["ca"] = "1"
+        with pytest.raises(TypeError):
+            s.interp["f"][("0",)] = "0"
+        for name, value, error in (("f", "0", ForeignSignature),
+                                   ("d", "0", ForeignSignature),
+                                   ("ca", "2", AlreadyInterpreted)):
+            with pytest.raises(error):
+                s.interpret_constant(name, value)
+        sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a", "d": "a"})
+        with pytest.raises(InterpretationOutOfCarrier):
+            Structure(sig, s.carriers, s.interp).interpret_constant("d", "2")
+        assert evaluate(s, f_ca, ()) == "1"
+        assert evaluate(Structure(small_sig, s.carriers, s.interp), f_ca, ()) == "1"
 
 
 class TestSatisfies:
@@ -742,7 +755,7 @@ def test_selected_set_miss():
     m = materialize_selected(s, cap=1)
     # drop every unary pi table, then quantify over the now-empty set
     m.selected[(PROP, ("a",))] = frozenset()
-    m.interp[forall_op("a")] = {}
+    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {}}, m.selected)
     for _ in range(2):  # a miss is not memoized: it raises again
         with pytest.raises(SelectedSetMiss):
             evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
@@ -760,8 +773,9 @@ def test_satisfies_raises_on_a_later_miss():
     m = materialize_selected(
         make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"}), cap=1)
     at_one = FnTable.from_map(("a",), PROP, {("0",): "0", ("1",): "1"})
-    m.interp[forall_op("a")] = {
-        args: v for args, v in m.interp[forall_op("a")].items() if args != (at_one,)}
+    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {
+        args: v for args, v in m.interp[forall_op("a")].items() if args != (at_one,)}},
+        m.selected)
     assert evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ()) == "0"
     for _ in range(2):  # a miss is not memoized: it raises again
         with pytest.raises(SelectedSetMiss):
@@ -797,7 +811,8 @@ def test_eval_invariance_random():
         extras = [u for u in _pool(sig) if u not in base]
         ext = base + (rng.choice(extras),)
         v1 = evaluate(s, e, base)
-        v2 = evaluate(s, e, ext)
+        # on a copy, whose memo is empty: on s, v2 would read back v1's values
+        v2 = evaluate(Structure(s.signature, s.carriers, s.interp, s.selected), e, ext)
         for args, out in v2.rows:
             want = v1.apply(args[:len(base)]) if base else v1
             assert out == want
