@@ -130,15 +130,6 @@ def _rand_terms_for(sig, rng, xs, closed=False, avoid_free=()):
     return tuple(ds)
 
 
-def check_untouched_targets(sig, rng) -> SubstCase:
-    e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 6))
-    k = rng.randint(0, 3)
-    us = tuple(u for u in _rand_vec(sig, rng, k) if u not in fv(e))
-    cs = _rand_terms_for(sig, rng, us)
-    ok = substitute(sig, e, us, cs) == e
-    return SubstCase("untouched-targets", ok, print_expr(e))
-
-
 def check_redundant_pairs(sig, rng) -> SubstCase:
     e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 6))
     ys = _rand_vec(sig, rng, rng.randint(0, 3))
@@ -198,8 +189,8 @@ def check_closed_commute(sig, rng) -> SubstCase:
     return SubstCase("closed-commute", both == one == two, print_expr(e))
 
 
-SUBST_CHECKS = (check_untouched_targets, check_redundant_pairs, check_split,
-                check_single_pair, check_identity_pairs, check_closed_commute)
+SUBST_CHECKS = (check_redundant_pairs, check_split, check_single_pair,
+                check_identity_pairs, check_closed_commute)
 
 
 # --- structures, theories, proofs -------------------------------------------
@@ -329,8 +320,8 @@ class SuiteResult:
 
 
 def suite_subst(n: int, seed: int) -> SuiteResult:
-    """n cases, split over the laws: law i runs n // 6 cases, plus one if
-    i < n % 6."""
+    """n cases, split over the five laws: law i runs n // 5 cases, plus one
+    if i < n % 5."""
     rng = random.Random(seed)
     failures = 0
     detail = ""
@@ -387,6 +378,11 @@ def suite_closure(n: int, seed: int) -> SuiteResult:
 
 
 def suite_eval_invariance(n: int, seed: int) -> SuiteResult:
+    """n cases: an expression's table under its sorted free variables and
+    under those widened by one or two unused variables must agree.  Within
+    the widened evaluation the memo answers every row that differs from an
+    earlier one only in the unused variables, so those rows are read back,
+    not computed."""
     rng = random.Random(seed)
     failures = 0
     detail = ""

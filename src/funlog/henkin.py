@@ -94,8 +94,12 @@ def special_constant(sig: Signature, phi: Expr, x: str) -> tuple[Signature, str,
 
 @dataclass(frozen=True)
 class HenkinExtension:
+    """The extended theory and its witness constants, (name, phi, x), level
+    by level: level i added level_sizes[i] of them, and its formulas phi
+    name only constants of earlier levels."""
     theory: Theory
-    constants: tuple[tuple[str, Expr, str], ...]  # (constant name, phi, x)
+    constants: tuple[tuple[str, Expr, str], ...]
+    level_sizes: tuple[int, ...]
 
 
 def henkin_extend(theory: Theory, levels: int,
@@ -106,6 +110,7 @@ def henkin_extend(theory: Theory, levels: int,
     sig = theory.signature
     axioms = list(theory.axioms)
     constants: list[tuple[str, Expr, str]] = []
+    level_sizes = []
     known: set[tuple[Expr, str]] = set()
     for _ in range(levels):
         batch = []
@@ -120,7 +125,8 @@ def henkin_extend(theory: Theory, levels: int,
         for (phi, x), (name, _) in zip(batch, ops):
             constants.append((name, phi, x))
             axioms.append(_witness_axiom(sig, phi, x, name))
-    return HenkinExtension(Theory(sig, tuple(axioms)), tuple(constants))
+        level_sizes.append(len(batch))
+    return HenkinExtension(Theory(sig, tuple(axioms)), tuple(constants), tuple(level_sizes))
 
 
 def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
@@ -141,16 +147,20 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
 def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure:
     """Interpret the special constants over the source structure: each one
     names the first carrier element witnessing its formula, or the first
-    carrier element if there is none.  This is the one place that adds
-    interpretations to a structure after its construction: through
-    interpret_constant, it adds only the new constants, each before the
-    formulas that mention it are evaluated."""
-    cur = Structure(ext.theory.signature, s.carriers, s.interp, s.selected)
-    for name, phi, x in ext.constants:
-        carrier = cur.carriers[variable_sort(cur.signature, x)]
-        tbl = evaluate(cur, phi, (x,))
-        cur.interpret_constant(name, next(
-            (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0]))
+    carrier element if there is none.  A level's formulas name only
+    constants of earlier levels, so all of them are evaluated in one
+    structure that interprets those; the next level's structure is built
+    with the level's constants added."""
+    sig, constants = ext.theory.signature, iter(ext.constants)
+    cur = Structure(sig, s.carriers, s.interp, s.selected)
+    for n in ext.level_sizes:
+        interp = dict(cur.interp)
+        for name, phi, x in itertools.islice(constants, n):
+            carrier = cur.carriers[variable_sort(sig, x)]
+            tbl = evaluate(cur, phi, (x,))
+            interp[name] = next(
+                (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0])
+        cur = Structure(sig, cur.carriers, interp, cur.selected)
     return cur
 
 

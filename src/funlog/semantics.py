@@ -36,16 +36,12 @@ Each structure memoizes evaluation: _value stores the value of an operation
 node in the structure's _values, keyed on the node when it is closed and
 otherwise on the node and the values the assignment gives its free
 variables.  Expressions are hash-consed, so the node part of a key hashes in
-O(1).  The memo rests on one condition: after construction a structure's
-interpretations are only added, never changed.  The constructor makes it
-hold: it copies what it is given and hands out interp, and each operation's
-rows, as read-only mappings.  The one way to add is
-Structure.interpret_constant, which refuses a name already interpreted;
-extend_structure_for_henkin uses it to add each new constant before any
-formula that mentions it is evaluated.  A value is stored only once it is
-computed, so an evaluation that raised, on a name not yet interpreted among
-others, stored nothing.  Evaluation reads no selected set, so the memo does
-not rest on those.  A structure built from another (restrict_structure,
+O(1).  The memo is sound because a structure never changes after
+construction: Structure is frozen, and its constructor copies what it is
+given and hands out carriers, interp (each operation's rows too) and
+selected as read-only mappings.  A value is stored only once it is computed,
+so an evaluation that raised, on a name the structure does not interpret,
+stored nothing.  A structure built from another (restrict_structure,
 materialize_selected, extend_structure_for_henkin) starts with an empty
 memo, and no cache takes part in a structure's ==.
 """
@@ -55,6 +51,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 
 from .signature import (
@@ -89,10 +86,6 @@ class PartialTable(SemanticsError):
 
 
 class NotAnExtension(SemanticsError):
-    pass
-
-
-class AlreadyInterpreted(SemanticsError):
     pass
 
 
@@ -250,18 +243,20 @@ def _function_space(spaces: dict, carriers: dict, gamma, domain_sorts) -> tuple[
     return spaces[key]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Structure:
     """carriers: per sort, a nonempty tuple of atoms (the formula sort's
     defaults to 0,1, false then true).  interp: per operation, a carrier
     element (m=0) or a dict from argument tuples to carrier elements, a
     binder slot's argument being a function table over its binder sorts.
-    The constructor copies interp and hands it out read-only, each
-    operation's rows too; interpret_constant is the one way to add to it."""
+    selected: per (gamma, sigma), a set of tables.  The constructor copies
+    what it is given and hands out carriers, interp, each operation's rows
+    and selected read-only; no field is rebound after it returns."""
     signature: Signature
-    carriers: dict[str, tuple[str, ...]]
+    carriers: Mapping[str, tuple[str, ...]]
     interp: Mapping[str, object]
-    selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(default_factory=dict)
+    selected: Mapping[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(
+        default_factory=dict)
     # the full spaces already enumerated over these carriers:
     # make_full_structure hands over those it tabulated over
     _spaces: dict = field(default_factory=dict, repr=False, compare=False)
@@ -273,31 +268,18 @@ class Structure:
     _interp: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.carriers = _carriers_for(self.signature, self.carriers)
-        self.selected = dict(self.selected)
-        self.interp = dict(self.interp)
+        init = partial(object.__setattr__, self)
+        init("carriers", MappingProxyType(_carriers_for(self.signature, self.carriers)))
+        init("selected", MappingProxyType(
+            {key: frozenset(tables) for key, tables in self.selected.items()}))
+        init("interp", dict(self.interp))
         _check_in_carriers(self)
         _check_selected(self)
         _fill_distinguished(self)
-        self._interp = {name: dict(v) if isinstance(v, Mapping) else v
-                        for name, v in self.interp.items()}
-        self.interp = MappingProxyType({name: MappingProxyType(v) if isinstance(v, dict) else v
-                                        for name, v in self._interp.items()})
-
-    def interpret_constant(self, name: str, value: str):
-        """Interpret name, a constant of the signature that is not yet
-        interpreted, as value, an element of its sort's carrier.  It only
-        adds, so no value in _values goes stale: an evaluation that read
-        name before raised, and stored nothing."""
-        spec = self.signature.ops.get(name)
-        if spec is None or spec.args:
-            raise ForeignSignature(f"{name!r} is not a constant of the structure's signature")
-        if name in self._interp:
-            raise AlreadyInterpreted(f"{name!r} is already interpreted")
-        if value not in self.carriers[spec.result]:
-            raise InterpretationOutOfCarrier(f"{name!r} -> {value!r} lies outside the carriers")
-        self._interp[name] = value
-        self.interp = MappingProxyType({**self.interp, name: value})
+        init("_interp", {name: dict(v) if isinstance(v, Mapping) else v
+                         for name, v in self.interp.items()})
+        init("interp", MappingProxyType({name: MappingProxyType(v) if isinstance(v, dict) else v
+                                         for name, v in self._interp.items()}))
 
     @property
     def full(self) -> bool:
@@ -501,11 +483,9 @@ def _value(s: Structure, e: Expr, env: dict):
     The value of an operation node is memoized in s._values, keyed on the
     node when it is closed and otherwise on the node and the values env gives
     its free variables, read in the fixed order of the node's fv set.  This
-    is sound because s's interpretations are only ever added, never changed,
-    after construction (interp is read-only, and interpret_constant adds
-    only names not yet interpreted), and a value is stored only once
-    _apply_op returns: a node whose evaluation raised was not stored, and is
-    evaluated afresh."""
+    is sound because a structure never changes after construction, and a
+    value is stored only once _apply_op returns: a node whose evaluation
+    raised was not stored, and is evaluated afresh."""
     spec = s.signature.ops.get(e.head)
     if spec is None:
         if e.head in env:

@@ -21,7 +21,7 @@ from funlog.calculus import (
     deduction_transform, sorted_vars,
 )
 from funlog.semantics import (
-    make_full_structure, evaluate, satisfies, satisfies_theory, check_closure,
+    Structure, make_full_structure, evaluate, satisfies, satisfies_theory, check_closure,
     materialize_selected, restrict_structure, constant_table, projection_table,
 )
 from funlog.henkin import (
@@ -146,7 +146,7 @@ def test_criterion_4_closure_audit_and_mutations():
             key = (PROP, (srt,))
             gone = constant_table((srt,), m.carriers, m.true_atom, PROP)
             want = "constant:"
-        m.selected[key] = m.selected[key] - {gone}
+        m = Structure(sig, m.carriers, m.interp, {**m.selected, key: m.selected[key] - {gone}})
         rep = check_closure(m, cap=1)
         assert any(v.startswith(want) for v in rep.violations), (want, rep.violations)
     assert time.time() - t0 < budget

@@ -2,21 +2,20 @@
 
 Structure's constructor (src/funlog/semantics.py) completes the carriers,
 checks every given interpretation against them and interprets the logical
-symbols it is not given, and hands out ``interp`` read-only, so no later
-write can undo what it established.  Outside semantics.py, funlog code
-therefore neither assigns into nor deletes from a ``.interp``, nor calls
-one of its mutating methods, nor adds to it by ``interpret_constant``.  The
-one exception is henkin.extend_structure_for_henkin: it interprets the new
-special constants one at a time, each before the formulas that mention it
-are evaluated, and writes no other name.  No module but semantics.py names
-the helpers the constructor uses.
+symbols it is not given.  Structure is frozen, and the constructor hands out
+``carriers``, ``interp`` and ``selected`` read-only, so no later write can
+undo what it established.  Outside semantics.py, funlog code therefore
+neither assigns into nor deletes from one of these fields, nor calls one of
+their mutating methods; a structure that differs is built by the
+constructor.  No module but semantics.py names the helpers the constructor
+uses.
 
 Every function table is built by FnTable.from_map, and every total one is
 tabulated over its carriers' shared sorted product: each from_map call
 passes ``keys=``.  The one exception is fileio._coerce, whose parsed tables
 may be partial and list their rows in any order.
 
-The checks read the source, so they go by the attribute names ``interp``
+The checks read the source, so they go by the attribute names in FIELDS
 and ``from_map``.
 """
 from __future__ import annotations
@@ -27,18 +26,15 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "funlog"
 HOME = "semantics.py"
 
-# module:top-level definition -> why it may write a structure's interp
-WRITERS = {
-    "henkin.py:extend_structure_for_henkin":
-        "adds the special constants, which the structure it extends lacks",
-}
+# module:top-level definition -> why it may write a structure's field
+WRITERS: dict[str, str] = {}
+FIELDS = frozenset({"carriers", "interp", "selected"})  # a structure's mappings
 PRIVATE = ("_fill_distinguished", "_carriers_for")
 # module:top-level definition -> why it may build a table from a mapping
 FROM_MAPPING = {
     "fileio.py:_coerce": "a parsed table may be partial and list its rows in any order",
 }
 MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
-ADDER = "interpret_constant"  # Structure's one way to add to its interp
 
 
 def written(node: ast.AST) -> list[ast.AST]:
@@ -66,17 +62,15 @@ def written(node: ast.AST) -> list[ast.AST]:
     return out
 
 
-def interp_writers(tree: ast.Module) -> set[str]:
-    """The top-level definitions (or "<module>") that write into a .interp,
-    or add to one by ADDER."""
+def structure_writers(tree: ast.Module) -> set[str]:
+    """The top-level definitions (or "<module>") that write into an
+    attribute named in FIELDS."""
     found = set()
     for top in tree.body:
         name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if any(isinstance(w, ast.Attribute) and w.attr == "interp"
-                   for w in written(node)) or (
-                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == ADDER):
+            if any(isinstance(w, ast.Attribute) and w.attr in FIELDS
+                   for w in written(node)):
                 found.add(name)
     return found
 
@@ -105,9 +99,9 @@ def modules(home: bool = False):
             yield path.name, ast.parse(path.read_text(), str(path))
 
 
-def test_only_the_henkin_extension_writes_an_interp():
+def test_no_module_writes_a_structure():
     found = {f"{name}:{writer}" for name, tree in modules()
-             for writer in interp_writers(tree)}
+             for writer in structure_writers(tree)}
     assert found == set(WRITERS), found
 
 
@@ -132,8 +126,10 @@ def test_the_check_sees_each_kind_of_write():
         "def e(s):\n    del s.interp['c']\n"
         "def f(s):\n    x, s.interp['c'] = 1, '0'\n"
         "def g(s):\n    return s.interp['c'], dict(s.interp).update({})\n"
-        "def h(s):\n    s.interpret_constant('c', '0')\n")
-    assert interp_writers(ast.parse(source)) == set("abcdefh")
+        "def h(s):\n    s.carriers['a'] = ('0',)\n"
+        "def i(s):\n    s.selected.pop(('a', ('a',)))\n"
+        "def j(s):\n    return s.selected.get(('a', ('a',))), s.carriers['a']\n")
+    assert structure_writers(ast.parse(source)) == set("abcdefhi")
 
 
 def test_every_kernel_table_is_tabulated_over_its_keys():

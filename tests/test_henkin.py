@@ -5,12 +5,12 @@ import random
 import pytest
 
 from funlog import henkin
-from funlog.signature import PROP, make_signature
+from funlog.signature import PROP, make_signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq
 from funlog.subst import fv, gv, substitute
 from funlog.calculus import Theory, OracleUndecided
 from funlog.semantics import (
-    satisfies, satisfies_theory, restrict_structure, check_closure,
+    Structure, evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     make_full_structure,
 )
 from funlog.fileio import print_structure
@@ -64,17 +64,32 @@ class TestSpecialConstants:
             special_constant(small_sig, parse_expr(small_sig, "top"), "ca")
 
 
+def reference_extend_structure(s: Structure, ext: HenkinExtension) -> Structure:
+    """The one-constant-at-a-time construction that
+    extend_structure_for_henkin replaced, kept as its reference: each
+    constant's formula is evaluated in a structure, built by the constructor,
+    that interprets every constant before it."""
+    sig, interp = ext.theory.signature, dict(s.interp)
+    for name, phi, x in ext.constants:
+        cur = Structure(sig, s.carriers, interp, s.selected)
+        carrier = cur.carriers[variable_sort(sig, x)]
+        tbl = evaluate(cur, phi, (x,))
+        interp[name] = next(
+            (w for w in carrier if tbl.apply((w,)) == cur.true_atom), carrier[0])
+    return Structure(sig, s.carriers, interp, s.selected)
+
+
 class TestHenkinExtend:
     def test_level_zero_identity(self, small_sig):
         thy = Theory(small_sig, (parse_expr(small_sig, "eq_a(f(ca),cb)"),))
         ext = henkin_extend(thy, 0, 3)
-        assert ext.theory == thy and ext.constants == ()
+        assert ext.theory == thy and ext.constants == () and ext.level_sizes == ()
 
     def test_one_level_counts(self, small_sig):
         thy = Theory(small_sig, ())
         ext = henkin_extend(thy, 1, 3)
         assert len(ext.constants) == len(ext.theory.axioms)
-        assert len(ext.constants) > 0
+        assert len(ext.constants) > 0 and ext.level_sizes == (len(ext.constants),)
         # one constant per enumerated (phi, x) pair, each axiom a conditional
         for name, phi, x in ext.constants:
             assert name in ext.theory.signature.ops
@@ -103,6 +118,20 @@ class TestHenkinExtend:
         ext = henkin_extend(thy, 1, 3)
         big = extend_structure_for_henkin(small_structure, ext)
         assert satisfies_theory(big, ext.theory)
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_extended_structure_agrees_with_the_reference(
+            self, small_sig, small_structure, levels):
+        # at level 2 the formulas name level-1 constants, which the level's
+        # structure must interpret
+        thy = Theory(small_sig, (parse_expr(small_sig, "eq_a(f(ca),cb)"),))
+        ext = henkin_extend(thy, levels, 3)
+        assert len(ext.level_sizes) == levels and sum(ext.level_sizes) == len(ext.constants)
+        big = extend_structure_for_henkin(small_structure, ext)
+        ref = reference_extend_structure(small_structure, ext)
+        assert big == ref
+        assert ([big.interp[name] for name, _, _ in ext.constants]
+                == [ref.interp[name] for name, _, _ in ext.constants])
 
     def test_restriction_recovers_original(self, small_sig, small_structure):
         thy = Theory(small_sig, (parse_expr(small_sig, "eq_a(f(ca),cb)"),))

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import pytest
 
@@ -21,7 +21,7 @@ from funlog.semantics import (
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     materialize_selected, MissingInterpretation, InterpretationOutOfCarrier,
     NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge, PartialTable,
-    AlreadyInterpreted, SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
+    SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
     _sigma_sequences,
 )
 from funlog.gen import (
@@ -265,6 +265,12 @@ def reversed_form(s: Structure) -> Structure:
         dict(s.interp))
 
 
+def without_table(s: Structure, key, tbl) -> Structure:
+    """s with tbl dropped from the selected set named key."""
+    return Structure(s.signature, s.carriers, s.interp,
+                     {**s.selected, key: s.selected[key] - {tbl}})
+
+
 def closure_forms(rng, s: Structure, cap: int):
     """The forms of the full structure s that the differential test audits."""
     yield "full", s
@@ -275,20 +281,20 @@ def closure_forms(rng, s: Structure, cap: int):
     m = materialize_selected(s, cap)
     for key in sorted(m.selected):
         gone = rng.choice(sorted(m.selected[key], key=repr))
-        m.selected[key] = m.selected[key] - {gone}
         m = Structure(m.signature, m.carriers, {
             op: {args: v for args, v in rows.items() if gone not in args}
             if isinstance(rows, Mapping) else rows for op, rows in m.interp.items()},
-            m.selected)
+            {**m.selected, key: m.selected[key] - {gone}})
     yield "dropped", m
     # one table of each selected set without its first row: its keys are
     # not the carrier product, so a composition through it is partial
     m = materialize_selected(s, cap)
-    for key in sorted(m.selected):
-        t = rng.choice(sorted(m.selected[key], key=repr))
+    selected = dict(m.selected)
+    for key in sorted(selected):
+        t = rng.choice(sorted(selected[key], key=repr))
         part = FnTable.from_map(t.domain_sorts, t.codomain_sort, dict(t.rows[1:]))
-        m.selected[key] = m.selected[key] - {t} | {part}
-    yield "partial", m
+        selected[key] = selected[key] - {t} | {part}
+    yield "partial", Structure(m.signature, m.carriers, m.interp, selected)
 
 
 class TestFnTable:
@@ -560,9 +566,8 @@ class TestMemo:
             assert one == two
 
     def test_a_missing_interpretation_is_not_memoized(self, small_structure):
-        # as extend_structure_for_henkin does: the new constants are
-        # interpreted one at a time, here after formulas that need them
-        # were tried and raised
+        # s lacks the constants d and e, as a Henkin extension's structure
+        # lacks those of later levels: what needs them raises every time
         sig = make_signature(["a"], ["a"], {
             "ca": "a", "cb": "a", "f": "(a)a", "d": "a", "e": "a"})
         s = Structure(sig, small_structure.carriers, small_structure.interp)
@@ -575,33 +580,35 @@ class TestMemo:
             for e, p in (on_d, open_d, on_e):
                 with pytest.raises(MissingInterpretation):
                     evaluate(s, e, p)
-        s.interpret_constant("d", "0")
-        assert evaluate(s, *on_d) == "1"
-        assert evaluate(s, *open_d).values == ("0", "1")
+        with_d = Structure(sig, s.carriers, {**s.interp, "d": "0"})
+        assert evaluate(with_d, *on_d) == "1"
+        assert evaluate(with_d, *open_d).values == ("0", "1")
         with pytest.raises(MissingInterpretation):
-            evaluate(s, *on_e)
-        s.interpret_constant("e", "1")
-        assert evaluate(s, *on_e) == "1"
+            evaluate(with_d, *on_e)
+        assert evaluate(Structure(sig, s.carriers, {**with_d.interp, "e": "1"}), *on_e) == "1"
 
-    def test_interpretations_are_only_added(self, small_sig):
+    def test_a_structure_is_read_only(self, small_sig, small_structure):
         given = {"ca": "0", "cb": "1", "f": {("0",): "1", ("1",): "0"}}
-        s = Structure(small_sig, {"a": ("0", "1")}, given)
+        carriers = {"a": ("0", "1")}
+        s = Structure(small_sig, carriers, given)
+        m = materialize_selected(small_structure, cap=1)
         f_ca = parse_expr(small_sig, "f(ca)")
-        assert evaluate(s, f_ca, ()) == "1"
-        given["ca"], given["f"][("0",)] = "1", "0"  # the caller's dicts, not s's
-        with pytest.raises(TypeError):
-            s.interp["ca"] = "1"
-        with pytest.raises(TypeError):
-            s.interp["f"][("0",)] = "0"
-        for name, value, error in (("f", "0", ForeignSignature),
-                                   ("d", "0", ForeignSignature),
-                                   ("ca", "2", AlreadyInterpreted)):
-            with pytest.raises(error):
-                s.interpret_constant(name, value)
-        sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a", "d": "a"})
-        with pytest.raises(InterpretationOutOfCarrier):
-            Structure(sig, s.carriers, s.interp).interpret_constant("d", "2")
-        assert evaluate(s, f_ca, ()) == "1"
+        assert evaluate(s, f_ca, ()) == "1" and evaluate(m, f_ca, ()) == "1"
+        # the caller's dicts, not s's
+        given["ca"], given["f"][("0",)], carriers["a"] = "1", "0", ("1",)
+        for st in (s, m):
+            for f in fields(Structure):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(st, f.name, getattr(st, f.name))
+        key = ("a", ("a",))
+        for mapping, k, v in ((s.interp, "ca", "1"), (s.interp["f"], ("0",), "0"),
+                              (s.carriers, "a", ("1",)), (s.selected, key, frozenset()),
+                              (m.selected, key, frozenset())):
+            with pytest.raises(TypeError):
+                mapping[k] = v
+        with pytest.raises(AttributeError):  # a selected set is a frozenset
+            m.selected[key].add(projection_table(("a",), m.carriers, 0))
+        assert evaluate(s, f_ca, ()) == "1" and evaluate(m, f_ca, ()) == "1"
         assert evaluate(Structure(small_sig, s.carriers, s.interp), f_ca, ()) == "1"
 
 
@@ -659,7 +666,7 @@ class TestClosure:
         m = materialize_selected(small_structure, cap=1)
         key = ("a", ("a",))
         pj = projection_table(("a",), m.carriers, 0)
-        m.selected[key] = m.selected[key] - {pj}
+        m = without_table(m, key, pj)
         rep = check_closure(m, cap=1)
         assert any(v.startswith("projection:") for v in rep.violations)
 
@@ -667,7 +674,7 @@ class TestClosure:
         m = materialize_selected(small_structure, cap=1)
         key = (PROP, ("a",))
         c = constant_table(("a",), m.carriers, m.true_atom, PROP)
-        m.selected[key] = m.selected[key] - {c}
+        m = without_table(m, key, c)
         rep = check_closure(m, cap=1)
         assert any(v.startswith("constant:") for v in rep.violations)
 
@@ -676,7 +683,7 @@ class TestClosure:
         m = materialize_selected(small_structure, cap=1)
         key = ("a", ("a",))
         swap = FnTable.from_map(("a",), "a", {("0",): "1", ("1",): "0"})
-        m.selected[key] = m.selected[key] - {swap}
+        m = without_table(m, key, swap)
         rep = check_closure(m, cap=1)
         assert any(v.startswith("composition:") for v in rep.violations)
 
@@ -754,8 +761,8 @@ def test_selected_set_miss():
     s = make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"})
     m = materialize_selected(s, cap=1)
     # drop every unary pi table, then quantify over the now-empty set
-    m.selected[(PROP, ("a",))] = frozenset()
-    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {}}, m.selected)
+    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {}},
+                  {**m.selected, (PROP, ("a",)): frozenset()})
     for _ in range(2):  # a miss is not memoized: it raises again
         with pytest.raises(SelectedSetMiss):
             evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
@@ -813,6 +820,9 @@ def test_eval_invariance_random():
         v1 = evaluate(s, e, base)
         # on a copy, whose memo is empty: on s, v2 would read back v1's values
         v2 = evaluate(Structure(s.signature, s.carriers, s.interp, s.selected), e, ext)
+        # the memo answers the rows that differ only in the unused variable;
+        # the reference, which has none, computes each
+        assert v2.rows == reference_evaluate(s, e, ext).rows
         for args, out in v2.rows:
             want = v1.apply(args[:len(base)]) if base else v1
             assert out == want
