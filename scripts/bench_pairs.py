@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a git revision against the working tree.
+
+    python3 scripts/bench_pairs.py REV WORKLOAD [--pairs N] [--seed S] [--seconds T]
+
+Run it from anywhere inside the repository.  It checks REV out into a
+temporary git worktree, then runs ``perfbench/run.py --workload WORKLOAD
+--trace 0`` N times in each checkout, each with its own benchmark files,
+alternating which side goes first.  For every end-to-end metric that
+BENCHMARK.json declares it prints each side's median and quartiles and the
+number of pairs the working tree won (ties count for neither side), beside
+the gain rule: a win in at least nine pairs of ten, and a median gap wider
+than the distance between REV's quartiles.  The run length defaults to
+BENCHMARK.json's ``run_seconds``.  The worktree is removed afterwards.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def git(root: str, *args: str) -> str:
+    return subprocess.run(["git", "-C", root, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in the checkout at root: its last stdout line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
+    n = len(runs["parent"])
+    for side, results in runs.items():
+        bad = [r for r in results if not r["correct"] or r["failed"]]
+        print(f"{side}: {n - len(bad)}/{n} runs correct, "
+              f"{sum(r['failed'] for r in results)} operations failed "
+              f"of {sum(r['attempted'] for r in results)}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        old = [r["metrics"][name]["value"] for r in runs["parent"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"]]
+        won = sum(b < a if lower else b > a for a, b in zip(old, new))
+        oq, nq = quartiles(old), quartiles(new)
+        gain = oq[1] - nq[1] if lower else nq[1] - oq[1]
+        claim = won * 10 >= 9 * n and gain > oq[2] - oq[0]
+        print(f"{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:.0%}): "
+              f"parent {oq[1]:.4g} [{oq[0]:.4g}, {oq[2]:.4g}]  "
+              f"change {nq[1]:.4g} [{nq[0]:.4g}, {nq[2]:.4g}]  "
+              f"median {(nq[1] - oq[1]) / oq[1]:+.1%}  change won {won}/{n} pairs"
+              f"{'  (gain rule met)' if claim else ''}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev")
+    ap.add_argument("workload")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=None)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    root = git(os.getcwd(), "rev-parse", "--show-toplevel")
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    rev = git(root, "rev-parse", "--verify", args.rev + "^{commit}")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent = os.path.join(tmp, "parent")
+        git(root, "worktree", "add", "--detach", parent, rev)
+        try:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    where = parent if side == "parent" else root
+                    runs[side].append(run_bench(where, args.workload, args.seed, seconds))
+                print(f"pair {k + 1}/{args.pairs}: wall_s parent "
+                      f"{runs['parent'][-1]['metrics']['wall_s']['value']:.3f} "
+                      f"change {runs['change'][-1]['metrics']['wall_s']['value']:.3f}",
+                      file=sys.stderr)
+        finally:
+            git(root, "worktree", "remove", "--force", parent)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
+          f"parent {rev[:10]} against the working tree of {root}")
+    report(bench["end_to_end"], runs)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

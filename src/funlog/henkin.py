@@ -134,12 +134,14 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
     walk the candidate list, adjoining each formula or its negation according
     to the oracle's verdict."""
     axioms = list(theory.axioms)
+    present = set(axioms)
     for phi in candidates:
         verdict = oracle.decide(phi)
         if verdict == "undecided":
             raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
         chosen = phi if verdict == "provable" else neg(theory.signature, phi)
-        if chosen not in axioms:
+        if chosen not in present:
+            present.add(chosen)
             axioms.append(chosen)
     return Theory(theory.signature, tuple(axioms))
 

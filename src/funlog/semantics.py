@@ -394,24 +394,56 @@ def _bool_tables(f, t):
 
 
 def _fill_distinguished(s: Structure):
-    """Give each logical symbol missing from s.interp its fixed meaning."""
+    """Give each logical symbol missing from s.interp its fixed meaning over
+    s's carriers, and raise InterpretationOutOfCarrier, naming the symbol,
+    for one given with any other interpretation."""
     sig = s.signature
     f, t = s.false_atom, s.true_atom
     meaning = _bool_tables(f, t)
     for a in sig.sorts:
         meaning[eq_op(a)] = {(x, y): t if x == y else f
                              for x in s.carriers[a] for y in s.carriers[a]}
-    for a in sig.var_sorts:
-        if forall_op(a) in s.interp and exists_op(a) in s.interp:
-            continue  # enumerate no space for quantifiers already given
-        declared = s.selected_tables(PROP, (a,))
-        tables = s.full_space(PROP, (a,)) if declared is None else declared
-        meaning[forall_op(a)] = {
-            (tbl,): t if all(v == t for v in tbl.values) else f for tbl in tables}
-        meaning[exists_op(a)] = {
-            (tbl,): t if t in tbl.values else f for tbl in tables}
     for name, table in meaning.items():
-        s.interp.setdefault(name, table)
+        if s.interp.setdefault(name, table) != table:
+            raise _not_fixed(name)
+    for a in sig.var_sorts:
+        declared = s.selected_tables(PROP, (a,))
+        for name, holds in ((forall_op(a), lambda values: all(v == t for v in values)),
+                            (exists_op(a), lambda values: t in values)):
+            given = s.interp.get(name)
+            if given is None:
+                tables = s.full_space(PROP, (a,)) if declared is None else declared
+                s.interp[name] = {(tbl,): t if holds(tbl.values) else f for tbl in tables}
+            elif not _is_quantifier(s, given, a, declared, holds):
+                raise _not_fixed(name)
+
+
+def _is_quantifier(s: Structure, given, a: str, declared, holds) -> bool:
+    """Whether given, whose rows _check_in_carriers has seen to lie in the
+    carriers, maps only tables total over a's carrier or declared in
+    M_pi^(a), each to t where holds(the table's values) and to f elsewhere;
+    with no set declared, every total table.  That space is counted, not
+    enumerated: distinct total tables into the formula sort's carrier, as
+    many as it has, are all of it.  A declared set is taken as given, as
+    check_closure audits it."""
+    f, t = s.false_atom, s.true_atom
+    total = s.product_keys((a,))
+    tables = set()
+    for (tbl,), v in given.items():
+        if not (getattr(tbl, "keys", None) is total
+                or (declared is not None and tbl in declared)
+                or tuple(xs for xs, _ in tbl.rows) == total):  # a table of another class
+            return False
+        if v != (t if holds([x for _, x in tbl.rows]) else f):
+            return False
+        tables.add(tbl)
+    return declared is not None or len(tables) == s.space_size(PROP, (a,))
+
+
+def _not_fixed(name: str) -> InterpretationOutOfCarrier:
+    return InterpretationOutOfCarrier(
+        f"{name!r} is a logical symbol, and its given interpretation is not its "
+        "fixed meaning over the carriers")
 
 
 def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structure:

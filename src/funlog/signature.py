@@ -245,12 +245,21 @@ def variable_name(sort: str, index: int) -> str:
     return f"v{index}^{sort}"
 
 
+# Name of the variable shape -> its sort word, filled by _VAR_RE as names
+# are looked up.  Other names never enter, so it holds at most the distinct
+# variable names a process has read or made.
+_VAR_SHAPE: dict[str, str] = {}
+
+
 def variable_sort(sig: Signature, name: str) -> str | None:
     """The sort of ``name`` if it is a variable of this signature, else None."""
-    m = _VAR_RE.fullmatch(name)
-    if m and m.group(2) in sig.var_sorts:
-        return m.group(2)
-    return None
+    sort = _VAR_SHAPE.get(name)
+    if sort is None:
+        m = _VAR_RE.fullmatch(name)
+        if m is None:
+            return None
+        sort = _VAR_SHAPE[name] = m.group(2)
+    return sort if sort in sig.var_sorts else None
 
 
 def is_variable(sig: Signature, name: str) -> bool:

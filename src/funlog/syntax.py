@@ -18,8 +18,8 @@ import weakref
 from itertools import accumulate, repeat
 
 from .signature import (
-    PROP, WORD_TOKEN, Signature, Tokens, eq_op, forall_op, exists_op,
-    is_variable, is_variable_name, variable_sort,
+    PROP, WORD_TOKEN, Signature, eq_op, forall_op, exists_op,
+    is_variable, is_variable_name, tokenize, variable_sort,
 )
 
 
@@ -55,10 +55,24 @@ class ParseError(ExprError):
     pass
 
 
-# Every live node, keyed on its fields; weak, so that a node nobody holds
-# leaves it.  Unlocked: funlog builds expressions from one thread.
-_TABLE = weakref.WeakValueDictionary()
+# Every live node: its fields (head, args, sort) -> a weak reference to it,
+# whose callback removes the entry when the node dies, so a node nobody
+# holds leaves the table.  A plain dict, so that finding a live node is one
+# lookup in C.  Unlocked: funlog builds expressions from one thread.
+_TABLE: dict[tuple, _Ref] = {}
 _CLOSED = frozenset()  # the fv of every closed node
+
+
+class _Ref(weakref.ref):
+    """A weak reference that knows its table key (weakref.KeyedRef, less
+    its Python-level constructor)."""
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table=_TABLE) -> None:
+    # the entry may already hold a new node with the same fields
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Expr:
@@ -66,30 +80,50 @@ class Expr:
     with these fields, so equal expressions are one object and == and hash
     are identity.  A node is immutable; its free variables fv, node count
     size, nesting depth (1 at a leaf) and printed form text are computed
-    once from its children's.  Only variables have names of the variable
-    shape."""
-    __slots__ = ("head", "args", "sort", "fv", "size", "depth", "text", "__weakref__")
+    once from its children's, in one loop over them.  Only variables have
+    names of the variable shape.  spec is the ustype mk validated the node
+    against (see mk), or None."""
+    __slots__ = ("head", "args", "sort", "fv", "size", "depth", "text", "spec",
+                 "__weakref__")
 
     def __new__(cls, head: str, args: tuple[tuple[tuple[str, ...], Expr], ...], sort: str):
-        e = _TABLE.get((head, args, sort))
-        if e is not None:
-            return e
-        free = frozenset((head,)) if not args and is_variable_name(head) else _CLOSED
-        for binders, body in args:
-            f = body.fv.difference(binders) if binders and body.fv else body.fv
-            if not f <= free:
-                free = free | f if free else f
-        text = head + "(" + ",".join(
-            "(" + ",".join(binders) + "): " + body.text if binders else body.text
-            for binders, body in args) + ")" if args else head
-        size = 1 + sum(body.size for _, body in args)
-        depth = 1 + max((body.depth for _, body in args), default=0)
+        key = head, args, sort
+        ref = _TABLE.get(key)
+        if ref is not None:
+            e = ref()
+            if e is not None:
+                return e
+        if args:
+            free, size, depth, parts = _CLOSED, 1, 0, []
+            for binders, body in args:
+                f = body.fv
+                if binders and f:
+                    f = f.difference(binders)
+                if not f <= free:
+                    free = free | f if free else f
+                size += body.size
+                if body.depth > depth:
+                    depth = body.depth
+                parts.append("(" + ",".join(binders) + "): " + body.text
+                             if binders else body.text)
+            depth += 1
+            text = head + "(" + ",".join(parts) + ")"
+        else:
+            free = frozenset((head,)) if is_variable_name(head) else _CLOSED
+            size = depth = 1
+            text = head
         e = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (head, args, sort, free, size, depth, text)):
-            object.__setattr__(e, name, value)
-        # interned only once complete: the parser lets a RecursionError
-        # unwind through here on input nested past the recursion limit
-        _TABLE[head, args, sort] = e
+        set_head, set_args, set_sort, set_fv, set_size, set_depth, set_text, set_spec = _SETTERS
+        set_head(e, head)
+        set_args(e, args)
+        set_sort(e, sort)
+        set_fv(e, free)
+        set_size(e, size)
+        set_depth(e, depth)
+        set_text(e, text)
+        set_spec(e, None)
+        ref = _TABLE[key] = _Ref(e, _forget)
+        ref.key = key
         return e
 
     def __setattr__(self, name, *_):
@@ -101,6 +135,14 @@ class Expr:
         return f"Expr({self.text!r})"
 
 
+# The slots' own setters, which Expr.__setattr__ does not reach.
+_SETTERS = tuple(getattr(Expr, name).__set__ for name in Expr.__slots__[:-1])
+
+
+def _normalized(args) -> tuple:
+    return tuple((tuple(binders), body) for binders, body in args) if args else ()
+
+
 def var(sig: Signature, name: str) -> Expr:
     sort = variable_sort(sig, name)
     if sort is None:
@@ -109,23 +151,43 @@ def var(sig: Signature, name: str) -> Expr:
 
 
 def mk(sig: Signature, head: str, args=()) -> Expr:
-    """Build an expression node, enforcing the generation predicate locally."""
-    args = tuple((tuple(binders), body) for binders, body in args) if args else ()
+    """Build an expression node, enforcing the generation predicate locally.
+
+    Whether a node satisfies the predicate depends only on its fields, the
+    ustype of its head, and whether each binder sort of that ustype is a
+    variable sort of sig (validate_signature requires it, but a
+    Signature(...) built by hand may break it).  So mk marks each node it
+    validates with the ustype, in its spec, and returns an existing node
+    without checking it again when its spec equals the head's ustype in sig
+    and every binder sort of that ustype is a variable sort of sig.  A node
+    built by Expr(...) directly carries no mark and is checked."""
     spec = sig.ops.get(head)
     if spec is None:
         # no operation has the variable shape (validate_signature)
         vsort = variable_sort(sig, head)
         if vsort is None:
             raise UnknownSymbol(f"unknown symbol {head!r}")
-        if args:
+        if _normalized(args):
             raise ArityMismatch(f"variable {head!r} applied to arguments")
         return Expr(head, (), vsort)
+    try:
+        ref = _TABLE.get((head, args, spec.result))
+    except TypeError:  # lists among the args: normalized below
+        ref = None
+    if ref is not None:
+        e = ref()
+        if e is not None and ((m := e.spec) is spec or m == spec) and all(
+                bsort in sig.var_sorts for _, bsorts in spec.args for bsort in bsorts):
+            return e
+    args = _normalized(args)
     if len(args) != spec.arity:
         raise ArityMismatch(f"{head!r} expects {spec.arity} arguments, got {len(args)}")
     for (binders, body), (arg_sort, binder_sorts) in zip(args, spec.args):
         if body.sort != arg_sort:
             raise SortMismatch(
                 f"argument of {head!r}: expected sort {arg_sort!r}, got {body.sort!r}")
+        if not (binders or binder_sorts):
+            continue
         if len(binders) != len(binder_sorts):
             raise ArityMismatch(
                 f"{head!r}: binder list {binders} does not match sorts {binder_sorts}")
@@ -134,7 +196,9 @@ def mk(sig: Signature, head: str, args=()) -> Expr:
         for v, bsort in zip(binders, binder_sorts):
             if variable_sort(sig, v) != bsort:
                 raise SortMismatch(f"{head!r}: binder {v!r} is not a variable of sort {bsort!r}")
-    return Expr(head, args, spec.result)
+    e = Expr(head, args, spec.result)
+    object.__setattr__(e, "spec", spec)  # the mark, past Expr.__setattr__
+    return e
 
 
 def check_expr(sig: Signature, e: Expr) -> None:
@@ -218,13 +282,46 @@ _TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
-# deepest leaf (Expr.depth).  ==, hash, fv, size, depth and printing do not
-# recurse.  parse_expr is the tightest pass left: at three recursion levels
-# a slot it fails near 330 levels under Python's default limit of 1000,
-# which Tokens.parse reports as input nested too deep.  check_expr, gv,
-# substitute, evaluate and is_tautology fail near 990.  At 100 every pass
-# leaves two thirds of the limit to its callers.
+# deepest leaf (Expr.depth).  ==, hash, fv, size, depth, printing and
+# parsing do not recurse.  check_expr, gv, substitute, evaluate and
+# is_tautology do, and fail near 990 levels under Python's default
+# recursion limit of 1000; at 100 they leave nine tenths of it to their
+# callers.  The parser rejects deeper input as its node levels open, and
+# input with more than MAX_NESTING parentheses open at once, so deep input
+# costs it linear time.
 MAX_NESTING = 100
+
+# The parser's open productions, one stack entry (a list) each:
+#   [_TOP, binders]                      the whole text
+#   [_APP, head, args, memo key, binders]  an operation application
+#   [_PAREN, binders]                    a parenthesized slot
+#   [_QUANT, quantifier, var, binders]   the sugar forall v. e
+#   [_EQ, left operand]                  the sugar a = b, after its '='
+# binders is the binder group of the slot the entry is reading.
+_TOP, _APP, _PAREN, _QUANT, _EQ = range(5)
+_TOO_DEEP = "input nested too deep"
+_BARE = "a binder group outside an argument slot"
+
+
+def _expect(toks: list[str], i: int, expected: str) -> int:
+    """The index after token i, which must be expected."""
+    if i >= len(toks):
+        raise ParseError("unexpected end of input")
+    if toks[i] != expected:
+        raise ParseError(f"expected {expected!r}, got {toks[i]!r}")
+    return i + 1
+
+
+def _group_end(toks: list[str], i: int) -> int | None:
+    """If a binder group ``( word (, word)* ) :`` starts at token i, the
+    index after its ':'; else None."""
+    n = len(toks)
+    k = i + 1
+    while k + 1 < n and toks[k] not in _PUNCT and toks[k + 1] == ",":
+        k += 2
+    if k + 2 < n and toks[k] not in _PUNCT and toks[k + 1] == ")" and toks[k + 2] == ":":
+        return k + 3
+    return None
 
 
 def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
@@ -236,103 +333,134 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
 
     A binder group is allowed only in an operation's argument slot.  It is
     told from a parenthesized expression by the tokens up to its ':'.  An
-    expression deeper than MAX_NESTING nodes is a parse error; parentheses
+    expression deeper than MAX_NESTING nodes is a parse error, and so is
+    input with more than MAX_NESTING parentheses open at once; parentheses
     build no node, and the sugar ``forall v. e`` and ``a = b`` builds one.
 
     memo maps the tokens of an operation application ``head(...)``, up to
     its matching ')', to the expression parsed from them, so that a caller
     passing one dict to several parses gets each distinct application
     parsed once.  One memo must serve one signature.  Only successful
-    parses are stored."""
+    parses are stored.
+
+    One loop reads the tokens left to right; a stack holds the productions
+    still open, so no input nests the parser's own calls."""
     if memo is None:
         memo = {}
-    t = Tokens(_TOKEN, text, ParseError)
-    toks = t.toks
+    toks = tokenize(_TOKEN, text, ParseError)
+    n = len(toks)
     # level[i]: parentheses open after token i.  The ')' matching a '(' at
     # i is the first token after it that brings level back to level[i] - 1.
     level = list(accumulate(map(_PAREN_STEP.get, toks, repeat(0))))
-
-    def word(k: int) -> bool:
-        tok = t.peek(k)
-        return tok is not None and tok not in _PUNCT
-
-    def group_ahead() -> bool:
-        k = 1
-        while word(k) and t.peek(k + 1) == ",":
-            k += 2
-        return word(k) and t.peek(k + 1) == ")" and t.peek(k + 2) == ":"
-
-    def binder() -> str:
-        v = t.take()
-        if not is_variable(sig, v):
-            raise ParseError(f"binder {v!r} is not a variable")
-        return v
-
-    def bare(parsed: tuple) -> Expr:
-        binders, e = parsed
-        if binders:
-            raise ParseError("a binder group outside an argument slot")
-        return e
-
-    def slot() -> tuple:
-        binders = ()
-        if t.peek() == "(" and group_ahead():
-            t.take("(")
-            binders = tuple(t.items(binder))
-            t.take(")")
-            t.take(":")
-        if t.peek() in ("forall", "exists") and is_variable(sig, t.peek(1) or ""):
-            quant = t.take()
-            v = t.take()
-            t.take(".")
-            body = bare(slot())
-            if body.sort != PROP:
-                raise SortMismatch("quantified body must be a formula")
-            e = (forall if quant == "forall" else exists)(sig, v, body)
-        else:
-            e = unit()
-            if t.peek() == "=":
-                t.take("=")
-                e = mk_eq(sig, e, unit())
-        return binders, e
-
-    def unit() -> Expr:
-        start = t.pos
-        head = t.take()
-        if head == "(":
-            e = bare(slot())
-            t.take(")")
-            return e
-        if head in _PUNCT:
-            raise ParseError(f"unexpected {head!r}")
-        if t.peek() != "(":
-            return mk(sig, head)
-        try:
-            end = level.index(level[t.pos] - 1, t.pos)
-        except ValueError:  # an unclosed '(': the parse below fails
-            end = None
-        key = tuple(toks[start:end + 1]) if end is not None else None
-        e = memo.get(key)
-        if e is not None:
-            t.pos = end + 1
-            return e
-        t.take("(")
-        args = t.items(slot)
-        t.take(")")
-        e = mk(sig, head, args)
-        if t.pos - 1 == end:
-            memo[key] = e
-        return e
-
-    try:
-        e = bare(t.parse(slot))
-    finally:
-        # slot and unit refer to each other through their closures; break
-        # the cycle so that it is freed now, not by the cyclic collector
-        del slot, unit
-    if e.depth > MAX_NESTING:
-        raise ParseError("input nested too deep")
-    return e
+    stack = [[_TOP, ()]]
+    nodes = parens = 0  # open entries that build a node; open _PARENs
+    i, at_slot = 0, True
+    while True:
+        # Read on to the end of a unit e, opening productions on the way.
+        # An open node has a child below it, so it ends at least one level
+        # above the deepest leaf: MAX_NESTING of them are too many.
+        while True:
+            if at_slot:
+                binders = ()
+                if i < n and toks[i] == "(":
+                    end = _group_end(toks, i)
+                    if end is not None:
+                        binders = tuple(toks[i + 1:end - 2:2])
+                        for v in binders:
+                            if not is_variable(sig, v):
+                                raise ParseError(f"binder {v!r} is not a variable")
+                        i = end
+                stack[-1][-1] = binders
+                if i + 1 < n and toks[i] in ("forall", "exists") and is_variable(sig, toks[i + 1]):
+                    stack.append([_QUANT, toks[i], toks[i + 1], ()])
+                    i = _expect(toks, i + 2, ".")
+                    nodes += 1
+                    if nodes >= MAX_NESTING:
+                        raise ParseError(_TOO_DEEP)
+                    continue
+            if i >= n:
+                raise ParseError("unexpected end of input")
+            head = toks[i]
+            i += 1
+            if head == "(":
+                stack.append([_PAREN, ()])
+                parens += 1
+                if parens > MAX_NESTING:
+                    raise ParseError(_TOO_DEEP)
+                at_slot = True
+                continue
+            if head in _PUNCT:
+                raise ParseError(f"unexpected {head!r}")
+            if i >= n or toks[i] != "(":
+                e = mk(sig, head)
+                break
+            try:
+                end = level.index(level[i] - 1, i)
+            except ValueError:  # an unclosed '(': the parse fails at the end
+                end = None
+            key = tuple(toks[i - 1:end + 1]) if end is not None else None
+            e = memo.get(key)
+            if e is not None:
+                i = end + 1
+                break
+            stack.append([_APP, head, [], key, ()])
+            i += 1
+            nodes += 1
+            if nodes >= MAX_NESTING:
+                raise ParseError(_TOO_DEEP)
+            at_slot = True
+        # Hand the unit e up through the productions it completes.
+        while True:
+            top = stack[-1]
+            if top[0] == _EQ:
+                stack.pop()
+                nodes -= 1
+                e = mk_eq(sig, top[1], e)
+                top = stack[-1]
+            elif i < n and toks[i] == "=":
+                stack.append([_EQ, e])
+                i += 1
+                nodes += 1
+                if nodes >= MAX_NESTING:
+                    raise ParseError(_TOO_DEEP)
+                at_slot = False
+                break
+            # e ends the slot top reads; a quantifier ends the slot around it
+            while top[0] == _QUANT:
+                if top[-1]:
+                    raise ParseError(_BARE)
+                if e.sort != PROP:
+                    raise SortMismatch("quantified body must be a formula")
+                stack.pop()
+                nodes -= 1
+                e = (forall if top[1] == "forall" else exists)(sig, top[2], e)
+                top = stack[-1]
+            if top[0] == _APP:
+                top[2].append((top[-1], e))
+                if i < n and toks[i] == ",":
+                    i += 1
+                    at_slot = True
+                    break
+                i = _expect(toks, i, ")")
+                stack.pop()
+                nodes -= 1
+                e = mk(sig, top[1], tuple(top[2]))
+                if top[3] is not None:
+                    memo[top[3]] = e
+            elif top[0] == _PAREN:
+                if top[-1]:
+                    raise ParseError(_BARE)
+                i = _expect(toks, i, ")")
+                stack.pop()
+                parens -= 1
+            else:  # _TOP
+                if i < n:
+                    raise ParseError(f"trailing input from token {toks[i]!r}")
+                if top[-1]:
+                    raise ParseError(_BARE)
+                if e.depth > MAX_NESTING:
+                    raise ParseError(_TOO_DEEP)
+                return e
 
 
 def print_expr(e: Expr) -> str:

@@ -561,6 +561,15 @@ class TestNestingBound:
         assert self.run_all(files["dir"], nested(form, MAX_NESTING + 1)) == [2] * 5
         assert capsys.readouterr().err.count("input nested too deep") == 5
 
+    @pytest.mark.parametrize("opening", ["not(", "f(", "forall v0^a. ", "("])
+    def test_ten_thousand_levels(self, files, capsys, opening):
+        """The parser reads no deeper than the bound, so a chain far past it
+        is rejected like one level too many."""
+        closing = ")" if opening.endswith("(") else ""
+        expr = opening * 10_000 + "top" + closing * 10_000
+        assert self.run_all(files["dir"], expr) == [2] * 5
+        assert capsys.readouterr().err.count("input nested too deep") == 5
+
     def test_parentheses_add_no_level(self, files, capsys):
         expr = "((" + nested("printed", MAX_NESTING) + "))"
         assert self.run_all(files["dir"], expr) == [0, 0, 0, 1, 0]

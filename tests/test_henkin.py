@@ -6,7 +6,7 @@ import pytest
 
 from funlog import henkin
 from funlog.signature import PROP, make_signature, variable_sort
-from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq
+from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq, neg
 from funlog.subst import fv, gv, substitute
 from funlog.calculus import Theory, OracleUndecided
 from funlog.semantics import (
@@ -142,7 +142,35 @@ class TestHenkinExtend:
             assert satisfies(back, phi)
 
 
+def reference_saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
+    """saturate_bounded as it was, testing membership on the axiom list."""
+    axioms = list(theory.axioms)
+    for phi in candidates:
+        verdict = oracle.decide(phi)
+        if verdict == "undecided":
+            raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
+        chosen = phi if verdict == "provable" else neg(theory.signature, phi)
+        if chosen not in axioms:
+            axioms.append(chosen)
+    return Theory(theory.signature, tuple(axioms))
+
+
 class TestSaturate:
+    def test_same_as_the_reference(self):
+        """scripts/henkin_demo.py's bounded completion at depth 3: the same
+        axioms in the same order, some candidates already present."""
+        sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+        m = make_full_structure(
+            sig, {"a": ("0", "1")},
+            {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
+        ext = henkin_extend(Theory(sig, (parse_expr(sig, "eq_a(f(ca),cb)"),)), 1, 3)
+        oracle = ThOracle(extend_structure_for_henkin(m, ext))
+        cands = enumerate_exprs(ext.theory.signature, PROP, (), 3)
+        want = reference_saturate_bounded(ext.theory, cands, oracle)
+        got = saturate_bounded(ext.theory, cands, oracle)
+        assert got.signature is want.signature and got.axioms == want.axioms
+        assert len(want.axioms) < len(ext.theory.axioms) + len(cands)
+
     def test_adds_formula_or_negation(self, small_sig, oracle):
         thy = Theory(small_sig, ())
         cands = [parse_expr(small_sig, t)

@@ -1,11 +1,12 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
@@ -610,6 +611,29 @@ class TestMemo:
             m.selected[key].add(projection_table(("a",), m.carriers, 0))
         assert evaluate(s, f_ca, ()) == "1" and evaluate(m, f_ca, ()) == "1"
         assert evaluate(Structure(small_sig, s.carriers, s.interp), f_ca, ()) == "1"
+
+    def test_a_logical_symbol_keeps_its_fixed_meaning(self, small_sig, small_structure):
+        """A given interpretation of a logical symbol must be its meaning over
+        the structure's own carriers.  Carried over to a third atom, eq_a and
+        the quantifiers would be undefined on it."""
+        s, three = small_structure, {"a": ("0", "1", "2")}
+        forall_eq = parse_expr(small_sig, "forall v0^a. eq_a(v0^a,v0^a)")
+        user = {name: s.interp[name] for name in small_sig.user_ops()}
+        assert satisfies(Structure(small_sig, three, user), forall_eq)
+        assert satisfies(Structure(small_sig, s.carriers, s.interp), forall_eq)
+        flipped = {args: "1" if v == "0" else "0" for args, v in s.interp["exists^a"].items()}
+        short = dict(list(s.interp["forall^a"].items())[1:])
+        for name, given, carriers in (
+                ("eq_a", s.interp, three),
+                ("forall^a", {**user, "forall^a": s.interp["forall^a"]}, three),
+                ("exists^a", {**user, "exists^a": s.interp["exists^a"]}, three),
+                ("exists^a", {**user, "exists^a": flipped}, s.carriers),
+                ("not", {**user, "not": {("0",): "0", ("1",): "1"}}, s.carriers),
+                ("forall^a", {**user, "forall^a": short}, s.carriers)):
+            with pytest.raises(InterpretationOutOfCarrier, match=re.escape(repr(name))):
+                Structure(small_sig, carriers, given)
+        with pytest.raises(InterpretationOutOfCarrier, match="'eq_a'"):
+            replace(s, carriers=three)
 
 
 class TestSatisfies:

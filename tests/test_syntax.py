@@ -5,7 +5,9 @@ import pytest
 
 from funlog import fileio, syntax
 from funlog.calculus import Theory, derive_equality_rule
-from funlog.signature import PROP, Tokens, is_variable, is_variable_name, make_signature
+from funlog.signature import (
+    PROP, Signature, Tokens, is_variable, is_variable_name, make_signature, variable_sort,
+)
 from funlog.syntax import (
     Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
@@ -258,11 +260,12 @@ def mutants(text: str, rng: random.Random) -> list[str]:
 
 
 class TestParseMemo:
-    def test_same_as_the_reference(self):
+    @pytest.mark.parametrize("seed", range(23, 28))
+    def test_same_as_the_reference(self, seed):
         """Every text parses as the reference parses it, or fails with the
         same error class, when parsed twice through one memo shared by all
         texts over one signature."""
-        rng = random.Random(23)
+        rng = random.Random(seed)
         accepted = rejected = 0
         for _ in range(300):
             s = rand_signature(rng)
@@ -339,6 +342,143 @@ class TestParseMemo:
 
 
 # ---------------------------------------------------------------------------
+# mk, which validates a node once per ustype, against the mk that always did
+
+def reference_mk(sig, head: str, args=()) -> Expr:
+    """mk before validate-once: every call checks every clause."""
+    args = tuple((tuple(binders), body) for binders, body in args) if args else ()
+    spec = sig.ops.get(head)
+    if spec is None:
+        vsort = variable_sort(sig, head)
+        if vsort is None:
+            raise UnknownSymbol(f"unknown symbol {head!r}")
+        if args:
+            raise ArityMismatch(f"variable {head!r} applied to arguments")
+        return Expr(head, (), vsort)
+    if len(args) != spec.arity:
+        raise ArityMismatch(f"{head!r} expects {spec.arity} arguments, got {len(args)}")
+    for (binders, body), (arg_sort, binder_sorts) in zip(args, spec.args):
+        if body.sort != arg_sort:
+            raise SortMismatch(
+                f"argument of {head!r}: expected sort {arg_sort!r}, got {body.sort!r}")
+        if len(binders) != len(binder_sorts):
+            raise ArityMismatch(
+                f"{head!r}: binder list {binders} does not match sorts {binder_sorts}")
+        if len(set(binders)) != len(binders):
+            raise DuplicateBinder(f"{head!r}: repeated variable in binder list {binders}")
+        for v, bsort in zip(binders, binder_sorts):
+            if variable_sort(sig, v) != bsort:
+                raise SortMismatch(f"{head!r}: binder {v!r} is not a variable of sort {bsort!r}")
+    return Expr(head, args, spec.result)
+
+
+def built(build, sig, head, args):
+    """The node build returns, or the class of the error it raises."""
+    try:
+        return build(sig, head, args)
+    except ExprError as exc:
+        return type(exc)
+
+
+def mutated(s, args, rng: random.Random) -> tuple:
+    """args with one slot changed: its body, its binders (of any sort,
+    repeated, one more, or a constant), or the slot dropped or doubled."""
+    args = list(args)
+    i = rng.randrange(len(args))
+    binders, body = args[i]
+    pool = [f"v{k}^{srt}" for srt in sorted(s.sorts) for k in range(2)]
+    kind = rng.randrange(7)
+    if kind == 0:
+        body = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 1))
+    elif kind == 1:
+        binders = tuple(rng.choice(pool) for _ in binders) or (rng.choice(pool),)
+    elif kind == 2:
+        binders += (rng.choice(pool),)
+    elif kind == 3:
+        binders = binders[:1] * len(binders) if len(binders) > 1 else binders * 2
+    elif kind == 4:
+        binders = ("k_s0",) * max(1, len(binders))
+    elif kind == 5:
+        del args[i]
+        return tuple(args)
+    else:
+        args.insert(i, (binders, body))
+    args[i] = (binders, body)
+    return tuple(args)
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_as_the_reference(self, seed):
+        """Over random signatures, mk returns the node reference_mk returns,
+        or raises the same error class, for each node of a random
+        expression and each node with one slot mutated; each is first built
+        by mk, or forged by Expr(...) with the head's result sort, then
+        built under the signature, another random one sharing its operation
+        names (not their ustypes), the signature less a variable sort (built
+        by hand), and the signature again."""
+        rng = random.Random(seed)
+        nodes = errors = 0
+        for _ in range(150):
+            s, other = rand_signature(rng), rand_signature(rng)
+            dropped = rng.choice(sorted(s.var_sorts))
+            less = Signature(s.sorts, s.var_sorts - {dropped}, s.ops)
+            todo = [rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 5))]
+            while todo:
+                e = todo.pop()
+                todo.extend(body for _, body in e.args)
+                cases = [(e.head, e.args, None)]
+                if e.args:
+                    args = mutated(s, e.args, rng)
+                    cases.append((e.head, args, None))
+                    if e.head in s.ops and all(len(slot) == 2 for slot in args):
+                        cases.append((e.head, args, Expr(e.head, args, s.ops[e.head].result)))
+                for head, args, forged in cases:
+                    for sig in (s, other, less, s):
+                        got = built(mk, sig, head, args)
+                        assert got == built(reference_mk, sig, head, args), (head, args)
+                        nodes += isinstance(got, Expr)
+                        errors += not isinstance(got, Expr)
+                    del forged
+        assert nodes > 1000 and errors > 800
+
+    def test_a_mark_from_another_signature(self):
+        """A node validated under one signature is checked again under one
+        whose ustype for its head differs, or which lacks a binder's sort as
+        a variable sort; under an equal signature built anew it is reused."""
+        decls = {"ca": "a", "P": "(a)pi", "mu": "((a)pi)a"}
+        s = make_signature(["a", "b"], ["a", "b"], decls)
+        body = mk(s, "P", (((), var(s, "v0^a")),))
+        e = mk(s, "mu", ((("v0^a",), body),))
+        q = forall(s, "v0^a", body)
+        other = make_signature(["a", "b"], ["a", "b"], {**decls, "mu": "((b)pi)a"})
+        less = Signature(s.sorts, frozenset({"b"}), s.ops)
+        for sig in (other, less, s, less, other):
+            for node in (e, q):
+                assert built(mk, sig, node.head, node.args) == \
+                    built(reference_mk, sig, node.head, node.args)
+        with pytest.raises(SortMismatch):
+            mk(other, "mu", e.args)
+        with pytest.raises(SortMismatch):
+            mk(less, "forall^a", q.args)
+        again = make_signature(["a", "b"], ["a", "b"], decls)
+        assert mk(again, "mu", e.args) is e and mk(again, "forall^a", q.args) is q
+
+    def test_a_forged_node_is_checked(self, sig):
+        """A node made by Expr(...) is in the table but carries no mark, so
+        mk checks it."""
+        a = var(sig, "v0^a")
+        dup = Expr("bind2", ((("v0^a", "v0^a"), top(sig)), ((), a)), PROP)
+        wrong = Expr("mu", ((("v0^b",), mk(sig, "P", (((), a),))),), "a")
+        for forged, error in ((dup, DuplicateBinder), (wrong, SortMismatch)):
+            with pytest.raises(error):
+                mk(sig, forged.head, forged.args)
+            with pytest.raises(error):
+                check_expr(sig, forged)
+            assert forged.spec is None
+
+
+# ---------------------------------------------------------------------------
 # hash-consing, and the recursive walks the cached fields replaced
 
 def reference_size(e: Expr) -> int:
@@ -404,7 +544,7 @@ class TestHashConsing:
     def test_unheld_node_leaves_the_table(self, sig):
         e = parse_expr(sig, "g(g(ca,v9^b),v8^b)")
         key, ref = (e.head, e.args, e.sort), weakref.ref(e)
-        assert syntax._TABLE[key] is e
+        assert syntax._TABLE[key]() is e
         del e
         assert ref() is None and key not in syntax._TABLE
 
