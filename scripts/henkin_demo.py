@@ -9,7 +9,7 @@ the structure's theory-oracle.
 import argparse
 
 from funlog.cli import count
-from funlog.signature import PROP, make_signature
+from funlog.signature import PROP, Signature
 from funlog.syntax import parse_expr
 from funlog.calculus import Theory, is_consistent_up_to
 from funlog.semantics import make_full_structure, satisfies_theory, restrict_structure
@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--depth", type=count, default=3)
     args = ap.parse_args()
 
-    sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+    sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
     m = make_full_structure(
         sig, {"a": ("0", "1")},
         {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})

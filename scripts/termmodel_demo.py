@@ -10,7 +10,7 @@ import argparse
 import time
 
 from funlog.cli import count
-from funlog.signature import PROP, make_signature
+from funlog.signature import PROP, Signature
 from funlog.syntax import parse_expr, print_expr
 from funlog.subst import fv
 from funlog.calculus import Theory
@@ -28,7 +28,7 @@ def main():
     ap.add_argument("--out", default="termmodel_demo.fls")
     args = ap.parse_args()
 
-    sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+    sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
     m = make_full_structure(
         sig, {"a": ("0", "1")},
         {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})

@@ -175,11 +175,10 @@ def cmd_termmodel(args) -> RunReport:
     sig = s.signature
     if not s.full:
         raise UsageError("oracle source must be a full structure")
-    constants = {name for name, spec in sig.user_ops().items() if spec.arity == 0}
     for sort, atoms in s.carriers.items():
         if sort == PROP:
             continue
-        named = {s.interp[c] for c in constants if sig.ops[c].result == sort}
+        named = {s.interp[c] for c, spec in sig.ops_by_result[sort] if spec.arity == 0}
         unnamed = [a for a in atoms if a not in named]
         if unnamed:
             raise UsageError(

@@ -28,7 +28,7 @@ from dataclasses import fields
 from functools import partial
 
 from .signature import (
-    PROP, Signature, Tokens, make_signature, print_ustype,
+    PROP, Signature, Tokens, print_ustype,
 )
 from .syntax import ExprError, parse_expr, print_expr
 from .calculus import (
@@ -118,7 +118,7 @@ def _split_decls(text: str):
             name, sep, utype = tail.partition(":")
             if not sep:
                 raise FormatError(f"line {lineno}: op needs 'name : ustype'")
-            ops[name.strip()] = utype.strip()
+            _once(ops, name.strip(), utype.strip(), f"line {lineno}: op {name.strip()}")
         else:
             rest.append((lineno, line))
     return sorts, var_sorts, ops, rest
@@ -132,9 +132,8 @@ def signature_lines(sig: Signature) -> list[str]:
     vs = sorted(sig.var_sorts)
     if vs:
         out.append("varsort " + ",".join(vs))
-    for name in sorted(sig.user_ops()):
-        out.append(f"op {name} : {print_ustype(sig.ops[name])}")
-    return out
+    return out + [f"op {name} : {print_ustype(spec)}"
+                  for name, spec in sorted(sig.user_ops.items())]
 
 
 # --- structures -------------------------------------------------------------
@@ -148,8 +147,7 @@ def _once(table: dict, key, value, what: str):
 
 def parse_structure(text: str) -> Structure:
     sorts, var_sorts, ops, rest = _split_decls(text)
-    sig = make_signature(sorts, var_sorts, ops)
-    user_ops = sig.user_ops()
+    sig = Signature(sorts, var_sorts, ops)
     carriers = {}
     interp_raw = {}
     selected_raw = {}
@@ -179,7 +177,7 @@ def parse_structure(text: str) -> Structure:
                 if not val.strip():
                     raise FormatError(f"interp {name.strip()!r} has no value")
                 name = name.strip()
-                spec = user_ops.get(name)
+                spec = sig.user_ops.get(name)
                 if spec is None:
                     raise FormatError(
                         f"{name!r} is a logical symbol, which takes no interp"
@@ -247,7 +245,7 @@ def print_structure(s: Structure) -> str:
             continue
         out.append(f"carrier {sort} = " +
                    ",".join(quote_atom(a) for a in s.carriers[sort]))
-    for name, spec in sorted(sig.user_ops().items()):
+    for name, spec in sorted(sig.user_ops.items()):
         v = s.interp[name]
         if spec.arity == 0:
             out.append(f"interp {name} = {quote_atom(v)}")
@@ -269,7 +267,7 @@ def print_structure(s: Structure) -> str:
 
 def parse_theory(text: str) -> Theory:
     sorts, var_sorts, ops, rest = _split_decls(text)
-    sig = make_signature(sorts, var_sorts, ops)
+    sig = Signature(sorts, var_sorts, ops)
     axioms = []
     memo = {}
     for lineno, line in rest:

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .signature import (
-    PROP, Signature, make_signature, variable_name, variable_sort,
+    PROP, Signature, variable_name, variable_sort,
 )
 from .syntax import (
     Expr, mk, var, mk_eq, imp, disj, forall, exists, print_expr, parse_expr,
@@ -45,7 +45,7 @@ def rand_signature(rng: random.Random) -> Signature:
             binders = tuple(rng.choice(sorts) for _ in range(r))
             args.append("(" + ",".join(binders) + ")" + arg_sort if binders else arg_sort)
         ops[f"op{i}"] = "(" + ",".join(args) + ")" + result if args else result
-    return make_signature(sorts, sorts, ops)
+    return Signature(sorts, sorts, ops)
 
 
 def rand_var(sig: Signature, rng: random.Random, sort: str, scope=()) -> str:
@@ -64,16 +64,14 @@ def rand_expr(sig: Signature, rng: random.Random, sort: str, depth: int,
     leaves = []
     if sort in sig.var_sorts:
         leaves.append(("var", None))
-    constants = [n for n, sp in sig.ops.items()
-                 if sp.arity == 0 and sp.result == sort]
-    leaves.extend(("const", c) for c in constants)
+    of_sort = sig.ops_by_result[sort]
+    leaves.extend(("const", n) for n, sp in of_sort if sp.arity == 0)
     if depth <= 0 and leaves:
         kind, c = rng.choice(leaves)
         if kind == "var":
             return var(sig, rand_var(sig, rng, sort, scope))
         return mk(sig, c)
-    ops = [(n, sp) for n, sp in sig.ops.items()
-           if sp.arity > 0 and sp.result == sort]
+    ops = [(n, sp) for n, sp in of_sort if sp.arity > 0]
     if not ops or (leaves and rng.random() < 0.35):
         kind, c = rng.choice(leaves)
         if kind == "var":
@@ -213,7 +211,7 @@ def rand_structure_signature(rng: random.Random) -> Signature:
             else:
                 args.append(arg_sort)
         ops[f"op{i}"] = "(" + ",".join(args) + ")" + result
-    return make_signature(sorts, sorts, ops)
+    return Signature(sorts, sorts, ops)
 
 
 def rand_full_structure(rng: random.Random, sig: Signature,
@@ -221,7 +219,7 @@ def rand_full_structure(rng: random.Random, sig: Signature,
     carriers = {s: tuple(str(i) for i in range(rng.randint(1, max_carrier)))
                 for s in sorted(sig.sorts) if s != PROP}
     interp = {}
-    for name, spec in sig.user_ops().items():
+    for name, spec in sig.user_ops.items():
         if spec.arity == 0:
             interp[name] = rng.choice(carriers.get(spec.result, ("0", "1")))
         else:

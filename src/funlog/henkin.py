@@ -88,7 +88,7 @@ def special_constant(sig: Signature, phi: Expr, x: str) -> tuple[Signature, str,
     """Extend sig by the witness constant of (phi, x) and return it together
     with the axiom  exists x phi -> phi[x <- c]."""
     name, spec = _witness_op(sig, phi, x)
-    new_sig = Signature(sig.sorts, sig.var_sorts, {**sig.ops, name: spec})
+    new_sig = sig.extended({name: spec})
     return new_sig, name, _witness_axiom(new_sig, phi, x, name)
 
 
@@ -121,7 +121,7 @@ def henkin_extend(theory: Theory, levels: int,
                     known.add((phi, x))
                     batch.append((phi, x))
         ops = [_witness_op(sig, phi, x) for phi, x in batch]
-        sig = Signature(sig.sorts, sig.var_sorts, {**sig.ops, **dict(ops)})
+        sig = sig.extended(dict(ops))
         for (phi, x), (name, _) in zip(batch, ops):
             constants.append((name, phi, x))
             axioms.append(_witness_axiom(sig, phi, x, name))
@@ -196,14 +196,12 @@ def enumerate_exprs(sig: Signature, sort: str, scope, max_size: int,
             for v in scope:
                 if variable_sort(sig, v) == sort:
                     out.append(var(sig, v))
-            for name, spec in sig.ops.items():
-                if spec.arity == 0 and spec.result == sort:
+            for name, spec in sig.ops_by_result[sort]:
+                if spec.arity == 0:
                     out.append(mk(sig, name))
         else:
-            for name, spec in sig.ops.items():
-                if spec.arity == 0 or spec.result != sort:
-                    continue
-                if spec.arity > n - 1:
+            for name, spec in sig.ops_by_result[sort]:
+                if not 0 < spec.arity < n:
                     continue
                 slot_scopes = []
                 slot_binders = []
@@ -345,7 +343,7 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
     selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = {}
     witnesses: dict[tuple[str, tuple[str, ...]], list[tuple[FnTable, Expr]]] = {}
     sigmas = [(a,) for a in sorted(sig.var_sorts)]
-    for _, spec in sig.user_ops().items():
+    for _, spec in sig.user_ops.items():
         for _, bsorts in spec.args:
             if bsorts and bsorts not in sigmas:
                 sigmas.append(bsorts)
@@ -362,7 +360,7 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
     # user operations: every combination of witnesses, normed; conflicting
     # values for one argument tuple would refute the oracle's consistency
     interp = {}
-    for name, spec in sig.user_ops().items():
+    for name, spec in sig.user_ops.items():
         if spec.arity == 0:
             interp[name] = print_expr(norm(ctx, mk(sig, name)))
             continue

@@ -453,7 +453,7 @@ def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structu
     tables for binder slots); a dict gives exactly the rows of the full
     spaces."""
     cs, spaces, tabulated = _carriers_for(sig, carriers), {}, {}
-    for name, spec in sig.user_ops().items():
+    for name, spec in sig.user_ops.items():
         if name not in interp:
             raise MissingInterpretation(f"no interpretation for {name!r}")
         given = interp[name]

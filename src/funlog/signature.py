@@ -13,11 +13,20 @@ countable family ``v0^a, v1^a, ...``.  Names of that shape are reserved for
 variables, so no operation may be named ``v<n>^<word>``; sort names are single
 words and operation names single concrete-syntax tokens ``word`` or
 ``word^word``.
+
+The constructor, the one place a signature is built from declarations, adds
+pi and the logical symbols and checks every operation; ``Signature.extended``
+adds operations (the completeness proof's special constants) and checks only
+those.  ops is read-only, so every Signature is valid, as ``syntax.mk`` relies
+on; user_ops and ops_by_result are derived on first read; == ignores them.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 
 PROP = "pi"
@@ -205,36 +214,72 @@ def distinguished_ops(sorts: frozenset[str], var_sorts: frozenset[str]) -> dict[
     return ops
 
 
+def _op_errors(ops: Mapping[str, OpSig], sorts, var_sorts) -> list[str]:
+    """What is wrong with each operation name : spec of ops over these sorts."""
+    bad = []
+    for name, spec in ops.items():
+        if _VAR_RE.fullmatch(name):
+            bad.append(f"VAR and SOP not disjoint: operation name {name!r} "
+                       "has the variable shape v<n>^<sort>")
+        elif not _OP_NAME_RE.fullmatch(name):
+            bad.append(f"operation name {name!r} is not a single token")
+        if spec.result not in sorts:
+            bad.append(f"op {name!r}: unknown result sort {spec.result!r}")
+        for arg_sort, binders in spec.args:
+            if arg_sort not in sorts:
+                bad.append(f"op {name!r}: unknown argument sort {arg_sort!r}")
+            bad += [f"op {name!r}: binder sort {b!r} not a variable sort"
+                    for b in binders if b not in var_sorts]
+    return bad
+
+
 @dataclass(frozen=True)
 class Signature:
-    sorts: frozenset[str]
-    var_sorts: frozenset[str]
-    ops: dict[str, OpSig] = field(default_factory=dict)
+    """SRT, VSRT and SOP, valid by construction (see the module docstring).
+    ops maps each operation to its ustype, a string or an OpSig; a logical
+    symbol given with its own OpSig is kept, any other raises."""
+    sorts: frozenset[str] = frozenset()
+    var_sorts: frozenset[str] = frozenset()
+    ops: Mapping[str, OpSig] = field(default_factory=dict)
 
-    def user_ops(self) -> dict[str, OpSig]:
-        dist = distinguished_ops(self.sorts, self.var_sorts)
-        return {n: s for n, s in self.ops.items() if n not in dist}
+    def __post_init__(self):
+        sorts, var_sorts = frozenset(self.sorts) | {PROP}, frozenset(self.var_sorts)
+        if not var_sorts <= sorts:
+            raise UnknownSort(f"variable sorts {sorted(var_sorts - sorts)} not declared as sorts")
+        ops = distinguished_ops(sorts, var_sorts)
+        for name, spec in self.ops.items():
+            if name not in ops:
+                ops[name] = parse_ustype(spec, sorts, var_sorts) if isinstance(spec, str) else spec
+            elif spec != ops[name]:  # given names are distinct: a logical symbol
+                raise SignatureError(f"operation name {name!r} collides with a logical symbol")
+        bad = [f"sort name {s!r} is not a single word"
+               for s in sorted(sorts) if not _NAME_RE.fullmatch(s)]
+        if bad := bad + _op_errors(ops, sorts, var_sorts):
+            raise SignatureError("; ".join(bad))
+        vars(self).update(sorts=sorts, var_sorts=var_sorts, ops=MappingProxyType(ops))
 
+    def extended(self, new_ops: dict[str, OpSig]) -> Signature:
+        """This signature with the operations new_ops adds, which alone are
+        checked, each as the constructor checks an operation."""
+        bad = [f"operation {name!r} declared twice" for name in new_ops if name in self.ops]
+        if bad := bad + _op_errors(new_ops, self.sorts, self.var_sorts):
+            raise SignatureError("; ".join(bad))
+        sig = object.__new__(Signature)
+        vars(sig).update(sorts=self.sorts, var_sorts=self.var_sorts,
+                         ops=MappingProxyType(self.ops | new_ops))
+        return sig
 
-def make_signature(sorts=(), var_sorts=(), ops: dict[str, str | OpSig] | None = None) -> Signature:
-    """Build a signature; ``pi`` is added to the sorts and the logical symbols
-    to the operations.  User op values may be ustype strings or OpSig values."""
-    srt = frozenset(sorts) | {PROP}
-    vsrt = frozenset(var_sorts)
-    if not vsrt <= srt:
-        raise UnknownSort(f"variable sorts {sorted(vsrt - srt)} not declared as sorts")
-    all_ops = distinguished_ops(srt, vsrt)
-    for name, spec in (ops or {}).items():
-        if name in all_ops:
-            raise SignatureError(f"operation name {name!r} collides with a logical symbol")
-        if isinstance(spec, str):
-            spec = parse_ustype(spec, srt, vsrt)
-        all_ops[name] = spec
-    sig = Signature(srt, vsrt, all_ops)
-    bad = validate_signature(sig)
-    if bad:
-        raise SignatureError("; ".join(bad))
-    return sig
+    @cached_property
+    def user_ops(self) -> Mapping[str, OpSig]:
+        """The operations other than the logical symbols, in ops' order."""
+        logical = distinguished_ops(self.sorts, self.var_sorts)
+        return MappingProxyType({n: s for n, s in self.ops.items() if n not in logical})
+
+    @cached_property
+    def ops_by_result(self) -> Mapping[str, tuple[tuple[str, OpSig], ...]]:
+        """Sort -> the (name, ustype) of its operations, in ops' order."""
+        return MappingProxyType({s: tuple(op for op in self.ops.items() if op[1].result == s)
+                                 for s in self.sorts})
 
 
 # The variable-name grammar; the only place that knows it.
@@ -296,43 +341,8 @@ def sorted_vars(sig: Signature, names) -> tuple[str, ...]:
     return tuple(sorted(names, key=key))
 
 
-def validate_signature(sig: Signature) -> list[str]:
-    """Empty list iff all signature invariants hold."""
-    bad = []
-    if PROP not in sig.sorts:
-        bad.append(f"distinguished sort {PROP!r} missing")
-    if not sig.var_sorts <= sig.sorts:
-        bad.append("VSRT not a subset of SRT")
-    for sort in sorted(sig.sorts):
-        if not _NAME_RE.fullmatch(sort):
-            bad.append(f"sort name {sort!r} is not a single word")
-    dist = distinguished_ops(sig.sorts, sig.var_sorts)
-    for name, spec in dist.items():
-        got = sig.ops.get(name)
-        if got is None:
-            bad.append(f"distinguished symbol {name!r} missing")
-        elif got != spec:
-            bad.append(f"distinguished ustype mismatch for {name!r}")
-    for name, spec in sig.ops.items():
-        if _VAR_RE.fullmatch(name):
-            bad.append(f"VAR and SOP not disjoint: operation name {name!r} "
-                       "has the variable shape v<n>^<sort>")
-        elif not _OP_NAME_RE.fullmatch(name):
-            bad.append(f"operation name {name!r} is not a single token")
-        if spec.result not in sig.sorts:
-            bad.append(f"op {name!r}: unknown result sort {spec.result!r}")
-        for arg_sort, binders in spec.args:
-            if arg_sort not in sig.sorts:
-                bad.append(f"op {name!r}: unknown argument sort {arg_sort!r}")
-            for b in binders:
-                if b not in sig.var_sorts:
-                    bad.append(f"op {name!r}: binder sort {b!r} not a variable sort")
-    return bad
-
-
 def extends(sub: Signature, sup: Signature) -> bool:
     """True iff sup extends sub: same sorts and variable sorts, every operation
     of sub present in sup with the same ustype."""
-    if sub.sorts != sup.sorts or sub.var_sorts != sup.var_sorts:
-        return False
-    return all(sup.ops.get(name) == spec for name, spec in sub.ops.items())
+    return ((sub.sorts, sub.var_sorts) == (sup.sorts, sup.var_sorts)
+            and sub.ops.items() <= sup.ops.items())

@@ -153,17 +153,15 @@ def var(sig: Signature, name: str) -> Expr:
 def mk(sig: Signature, head: str, args=()) -> Expr:
     """Build an expression node, enforcing the generation predicate locally.
 
-    Whether a node satisfies the predicate depends only on its fields, the
-    ustype of its head, and whether each binder sort of that ustype is a
-    variable sort of sig (validate_signature requires it, but a
-    Signature(...) built by hand may break it).  So mk marks each node it
-    validates with the ustype, in its spec, and returns an existing node
-    without checking it again when its spec equals the head's ustype in sig
-    and every binder sort of that ustype is a variable sort of sig.  A node
-    built by Expr(...) directly carries no mark and is checked."""
+    Whether a node satisfies the predicate depends only on its fields and
+    the ustype of its head, since in a valid signature (every Signature)
+    each binder sort of a ustype is a variable sort.  So mk marks each node
+    it validates with the ustype, in its spec, and returns an existing node
+    without checking it again when its spec equals the head's ustype in sig.
+    A node built by Expr(...) directly carries no mark and is checked."""
     spec = sig.ops.get(head)
     if spec is None:
-        # no operation has the variable shape (validate_signature)
+        # no operation has the variable shape (the Signature constructor)
         vsort = variable_sort(sig, head)
         if vsort is None:
             raise UnknownSymbol(f"unknown symbol {head!r}")
@@ -176,8 +174,7 @@ def mk(sig: Signature, head: str, args=()) -> Expr:
         ref = None
     if ref is not None:
         e = ref()
-        if e is not None and ((m := e.spec) is spec or m == spec) and all(
-                bsort in sig.var_sorts for _, bsorts in spec.args for bsort in bsorts):
+        if e is not None and ((m := e.spec) is spec or m == spec):
             return e
     args = _normalized(args)
     if len(args) != spec.arity:
@@ -283,12 +280,12 @@ _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
 # deepest leaf (Expr.depth).  ==, hash, fv, size, depth, printing and
-# parsing do not recurse.  check_expr, gv, substitute, evaluate and
-# is_tautology do, and fail near 990 levels under Python's default
-# recursion limit of 1000; at 100 they leave nine tenths of it to their
-# callers.  The parser rejects deeper input as its node levels open, and
-# input with more than MAX_NESTING parentheses open at once, so deep input
-# costs it linear time.
+# parsing do not recurse.  check_expr, gv, substitute, substitutable,
+# evaluate and is_tautology do, and fail near 990 levels under Python's
+# default recursion limit of 1000; at 100 they leave nine tenths of it to
+# their callers.  The parser rejects deeper input as its node levels open,
+# and input with more than MAX_NESTING parentheses open at once, so deep
+# input costs it linear time.
 MAX_NESTING = 100
 
 # The parser's open productions, one stack entry (a list) each:

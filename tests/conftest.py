@@ -1,6 +1,6 @@
 import pytest
 
-from funlog.signature import make_signature
+from funlog.signature import Signature
 from funlog.syntax import parse_expr
 from funlog.calculus import Theory
 from funlog.semantics import make_full_structure
@@ -8,7 +8,7 @@ from funlog.semantics import make_full_structure
 
 @pytest.fixture
 def toy_sig():
-    return make_signature(
+    return Signature(
         ["a"], ["a"],
         {"ca": "a", "cb": "a", "f": "(a)a", "mu": "((a)pi)a"})
 
@@ -37,7 +37,7 @@ def toy_theory(toy_sig):
 
 @pytest.fixture
 def small_sig():
-    return make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+    return Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
 
 
 @pytest.fixture

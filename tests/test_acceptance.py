@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from funlog.signature import PROP, make_signature, variable_sort
+from funlog.signature import PROP, Signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, mk_eq
 from funlog.subst import fv, gv
 from funlog.calculus import (
@@ -37,7 +37,7 @@ from funlog import cli
 
 
 def toy_setup():
-    sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+    sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
     s = make_full_structure(
         sig, {"a": ("0", "1")},
         {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})

@@ -5,7 +5,7 @@ import pytest
 
 from funlog import calculus
 from funlog.signature import (
-    PROP, CONNECTIVES, make_signature, eq_op, variable_sort,
+    PROP, CONNECTIVES, Signature, eq_op, variable_sort,
 )
 from funlog.syntax import (
     parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
@@ -27,7 +27,7 @@ from funlog.henkin import ThOracle
 
 @pytest.fixture
 def sig():
-    return make_signature(
+    return Signature(
         ["a"], ["a"],
         {"ca": "a", "cb": "a", "f": "(a)a", "P": "(a)pi", "mu": "((a)pi)a"})
 
@@ -293,7 +293,7 @@ def quantifier_scheme_cases():
     """Per quantifier scheme: the signature, (justification, formula) pairs
     it must accept, and (case, justification, formula) triples it must
     reject."""
-    sig = make_signature(["a", "b"], ["a", "b"], {
+    sig = Signature(["a", "b"], ["a", "b"], {
         "ca": "a", "cb": "b", "f": "(a)a", "P": "(a)pi", "Q": "(b)pi",
         "mu": "((a)pi)a"})
 

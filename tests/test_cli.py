@@ -351,15 +351,23 @@ class TestStructureValues:
         (TOY_EXPLICIT, "(1) -> 0 }", "(1) -> 0, (1) -> 1 }", 9,
          "row ('1',) of 'f' declared twice"),
         (MU_FLS, "({0->1,1->1})", "({0->1,0->1})", 9, "a table repeats an argument tuple"),
+        (TOY_FLS, "op f : (a)a\n", "op f : (a)a\nop f : a\n", 6, "op f declared twice"),
+        (TOY_FLT, "op f : (a)a\n", "op f : (a)a\nop f : a\n", 6, "op f declared twice"),
     ], ids=["connective-full", "connective-explicit", "constant-connective", "equality",
             "forall", "exists", "interp-full", "interp-explicit", "carrier-full",
-            "carrier-explicit", "selected", "row-full", "row-explicit", "table-row"])
+            "carrier-explicit", "selected", "row-full", "row-explicit", "table-row",
+            "op-fls", "op-flt"])
     def test_declared_once(self, files, capsys, text, old, new, line, reason):
         """A logical symbol takes no interp line, and no sort, operation,
         selected set or row is declared twice: the last one does not win."""
-        bad = files["dir"] / "bad.fls"
+        if text is TOY_FLT:
+            bad = files["dir"] / "bad.flt"
+            argvs = (["henkin", str(bad), "--levels", "0"], ["check", str(bad), files["flp"]])
+        else:
+            bad = files["dir"] / "bad.fls"
+            argvs = (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]])
         bad.write_text(text.replace(old, new))
-        for argv in (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]]):
+        for argv in argvs:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith(f"error: line {line}: {reason}")
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from funlog.signature import make_signature
+from funlog.signature import Signature
 from funlog.syntax import parse_expr, print_expr
 from funlog.calculus import (
     Theory, Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
@@ -18,8 +18,8 @@ from funlog.henkin import ThOracle, TermModelContext, build_term_structure
 
 class TestSignatureFormat:
     def test_roundtrip(self):
-        sig = make_signature(["a", "b"], ["a"],
-                             {"c": "a", "g": "((a)b,a)pi"})
+        sig = Signature(["a", "b"], ["a"],
+                        {"c": "a", "g": "((a)b,a)pi"})
         text = "\n".join(fileio.signature_lines(sig))
         assert fileio.parse_theory(text).signature == sig
 
@@ -153,8 +153,8 @@ class TestProofFormat:
             fileio.parse_proof("1. top ; abracadabra", toy_theory)
 
     def test_every_rule_round_trips(self):
-        sig = make_signature(["a"], ["a"], {"ca": "a", "f": "(a)a",
-                                            "h": "((a)pi,a,(a)a)a"})
+        sig = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a",
+                                       "h": "((a)pi,a,(a)a)a"})
         thy = Theory(sig, (parse_expr(sig, "top"),))
         e = partial(parse_expr, sig)
         justs = [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from funlog import henkin
-from funlog.signature import PROP, make_signature, variable_sort
+from funlog.signature import PROP, Signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq, neg
 from funlog.subst import fv, gv, substitute
 from funlog.calculus import Theory, OracleUndecided
@@ -159,7 +159,7 @@ class TestSaturate:
     def test_same_as_the_reference(self):
         """scripts/henkin_demo.py's bounded completion at depth 3: the same
         axioms in the same order, some candidates already present."""
-        sig = make_signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+        sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
         m = make_full_structure(
             sig, {"a": ("0", "1")},
             {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
@@ -236,7 +236,7 @@ class TestNorm:
 
     def test_no_representative(self, oracle):
         # a sort whose only closed terms exceed the bound: no constants at all
-        sig = make_signature(["a"], ["a"], {"g": "(a)a"})
+        sig = Signature(["a"], ["a"], {"g": "(a)a"})
         s_ctx = TermModelContext(sig, oracle, size_bound=2)
         with pytest.raises(NoRepresentativeInBound):
             build_term_structure(s_ctx)
@@ -344,7 +344,7 @@ def _term_structure_text(ctx):
 def nested_mu_structure():
     """Element 2 is named only by a nested mu term: mu sends the everywhere
     false predicate to 1 and the predicate true exactly at 1 to 2."""
-    sig = make_signature(["a"], ["a"], {"ca": "a", "mu": "((a)pi)a"})
+    sig = Signature(["a"], ["a"], {"ca": "a", "mu": "((a)pi)a"})
 
     def mu(t):
         true_at = tuple(x for (x,), v in t.rows if v == "1")
@@ -426,7 +426,7 @@ class TestClassifyAgainstScan:
     @pytest.mark.parametrize("oracle_cls", [ThOracle, DecideOnly])
     def test_past_the_bound_without_representative(self, oracle_cls):
         # g climbs 0 -> 1 -> 2 -> 2; within size 2 only 0 and 1 are named
-        sig = make_signature(["a"], ["a"], {"ca": "a", "g": "(a)a"})
+        sig = Signature(["a"], ["a"], {"ca": "a", "g": "(a)a"})
         s = make_full_structure(sig, {"a": ("0", "1", "2")},
                                 {"ca": "0", "g": {("0",): "1", ("1",): "2",
                                                   ("2",): "2"}})

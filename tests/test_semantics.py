@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, dataclass, fields, replace
 import pytest
 
 from funlog import fileio
-from funlog.signature import PROP, make_signature, eq_op, forall_op, variable_sort
+from funlog.signature import PROP, Signature, eq_op, forall_op, variable_sort
 from funlog.syntax import (
     ExprError, parse_expr, print_expr, ForeignSignature, in_class, perspective_sorts,
 )
@@ -466,8 +466,8 @@ class TestEvaluate:
             evaluate(small_structure, parse_expr(small_sig, "f(v0^a)"), ())
 
     def test_foreign_symbol(self, small_sig, small_structure):
-        big = make_signature(["a"], ["a"],
-                             {"ca": "a", "cb": "a", "f": "(a)a", "extra": "a"})
+        big = Signature(["a"], ["a"],
+                        {"ca": "a", "cb": "a", "f": "(a)a", "extra": "a"})
         for text, p in (("extra", ()), ("f(f(extra))", ()),
                         ("eq_a(f(extra),v0^a)", ("v0^a",)),
                         ("forall v0^a. eq_a(f(v0^a),extra)", ())):
@@ -569,7 +569,7 @@ class TestMemo:
     def test_a_missing_interpretation_is_not_memoized(self, small_structure):
         # s lacks the constants d and e, as a Henkin extension's structure
         # lacks those of later levels: what needs them raises every time
-        sig = make_signature(["a"], ["a"], {
+        sig = Signature(["a"], ["a"], {
             "ca": "a", "cb": "a", "f": "(a)a", "d": "a", "e": "a"})
         s = Structure(sig, small_structure.carriers, small_structure.interp)
         on_d, open_d, on_e = (
@@ -618,7 +618,7 @@ class TestMemo:
         the quantifiers would be undefined on it."""
         s, three = small_structure, {"a": ("0", "1", "2")}
         forall_eq = parse_expr(small_sig, "forall v0^a. eq_a(v0^a,v0^a)")
-        user = {name: s.interp[name] for name in small_sig.user_ops()}
+        user = {name: s.interp[name] for name in small_sig.user_ops}
         assert satisfies(Structure(small_sig, three, user), forall_eq)
         assert satisfies(Structure(small_sig, s.carriers, s.interp), forall_eq)
         flipped = {args: "1" if v == "0" else "0" for args, v in s.interp["exists^a"].items()}
@@ -658,19 +658,19 @@ class TestSatisfies:
 
 class TestRestrict:
     def test_reduct(self, small_sig, small_structure):
-        sub = make_signature(["a"], ["a"], {"ca": "a", "cb": "a"})
+        sub = Signature(["a"], ["a"], {"ca": "a", "cb": "a"})
         r = restrict_structure(small_structure, sub)
         assert "f" not in r.interp
         assert satisfies(r, parse_expr(sub, "exists v0^a. eq_a(v0^a,cb)"))
 
     def test_foreign_after_restrict(self, small_sig, small_structure):
-        sub = make_signature(["a"], ["a"], {"ca": "a", "cb": "a"})
+        sub = Signature(["a"], ["a"], {"ca": "a", "cb": "a"})
         r = restrict_structure(small_structure, sub)
         with pytest.raises(ForeignSignature):
             evaluate(r, parse_expr(small_sig, "f(ca)"), ())
 
     def test_not_an_extension(self, small_structure):
-        other = make_signature(["b"], ["b"], {})
+        other = Signature(["b"], ["b"], {})
         with pytest.raises(NotAnExtension):
             restrict_structure(small_structure, other)
 
@@ -712,7 +712,7 @@ class TestClosure:
         assert any(v.startswith("composition:") for v in rep.violations)
 
     def test_skip_reporting(self):
-        sig = make_signature(["a"], ["a"], {"c": "a"})
+        sig = Signature(["a"], ["a"], {"c": "a"})
         s = make_full_structure(sig, {"a": tuple(str(i) for i in range(6))}, {"c": "0"})
         rep = check_closure(s, cap=2)
         assert rep.ok
@@ -774,14 +774,14 @@ class TestClosure:
 
 class TestSpaceGuard:
     def test_space_too_large(self):
-        sig = make_signature(["a"], ["a"], {"c": "a"})
+        sig = Signature(["a"], ["a"], {"c": "a"})
         s = make_full_structure(sig, {"a": tuple(str(i) for i in range(5))}, {"c": "0"})
         with pytest.raises(SpaceTooLarge):
             s.full_space("a", ("a", "a", "a", "a", "a", "a", "a"))
 
 
 def test_selected_set_miss():
-    sig = make_signature(["a"], ["a"], {"c": "a"})
+    sig = Signature(["a"], ["a"], {"c": "a"})
     s = make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"})
     m = materialize_selected(s, cap=1)
     # drop every unary pi table, then quantify over the now-empty set
@@ -800,7 +800,7 @@ def test_selected_set_miss():
 def test_satisfies_raises_on_a_later_miss():
     # false at v1 = 0, and the quantified table at v1 = 1 is missing: the
     # miss raises rather than reading as "not satisfied"
-    sig = make_signature(["a"], ["a"], {"c": "a"})
+    sig = Signature(["a"], ["a"], {"c": "a"})
     m = materialize_selected(
         make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"}), cap=1)
     at_one = FnTable.from_map(("a",), PROP, {("0",): "0", ("1",): "1"})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from funlog.signature import make_signature
+from funlog.signature import Signature
 from funlog.syntax import parse_expr, print_expr, var
 from funlog.subst import (
     fv, gv, substitutable, substitute, substitute1, SortClash,
@@ -13,7 +13,7 @@ from funlog.syntax import Expr
 
 @pytest.fixture
 def sig():
-    return make_signature(
+    return Signature(
         ["a"], ["a"],
         {"ca": "a", "f": "(a)a", "P": "(a)pi", "mu": "((a)pi)a"})
 

@@ -94,7 +94,7 @@ def printed_texts() -> list[str]:
     for seed in range(8):
         rng = random.Random(seed)
         sig = rand_signature(rng)
-        texts += [print_ustype(op) for op in sig.user_ops().values()]
+        texts += [print_ustype(op) for op in sig.user_ops.values()]
         for _ in range(25):
             sort = rng.choice(sorted(sig.sorts))
             texts.append(print_expr(rand_expr(sig, rng, sort, rng.randint(0, 4))))
