@@ -11,15 +11,20 @@ perspective (a variable sequence covering the free variables) the value is
 the table of these values over the perspective's carriers.
 
 Structure's constructor is the one place a structure is built.  It completes
-the carriers, checks that every interpretation it is given lies in them, and
-that every selected set M_gamma^sigma has a sort gamma and variable sorts
-sigma and holds only tables, total or partial, from the carriers of sigma
-into gamma's; and it interprets each logical symbol it is not given.
-Nothing after it has to restore these.  A structure is full iff it declares
-no selected set: every selected set is then the whole function space, and
-the closure laws (constants, projections, partial fixing, composition) hold
-by construction.  Whether an explicit structure's selected sets are closed
-is taken as given; check_closure audits it on request.
+the carriers, checks that it is given interpretations of user operations
+only and that they lie in the carriers, and that every selected set
+M_gamma^sigma has a sort gamma and variable sorts sigma and holds only
+tables, total or partial, from the carriers of sigma into gamma's.  The
+logical symbols take no interpretation: the constructor gives each its
+fixed meaning, a small table for a connective or eq_<sort>, and for
+forall^a and exists^a a functional defined exactly on M_pi^(a), whose
+rows are computed as they are asked for, so no function space is
+enumerated.  interp shows the user operations only.  Nothing after the
+constructor has to restore these.  A structure is full iff it declares no
+selected set: every selected set is then the whole function space, and the
+closure laws (constants, projections, partial fixing, composition) hold by
+construction.  Whether an explicit structure's selected sets are closed is
+taken as given; check_closure audits it on request.
 
 A function table (FnTable) keeps its argument tuples sorted, as keys, and its
 values aligned with them.  Tables with the same argument tuples share one
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -246,25 +252,26 @@ def _function_space(spaces: dict, carriers: dict, gamma, domain_sorts) -> tuple[
 @dataclass(frozen=True)
 class Structure:
     """carriers: per sort, a nonempty tuple of atoms (the formula sort's
-    defaults to 0,1, false then true).  interp: per operation, a carrier
-    element (m=0) or a dict from argument tuples to carrier elements, a
-    binder slot's argument being a function table over its binder sorts.
-    selected: per (gamma, sigma), a set of tables.  The constructor copies
-    what it is given and hands out carriers, interp, each operation's rows
-    and selected read-only; no field is rebound after it returns."""
+    defaults to 0,1, false then true).  interp: per user operation, a
+    carrier element (m=0) or a dict from argument tuples to carrier
+    elements, a binder slot's argument being a function table over its
+    binder sorts; the logical symbols take none.  selected: per (gamma,
+    sigma), a set of tables.  The constructor copies what it is given and
+    hands out carriers, interp, each operation's rows and selected
+    read-only; no field is rebound after it returns."""
     signature: Signature
     carriers: Mapping[str, tuple[str, ...]]
     interp: Mapping[str, object]
     selected: Mapping[tuple[str, tuple[str, ...]], frozenset[FnTable]] = field(
         default_factory=dict)
     # the full spaces already enumerated over these carriers:
-    # make_full_structure hands over those it tabulated over
-    _spaces: dict = field(default_factory=dict, repr=False, compare=False)
+    # make_full_structure adds those it tabulated over
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _value's memo: a node's value at an assignment of its free variables
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the interpretations, which evaluation reads; interp shows them
-    # read-only (a read-only mapping's bound __getitem__ is slower)
+    # every operation's meaning, which evaluation reads: interp's, and the
+    # logical symbols' (a read-only mapping's bound __getitem__ is slower)
     _interp: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -272,14 +279,13 @@ class Structure:
         init("carriers", MappingProxyType(_carriers_for(self.signature, self.carriers)))
         init("selected", MappingProxyType(
             {key: frozenset(tables) for key, tables in self.selected.items()}))
-        init("interp", dict(self.interp))
+        user = {name: dict(v) if isinstance(v, Mapping) else v
+                for name, v in self.interp.items()}
+        init("interp", MappingProxyType({name: MappingProxyType(v) if isinstance(v, dict) else v
+                                         for name, v in user.items()}))
         _check_in_carriers(self)
         _check_selected(self)
-        _fill_distinguished(self)
-        init("_interp", {name: dict(v) if isinstance(v, Mapping) else v
-                         for name, v in self.interp.items()})
-        init("interp", MappingProxyType({name: MappingProxyType(v) if isinstance(v, dict) else v
-                                         for name, v in self._interp.items()}))
+        init("_interp", {**user, **_logical_meanings(self)})
 
     @property
     def full(self) -> bool:
@@ -323,10 +329,11 @@ class Structure:
 
 
 def _check_in_carriers(s: Structure):
-    """Raise InterpretationOutOfCarrier unless every row of every
-    interpretation lies in s's carriers: its value and each plain argument in
-    the carrier of its sort, and each binder slot's argument a table from the
-    carriers of the slot's binder sorts into the carrier of its sort."""
+    """Raise InterpretationOutOfCarrier unless every interpretation is of a
+    user operation and every row of it lies in s's carriers: its value and
+    each plain argument in the carrier of its sort, and each binder slot's
+    argument a table from the carriers of the slot's binder sorts into the
+    carrier of its sort."""
     cs, tables = s.carriers, set()  # tables: those already found to be so
 
     def within(a, sort, bsorts) -> bool:
@@ -339,7 +346,11 @@ def _check_in_carriers(s: Structure):
         return True
 
     for name, value in s.interp.items():
-        spec = s.signature.ops[name]
+        spec = s.signature.user_ops.get(name)
+        if spec is None:
+            raise InterpretationOutOfCarrier(
+                f"{name!r} is a logical symbol, which takes no interpretation"
+                if name in s.signature.ops else f"unknown operation {name!r}")
         for args, v in value.items() if spec.args else [((), value)]:
             if v not in cs[spec.result] or len(args) != spec.arity or not all(
                     within(a, sort, bsorts) for a, (sort, bsorts) in zip(args, spec.args)):
@@ -393,57 +404,40 @@ def _bool_tables(f, t):
     }
 
 
-def _fill_distinguished(s: Structure):
-    """Give each logical symbol missing from s.interp its fixed meaning over
-    s's carriers, and raise InterpretationOutOfCarrier, naming the symbol,
-    for one given with any other interpretation."""
-    sig = s.signature
+class _Quantifier(dict):
+    """The meaning of forall^a (holds = all) or exists^a (holds = any): a
+    table of M_pi^(a) maps to true iff holds of its values being true.  A
+    row is computed the first time it is asked for; a key that is not a
+    table of M_pi^(a) raises KeyError, which evaluation reports as a
+    SelectedSetMiss.  The structure is referred to weakly, so that its
+    _interp, which holds this dict, makes no cycle with it."""
+    __slots__ = ("_structure", "_sorts", "_holds")
+
+    def __init__(self, s: Structure, a: str, holds):
+        super().__init__()
+        self._structure, self._sorts, self._holds = weakref.ref(s), (a,), holds
+
+    def __missing__(self, args):
+        s = self._structure()
+        if not s.has_table(PROP, self._sorts, args[0]):
+            raise KeyError(args)
+        t = s.true_atom
+        value = self[args] = t if self._holds(v == t for _, v in args[0].rows) else s.false_atom
+        return value
+
+
+def _logical_meanings(s: Structure) -> dict:
+    """Every logical symbol's fixed meaning over s's carriers: a table for
+    each connective and eq_<sort>, a _Quantifier for forall^a and exists^a."""
     f, t = s.false_atom, s.true_atom
     meaning = _bool_tables(f, t)
-    for a in sig.sorts:
+    for a in s.signature.sorts:
         meaning[eq_op(a)] = {(x, y): t if x == y else f
                              for x in s.carriers[a] for y in s.carriers[a]}
-    for name, table in meaning.items():
-        if s.interp.setdefault(name, table) != table:
-            raise _not_fixed(name)
-    for a in sig.var_sorts:
-        declared = s.selected_tables(PROP, (a,))
-        for name, holds in ((forall_op(a), lambda values: all(v == t for v in values)),
-                            (exists_op(a), lambda values: t in values)):
-            given = s.interp.get(name)
-            if given is None:
-                tables = s.full_space(PROP, (a,)) if declared is None else declared
-                s.interp[name] = {(tbl,): t if holds(tbl.values) else f for tbl in tables}
-            elif not _is_quantifier(s, given, a, declared, holds):
-                raise _not_fixed(name)
-
-
-def _is_quantifier(s: Structure, given, a: str, declared, holds) -> bool:
-    """Whether given, whose rows _check_in_carriers has seen to lie in the
-    carriers, maps only tables total over a's carrier or declared in
-    M_pi^(a), each to t where holds(the table's values) and to f elsewhere;
-    with no set declared, every total table.  That space is counted, not
-    enumerated: distinct total tables into the formula sort's carrier, as
-    many as it has, are all of it.  A declared set is taken as given, as
-    check_closure audits it."""
-    f, t = s.false_atom, s.true_atom
-    total = s.product_keys((a,))
-    tables = set()
-    for (tbl,), v in given.items():
-        if not (getattr(tbl, "keys", None) is total
-                or (declared is not None and tbl in declared)
-                or tuple(xs for xs, _ in tbl.rows) == total):  # a table of another class
-            return False
-        if v != (t if holds([x for _, x in tbl.rows]) else f):
-            return False
-        tables.add(tbl)
-    return declared is not None or len(tables) == s.space_size(PROP, (a,))
-
-
-def _not_fixed(name: str) -> InterpretationOutOfCarrier:
-    return InterpretationOutOfCarrier(
-        f"{name!r} is a logical symbol, and its given interpretation is not its "
-        "fixed meaning over the carriers")
+    for a in s.signature.var_sorts:
+        meaning[forall_op(a)] = _Quantifier(s, a, all)
+        meaning[exists_op(a)] = _Quantifier(s, a, any)
+    return meaning
 
 
 def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structure:
@@ -471,7 +465,9 @@ def make_full_structure(sig: Signature, carriers: dict, interp: dict) -> Structu
             args = next(args for args in given if args not in table)
             raise InterpretationOutOfCarrier(
                 f"{name!r}{args} -> {given[args]!r} lies outside the full function spaces")
-    return Structure(sig, cs, tabulated, _spaces=spaces)
+    s = Structure(sig, cs, tabulated)
+    s._spaces.update(spaces)
+    return s
 
 
 def _apply_op(s: Structure, op: str, args: tuple) -> str:

@@ -252,6 +252,25 @@ class TestSat:
         assert "axiom 0" in capsys.readouterr().out
 
 
+def test_twenty_atom_carrier(files, capsys):
+    """A quantifier over a 20-atom carrier is defined on its 2^20 tables
+    without enumerating them: sat and eval answer."""
+    atoms = [str(i) for i in range(20)]
+    rows = ", ".join(f"({x}) -> {atoms[(i + 1) % 20]}" for i, x in enumerate(atoms))
+    header = "sort a\nvarsort a\nop ca : a\nop f : (a)a\n"
+    fls, flt = files["dir"] / "big.fls", files["dir"] / "big.flt"
+    fls.write_text(header + f"carrier a = {','.join(atoms)}\ninterp ca = 0\n"
+                   f"interp f {{ {rows} }}\n")
+    exists = "exists v0^a. eq_a(f(v0^a),ca)"
+    flt.write_text(header + "axiom forall v0^a. not(eq_a(f(v0^a),v0^a))\n"
+                   f"axiom {exists}\n")
+    assert main(["sat", str(fls), str(flt)]) == 0
+    assert "verdict:  ok" in capsys.readouterr().out
+    assert main(["eval", str(fls), "--expr", exists]) == 0
+    out = capsys.readouterr().out
+    assert "verdict:  ok" in out and "value: 1" in out
+
+
 class TestFuzz:
     def test_each_suite_clean(self, capsys):
         for suite in ("subst", "soundness", "closure", "eval-invariance"):

@@ -1,14 +1,16 @@
 """Every Structure is finished by its own constructor.
 
 Structure's constructor (src/funlog/semantics.py) completes the carriers,
-checks every given interpretation against them and interprets the logical
-symbols it is not given.  Structure is frozen, and the constructor hands out
-``carriers``, ``interp`` and ``selected`` read-only, so no later write can
-undo what it established.  Outside semantics.py, funlog code therefore
+checks that every given interpretation is of a user operation and lies in
+them, and gives the logical symbols their fixed meanings, which no caller
+gives it.  Structure is frozen, and the constructor hands out ``carriers``,
+``interp`` and ``selected`` read-only, so no later write can undo what it
+established.  Outside semantics.py, funlog code therefore
 neither assigns into nor deletes from one of these fields, nor calls one of
 their mutating methods; a structure that differs is built by the
 constructor.  No module but semantics.py names the helpers the constructor
-uses.
+uses, and each helper listed in PRIVATE is defined there, so that a rename
+cannot switch that check off.
 
 Every function table is built by FnTable.from_map, and every total one is
 tabulated over its carriers' shared sorted product: each from_map call
@@ -29,7 +31,8 @@ HOME = "semantics.py"
 # module:top-level definition -> why it may write a structure's field
 WRITERS: dict[str, str] = {}
 FIELDS = frozenset({"carriers", "interp", "selected"})  # a structure's mappings
-PRIVATE = ("_fill_distinguished", "_carriers_for")
+PRIVATE = ("_carriers_for", "_check_in_carriers", "_check_selected", "_logical_meanings",
+           "_Quantifier")
 # module:top-level definition -> why it may build a table from a mapping
 FROM_MAPPING = {
     "fileio.py:_coerce": "a parsed table may be partial and list its rows in any order",
@@ -106,6 +109,9 @@ def test_no_module_writes_a_structure():
 
 
 def test_the_constructors_helpers_stay_in_semantics():
+    home = ast.parse((PACKAGE / HOME).read_text())
+    defined = {getattr(top, "name", None) for top in home.body}
+    assert defined.issuperset(PRIVATE), set(PRIVATE) - defined
     named = []
     for name, tree in modules():
         for node in ast.walk(tree):

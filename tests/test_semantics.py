@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -5,13 +6,14 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
 from funlog import fileio
-from funlog.signature import PROP, Signature, eq_op, forall_op, variable_sort
+from funlog.signature import PROP, Signature, eq_op, exists_op, forall_op, variable_sort
 from funlog.syntax import (
     ExprError, parse_expr, print_expr, ForeignSignature, in_class, perspective_sorts,
 )
@@ -431,10 +433,15 @@ class TestMakeFullStructure:
         assert small_structure.false_atom == "0"
         assert small_structure.true_atom == "1"
 
-    def test_distinguished_filled(self, small_structure):
-        assert small_structure.interp["imp"][("1", "0")] == "0"
-        assert small_structure.interp[eq_op("a")][("0", "0")] == "1"
-        assert forall_op("a") in small_structure.interp
+    def test_distinguished_filled(self, small_sig, small_structure):
+        # interp shows the user operations; the kernel gives the logical
+        # symbols their meaning, forall^a on every table of M_pi^(a)
+        s = small_structure
+        assert set(s.interp) == set(small_sig.user_ops)
+        assert _apply_op(s, "imp", ("1", "0")) == "0"
+        assert _apply_op(s, eq_op("a"), ("0", "0")) == "1"
+        assert [_apply_op(s, forall_op("a"), (tbl,))
+                for tbl in s.full_space(PROP, ("a",))] == ["0", "0", "0", "1"]
 
 
 class TestEvaluate:
@@ -523,15 +530,21 @@ class TestAgainstReference:
             sig = rand_structure_signature(rng)
             s = rand_full_structure(rng, sig, max_carrier=2)
             m = materialize_selected(s, cap=1)
-            # drop one argument tuple of a binding functional, so that some
-            # evaluations miss a selected set
+            # drop one argument tuple of a binding functional, or for a
+            # quantifier a table of its M_pi^(a), so that some evaluations
+            # miss a selected set
             binding = sorted(n for n, spec in sig.ops.items()
                              if any(bs for _, bs in spec.args))
             op = rng.choice(binding)
-            rows = sorted(m.interp[op].items(), key=repr)
-            gone = rng.choice(rows)[0]
-            m = Structure(m.signature, m.carriers, {
-                **m.interp, op: {args: v for args, v in rows if args != gone}}, m.selected)
+            if op in sig.user_ops:
+                rows = sorted(m.interp[op].items(), key=repr)
+                gone = rng.choice(rows)[0]
+                m = Structure(m.signature, m.carriers, {
+                    **m.interp, op: {args: v for args, v in rows if args != gone}},
+                    m.selected)
+            else:
+                key = (PROP, sig.ops[op].args[0][1])
+                m = without_table(m, key, rng.choice(sorted(m.selected[key], key=repr)))
             cases = []
             for _ in range(10):
                 e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 3))
@@ -613,27 +626,97 @@ class TestMemo:
         assert evaluate(Structure(small_sig, s.carriers, s.interp), f_ca, ()) == "1"
 
     def test_a_logical_symbol_keeps_its_fixed_meaning(self, small_sig, small_structure):
-        """A given interpretation of a logical symbol must be its meaning over
-        the structure's own carriers.  Carried over to a third atom, eq_a and
-        the quantifiers would be undefined on it."""
+        """A logical symbol takes no interpretation, not even its fixed
+        meaning: the constructor raises, naming it.  It gives each its
+        meaning over the structure's own carriers, a third atom included."""
         s, three = small_structure, {"a": ("0", "1", "2")}
-        forall_eq = parse_expr(small_sig, "forall v0^a. eq_a(v0^a,v0^a)")
-        user = {name: s.interp[name] for name in small_sig.user_ops}
-        assert satisfies(Structure(small_sig, three, user), forall_eq)
-        assert satisfies(Structure(small_sig, s.carriers, s.interp), forall_eq)
-        flipped = {args: "1" if v == "0" else "0" for args, v in s.interp["exists^a"].items()}
-        short = dict(list(s.interp["forall^a"].items())[1:])
-        for name, given, carriers in (
-                ("eq_a", s.interp, three),
-                ("forall^a", {**user, "forall^a": s.interp["forall^a"]}, three),
-                ("exists^a", {**user, "exists^a": s.interp["exists^a"]}, three),
-                ("exists^a", {**user, "exists^a": flipped}, s.carriers),
-                ("not", {**user, "not": {("0",): "0", ("1",): "1"}}, s.carriers),
-                ("forall^a", {**user, "forall^a": short}, s.carriers)):
-            with pytest.raises(InterpretationOutOfCarrier, match=re.escape(repr(name))):
-                Structure(small_sig, carriers, given)
-        with pytest.raises(InterpretationOutOfCarrier, match="'eq_a'"):
-            replace(s, carriers=three)
+        assert satisfies(Structure(small_sig, three, s.interp),
+                         parse_expr(small_sig, "forall v0^a. eq_a(v0^a,v0^a)"))
+        space = s.full_space(PROP, ("a",))
+        for name, given in (
+                ("eq_a", {(x, y): "1" if x == y else "0" for x in "01" for y in "01"}),
+                ("not", {("0",): "1", ("1",): "0"}),
+                ("top", "1"),
+                ("forall^a", {(tbl,): "1" if "0" not in tbl.values else "0" for tbl in space}),
+                ("exists^a", {(tbl,): "1" if "1" in tbl.values else "0" for tbl in space}),
+                ("exists^a", {})):
+            with pytest.raises(InterpretationOutOfCarrier, match=re.escape(
+                    f"{name!r} is a logical symbol, which takes no interpretation")):
+                Structure(small_sig, s.carriers, {**s.interp, name: given})
+
+
+def reference_quantifiers(s: Structure) -> dict:
+    """The tabulated meaning of forall^a and exists^a that the constructor
+    filled in before the kernel gave it, kept as its reference: a row for
+    each table of M_pi^(a), or of the full space when none is declared."""
+    f, t = s.false_atom, s.true_atom
+    rows = {}
+    for a in s.signature.var_sorts:
+        declared = s.selected_tables(PROP, (a,))
+        tables = s.full_space(PROP, (a,)) if declared is None else declared
+        rows[forall_op(a)] = {(tbl,): t if all(v == t for v in tbl.values) else f
+                              for tbl in tables}
+        rows[exists_op(a)] = {(tbl,): t if t in tbl.values else f for tbl in tables}
+    return rows
+
+
+def quantifiers_agree(s: Structure):
+    """forall^a and exists^a give the reference's row, or miss where it has
+    none, on the full space of pi over a, M_pi^(a), each of their tables
+    less its first row, and a table into a instead of pi."""
+    want = reference_quantifiers(s)
+    for a in s.signature.var_sorts:
+        probes = {*s.full_space(PROP, (a,)), *(s.selected_tables(PROP, (a,)) or ())}
+        probes |= {FnTable.from_map(t.domain_sorts, t.codomain_sort, dict(t.rows[1:]))
+                   for t in list(probes)}
+        probes.add(constant_table((a,), s.carriers, s.carriers[a][0], a))
+        for op in (forall_op(a), exists_op(a)):
+            for tbl in sorted(probes, key=repr):
+                got = outcome(_apply_op, s, op, (tbl,))
+                assert got == want[op].get((tbl,), SelectedSetMiss), (op, tbl)
+
+
+class TestLogicalSymbols:
+    """The logical symbols take their meaning from the kernel, the
+    quantifiers theirs on M_pi^(a); interp holds the user operations."""
+
+    def test_quantifiers_agree_with_the_reference(self, toy_sig, toy_structure):
+        kinds = set()
+        for seed in range(20):
+            rng = random.Random(seed)
+            sig = rand_structure_signature(rng)
+            s = rand_full_structure(rng, sig, max_carrier=2)
+            for kind, form in closure_forms(rng, s, 1):
+                quantifiers_agree(form)
+                kinds.add(kind)
+        assert len(kinds) == 5
+        tm = build_term_structure(
+            TermModelContext(toy_sig, ThOracle(toy_structure), size_bound=4))
+        quantifiers_agree(tm.structure)
+
+    def test_replace_builds_the_spaces_anew(self, small_sig, small_structure):
+        s = small_structure
+        assert len(s.full_space(PROP, ("a",))) == 4
+        wider = replace(s, carriers={"a": ("0", "1", "2")}, interp=s.interp)
+        assert satisfies(wider, parse_expr(small_sig, "forall v0^a. eq_a(v0^a,v0^a)"))
+        assert len(wider.full_space(PROP, ("a",))) == 8
+
+    def test_unknown_operation(self, small_sig):
+        with pytest.raises(InterpretationOutOfCarrier, match="unknown operation 'zzz'"):
+            Structure(small_sig, {"a": ("0",)}, {"ca": "0", "zzz": "0"})
+
+    def test_no_cycle_through_the_quantifiers(self, small_sig, small_structure):
+        # a structure whose quantifiers have rows is freed by its last
+        # reference going, without the cycle collector
+        s = Structure(small_sig, small_structure.carriers, small_structure.interp)
+        assert satisfies(s, parse_expr(small_sig, "exists v0^a. eq_a(f(v0^a),ca)"))
+        gone = weakref.ref(s)
+        gc.disable()
+        try:
+            del s
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestSatisfies:
@@ -785,8 +868,7 @@ def test_selected_set_miss():
     s = make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"})
     m = materialize_selected(s, cap=1)
     # drop every unary pi table, then quantify over the now-empty set
-    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {}},
-                  {**m.selected, (PROP, ("a",)): frozenset()})
+    m = Structure(sig, m.carriers, m.interp, {**m.selected, (PROP, ("a",)): frozenset()})
     for _ in range(2):  # a miss is not memoized: it raises again
         with pytest.raises(SelectedSetMiss):
             evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ())
@@ -804,9 +886,7 @@ def test_satisfies_raises_on_a_later_miss():
     m = materialize_selected(
         make_full_structure(sig, {"a": ("0", "1")}, {"c": "0"}), cap=1)
     at_one = FnTable.from_map(("a",), PROP, {("0",): "0", ("1",): "1"})
-    m = Structure(sig, m.carriers, {**m.interp, forall_op("a"): {
-        args: v for args, v in m.interp[forall_op("a")].items() if args != (at_one,)}},
-        m.selected)
+    m = without_table(m, (PROP, ("a",)), at_one)
     assert evaluate(m, parse_expr(sig, "forall v0^a. eq_a(v0^a,c)"), ()) == "0"
     for _ in range(2):  # a miss is not memoized: it raises again
         with pytest.raises(SelectedSetMiss):
