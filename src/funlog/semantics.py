@@ -14,17 +14,21 @@ Structure's constructor is the one place a structure is built.  It completes
 the carriers, checks that it is given interpretations of user operations
 only and that they lie in the carriers, and that every selected set
 M_gamma^sigma has a sort gamma and variable sorts sigma and holds only
-tables, total or partial, from the carriers of sigma into gamma's.  The
-logical symbols take no interpretation: the constructor gives each its
-fixed meaning, a small table for a connective or eq_<sort>, and for
-forall^a and exists^a a functional defined exactly on M_pi^(a), whose
-rows are computed as they are asked for, so no function space is
-enumerated.  interp shows the user operations only.  Nothing after the
-constructor has to restore these.  A structure is full iff it declares no
-selected set: every selected set is then the whole function space, and the
-closure laws (constants, projections, partial fixing, composition) hold by
-construction.  Whether an explicit structure's selected sets are closed is
-taken as given; check_closure audits it on request.
+tables from the carriers of sigma into gamma's.  Every table it takes, in
+a selected set or as a binder slot's argument, is total, as in the
+paper's models: Structure.is_table, the one test of a table against the
+carriers, requires the shared product of sigma's carriers as its keys and
+values in gamma's carrier.  The logical symbols take no interpretation:
+the constructor gives each its fixed meaning, a small table for a
+connective or eq_<sort>, and for forall^a and exists^a a functional
+defined exactly on M_pi^(a), whose rows are computed as they are asked
+for, so no function space is enumerated.  interp shows the user
+operations only.  Nothing after the constructor has to restore these.  A
+structure is full iff it declares no selected set: every selected set is
+then the whole function space, and the closure laws (constants,
+projections, partial fixing, composition) hold by construction.  Whether
+an explicit structure's selected sets are closed is taken as given;
+check_closure audits it on request.
 
 A function table (FnTable) keeps its argument tuples sorted, as keys, and its
 values aligned with them.  Tables with the same argument tuples share one
@@ -34,8 +38,9 @@ the fixed arguments, and the audit composes tables column by column.  Every
 total table is built one way: tabulate computes its values in the order of
 carrier_product, the shared sorted product of its carriers, which
 Structure.product_keys caches per structure; fix and _compose build their
-results in the same aligned form.  Only a parsed table, which may be partial,
-is built from a mapping, whose rows from_map sorts.
+results in the same aligned form.  Only a parsed table is built from a
+mapping, whose rows from_map sorts; a structure admits it only if its keys
+are then the shared product.
 
 Each structure memoizes evaluation: _value stores the value of an operation
 node in the structure's _values, keyed on the node when it is closed and
@@ -84,10 +89,6 @@ class NotInPerspective(SemanticsError):
 
 
 class SelectedSetMiss(SemanticsError):
-    pass
-
-
-class PartialTable(SemanticsError):
     pass
 
 
@@ -150,10 +151,10 @@ def carrier_product(carriers: dict, domain_sorts) -> _Keys:
 class FnTable:
     """A function from argument tuples to values, stored as the sorted
     argument tuples (keys) and the values aligned with them.  A table over
-    the whole carrier product is total; a partial one (parsed from a file,
-    say) lists fewer tuples.  keys is shared by every table with the same key
-    sequence, so fix slices a block of it and two tables compare keys by
-    identity.  Tables are values: equal fields mean equal tables, the hash
+    the whole carrier product is total; a partial one lists fewer tuples,
+    and no structure admits it.  keys is shared by every table with the
+    same key sequence, so fix slices a block of it and two tables compare
+    keys by identity.  Tables are values: equal fields mean equal tables, the hash
     is computed once, and no field changes after construction."""
     __slots__ = ("domain_sorts", "codomain_sort", "keys", "values", "_hash")
 
@@ -254,9 +255,9 @@ class Structure:
     """carriers: per sort, a nonempty tuple of atoms (the formula sort's
     defaults to 0,1, false then true).  interp: per user operation, a
     carrier element (m=0) or a dict from argument tuples to carrier
-    elements, a binder slot's argument being a function table over its
-    binder sorts; the logical symbols take none.  selected: per (gamma,
-    sigma), a set of tables.  The constructor copies what it is given and
+    elements, a binder slot's argument being a total table over its binder
+    sorts; the logical symbols take none.  selected: per (gamma, sigma), a
+    set of total tables.  The constructor copies what it is given and
     hands out carriers, interp, each operation's rows and selected
     read-only; no field is rebound after it returns."""
     signature: Signature
@@ -319,13 +320,22 @@ class Structure:
         return self.selected.get((gamma, tuple(domain_sorts)))
 
     def has_table(self, gamma, domain_sorts, tbl: FnTable) -> bool:
-        if tbl.codomain_sort != gamma or tbl.domain_sorts != tuple(domain_sorts):
-            return False
-        declared = self.selected_tables(gamma, domain_sorts)
+        """Whether tbl is in M_gamma^domain_sorts: the declared set, or when
+        none is declared, the whole space."""
+        domain_sorts = tuple(domain_sorts)
+        declared = self.selected.get((gamma, domain_sorts))
         if declared is None:
-            return (tbl.keys is self.product_keys(tuple(domain_sorts))
-                    and set(tbl.values).issubset(self.carriers[gamma]))
+            return self.is_table(gamma, domain_sorts, tbl)
         return tbl in declared
+
+    def is_table(self, gamma, domain_sorts: tuple, tbl) -> bool:
+        """Whether tbl is a table from the carriers of domain_sorts into
+        gamma's: of these sorts, over their shared product as keys, with
+        its values in gamma's carrier."""
+        return (getattr(tbl, "codomain_sort", None) == gamma
+                and tbl.domain_sorts == domain_sorts
+                and tbl.keys is self.product_keys(domain_sorts)
+                and set(tbl.values).issubset(self.carriers[gamma]))
 
 
 def _check_in_carriers(s: Structure):
@@ -334,17 +344,7 @@ def _check_in_carriers(s: Structure):
     each plain argument in the carrier of its sort, and each binder slot's
     argument a table from the carriers of the slot's binder sorts into the
     carrier of its sort."""
-    cs, tables = s.carriers, set()  # tables: those already found to be so
-
-    def within(a, sort, bsorts) -> bool:
-        if not bsorts:
-            return a in cs[sort]
-        if a not in tables:
-            if not _table_within(s, a, sort, bsorts):
-                return False
-            tables.add(a)
-        return True
-
+    cs = s.carriers
     for name, value in s.interp.items():
         spec = s.signature.user_ops.get(name)
         if spec is None:
@@ -353,22 +353,11 @@ def _check_in_carriers(s: Structure):
                 if name in s.signature.ops else f"unknown operation {name!r}")
         for args, v in value.items() if spec.args else [((), value)]:
             if v not in cs[spec.result] or len(args) != spec.arity or not all(
-                    within(a, sort, bsorts) for a, (sort, bsorts) in zip(args, spec.args)):
+                    s.is_table(sort, bsorts, a) if bsorts else a in cs[sort]
+                    for a, (sort, bsorts) in zip(args, spec.args)):
                 raise InterpretationOutOfCarrier(
-                    f"{name!r}{args or ''} -> {v!r} lies outside the carriers")
-
-
-def _table_within(s: Structure, tbl, gamma, sigma) -> bool:
-    """Whether tbl is a table, total or partial, from the carriers of sigma
-    into gamma's.  A total one has the shared product as keys and needs only
-    its values checked; a partial one is checked row by row."""
-    if getattr(tbl, "domain_sorts", None) != sigma or tbl.codomain_sort != gamma:
-        return False
-    cs = s.carriers
-    if getattr(tbl, "keys", None) is s.product_keys(sigma):
-        return set(tbl.values).issubset(cs[gamma])
-    return all(len(xs) == len(sigma) and v in cs[gamma]
-               and all(x in cs[t] for x, t in zip(xs, sigma)) for xs, v in tbl.rows)
+                    f"{name!r}{args or ''} -> {v!r} lies outside the carriers "
+                    "or takes a table that lacks a row of their product")
 
 
 def _check_selected(s: Structure):
@@ -383,9 +372,10 @@ def _check_selected(s: Structure):
             raise InterpretationOutOfCarrier(
                 f"{name} lies outside the signature: it needs a sort and variable sorts")
         for tbl in tables:
-            if not _table_within(s, tbl, gamma, sigma):
+            if not s.is_table(gamma, sigma, tbl):
                 raise InterpretationOutOfCarrier(
-                    f"{name} holds {tbl!r}, which lies outside the carriers")
+                    f"{name} holds {tbl!r}, which lies outside the carriers "
+                    "or lacks a row of their product")
 
 
 def _bool_tables(f, t):
@@ -539,20 +529,13 @@ def _compose(s: Structure, op: str, sorts: tuple, tables) -> FnTable:
     """Composition through op: the table over sorts whose row xs is op
     applied to each argument table's value at xs, where a binder slot's
     table is instead partially fixed at xs.  It is built column by column
-    over the sorted carrier product: a plain slot's column is its table's
-    values.  The constructor admits only tables within the carriers, so a
-    plain slot's table without the product as keys lacks a row of it: it is
-    a PartialTable."""
+    over the sorted carrier product: every table of a structure is total,
+    so a plain slot's column is its table's values."""
     spec = s.signature.ops[op]
     keys = s.product_keys(sorts)
     columns = []
-    for (arg_sort, binds), g in zip(spec.args, tables):
-        if binds:
-            columns.append([g.fix(xs) for xs in keys])
-        elif g.keys is keys:
-            columns.append(g.values)
-        else:
-            raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial")
+    for (_, binds), g in zip(spec.args, tables):
+        columns.append([g.fix(xs) for xs in keys] if binds else g.values)
     interp = s._interp.get(op)
     if interp is None:
         raise MissingInterpretation(f"no interpretation for {op!r}")
@@ -614,7 +597,10 @@ def _sigma_sequences(sig: Signature, cap: int):
 
 
 def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
-    """Audit the selected-set laws up to perspective length ``cap``."""
+    """Audit the selected-set laws up to perspective length ``cap``.  Every
+    table of s is total (the constructor), so each law is a membership test,
+    and a composition fails only where op's functional has no row for a
+    composable tuple."""
     sig = s.signature
     report = ClosureReport([], [])
 
@@ -670,10 +656,6 @@ def check_closure(s: Structure, cap: int = 2) -> ClosureReport:
                     report.violations.append(
                         f"composition: functional of {op} undefined on a "
                         f"composable tuple at {sigma}")
-                    continue
-                except PartialTable as exc:
-                    report.violations.append(
-                        f"composition: {exc}, composing through {op} at {sigma}")
                     continue
                 if not s.has_table(spec.result, sigma, tbl):
                     report.violations.append(

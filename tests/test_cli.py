@@ -411,17 +411,20 @@ class TestStructureValues:
         (TOY_EXPLICIT, "a^(a) = " + SEL, "zz^(a) = {0->1}", "selected zz^(a)"),
         (TOY_EXPLICIT, "a^(a) = " + SEL, "a^(pi) = {0->1,1->0}", "selected a^(pi)"),
         (MU_FLS, "{0->1,1->1}\n", "{0->1,1->2}\n", "selected pi^(a)"),
+        (TOY_EXPLICIT, SEL, "{0->1}", "selected a^(a)"),
+        (MU_FLS, "-> 1 }", "-> 1, ({0->1}) -> 1 }", "'mu'"),
     ], ids=["constant-full", "constant-explicit", "value-full", "value-explicit",
             "argument-full", "argument-explicit", "binder-arity-full", "binder-arity-explicit",
             "binder-argument-full", "binder-argument-explicit", "binder-value-full",
             "binder-value-explicit", "selected-values", "selected-value",
             "selected-argument", "selected-arity", "selected-partial-value",
-            "selected-gamma", "selected-sigma", "selected-pi-value"])
+            "selected-gamma", "selected-sigma", "selected-pi-value", "selected-partial",
+            "binder-partial-explicit"])
     def test_value_outside_the_carriers(self, files, capsys, text, old, new, op):
         """Every interpretation lies in the carriers, in full and explicit
-        structures alike, and so does every table, total or partial, of a
-        selected set M_gamma^sigma, whose gamma is a sort and sigma variable
-        sorts; the error names the operation or the set."""
+        structures alike, and every table of a selected set M_gamma^sigma,
+        whose gamma is a sort and sigma variable sorts, or taken by a binder
+        slot is total over them; the error names the operation or the set."""
         bad = files["dir"] / "bad.fls"
         bad.write_text(text.replace(old, new))
         for argv in (["eval", str(bad), "--expr", "ca"], ["sat", str(bad), files["flt"]]):

@@ -2,20 +2,21 @@
 
 Structure's constructor (src/funlog/semantics.py) completes the carriers,
 checks that every given interpretation is of a user operation and lies in
-them, and gives the logical symbols their fixed meanings, which no caller
-gives it.  Structure is frozen, and the constructor hands out ``carriers``,
-``interp`` and ``selected`` read-only, so no later write can undo what it
-established.  Outside semantics.py, funlog code therefore
-neither assigns into nor deletes from one of these fields, nor calls one of
-their mutating methods; a structure that differs is built by the
-constructor.  No module but semantics.py names the helpers the constructor
-uses, and each helper listed in PRIVATE is defined there, so that a rename
-cannot switch that check off.
+them and that every table it takes is total over them, and gives the
+logical symbols their fixed meanings, which no caller gives it.  Structure
+is frozen, and the constructor hands out ``carriers``, ``interp`` and
+``selected`` read-only, so no later write can undo what it established.
+Outside semantics.py, funlog code therefore neither assigns into nor
+deletes from one of these fields, nor calls one of their mutating methods;
+a structure that differs is built by the constructor.  No module but
+semantics.py names the helpers the constructor uses, and each helper listed
+in PRIVATE is defined there, so that a rename cannot switch that check off.
 
 Every function table is built by FnTable.from_map, and every total one is
 tabulated over its carriers' shared sorted product: each from_map call
 passes ``keys=``.  The one exception is fileio._coerce, whose parsed tables
-may be partial and list their rows in any order.
+list their rows in any order and may lack some; a structure admits such a
+table only if its sorted rows cover the whole carrier product.
 
 The checks read the source, so they go by the attribute names in FIELDS
 and ``from_map``.
@@ -35,7 +36,8 @@ PRIVATE = ("_carriers_for", "_check_in_carriers", "_check_selected", "_logical_m
            "_Quantifier")
 # module:top-level definition -> why it may build a table from a mapping
 FROM_MAPPING = {
-    "fileio.py:_coerce": "a parsed table may be partial and list its rows in any order",
+    "fileio.py:_coerce": "a parsed table lists its rows in any order, and the "
+                         "Structure constructor, not the parser, rejects a partial one",
 }
 MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
 

@@ -23,7 +23,7 @@ from funlog.semantics import (
     FnTable, Structure, constant_table, projection_table, make_full_structure,
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     materialize_selected, MissingInterpretation, InterpretationOutOfCarrier,
-    NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge, PartialTable,
+    NotInPerspective, SelectedSetMiss, NotAnExtension, SpaceTooLarge,
     SemanticsError, AUDIT_SPACE, ClosureReport, _apply_op, _compose,
     _sigma_sequences,
 )
@@ -124,13 +124,9 @@ RefFnTable.__qualname__ = "FnTable"  # so that its repr is the dataclass form
 
 
 def reference_compose(s, op, sorts, tables) -> RefFnTable:
-    """_compose row by row over the carrier product, as it was, once no
-    plain slot's table lacks a row of the product."""
+    """_compose row by row over the carrier product, as it was."""
     spec = s.signature.ops[op]
     dom = list(itertools.product(*[s.carriers[t] for t in sorts]))
-    for (arg_sort, binds), g in zip(spec.args, tables):
-        if not binds and not all(xs in g._lookup for xs in dom):
-            raise PartialTable(f"a table of M_{arg_sort}^{sorts} is partial")
     rows = {}
     for xs in dom:
         args = []
@@ -141,7 +137,8 @@ def reference_compose(s, op, sorts, tables) -> RefFnTable:
 
 
 class RefStructure(Structure):
-    """A structure whose tables are RefFnTables."""
+    """A structure whose tables are RefFnTables, which it tests against its
+    carriers row by row."""
 
     def full_space(self, gamma, domain_sorts):
         key = (gamma, tuple(domain_sorts))
@@ -152,15 +149,12 @@ class RefStructure(Structure):
                 for values in itertools.product(self.carriers[gamma], repeat=len(dom)))
         return self._spaces[key]
 
-    def has_table(self, gamma, domain_sorts, tbl):
-        if tbl.codomain_sort != gamma or tbl.domain_sorts != tuple(domain_sorts):
-            return False
-        declared = self.selected_tables(gamma, domain_sorts)
-        if declared is None:
-            dom = itertools.product(*(self.carriers[s] for s in domain_sorts))
-            return (sorted(args for args, _ in tbl.rows) == sorted(dom)
-                    and all(v in self.carriers[gamma] for _, v in tbl.rows))
-        return tbl in declared
+    def is_table(self, gamma, domain_sorts, tbl):
+        dom = itertools.product(*(self.carriers[s] for s in domain_sorts))
+        return (getattr(tbl, "codomain_sort", None) == gamma
+                and tbl.domain_sorts == tuple(domain_sorts)
+                and sorted(args for args, _ in tbl.rows) == sorted(dom)
+                and all(v in self.carriers[gamma] for _, v in tbl.rows))
 
 
 def as_reference(s: Structure) -> RefStructure:
@@ -239,10 +233,6 @@ def reference_check_closure(s: RefStructure, cap: int) -> ClosureReport:
                         f"composition: functional of {op} undefined on a "
                         f"composable tuple at {sigma}")
                     continue
-                except PartialTable as exc:
-                    report.violations.append(
-                        f"composition: {exc}, composing through {op} at {sigma}")
-                    continue
                 if not s.has_table(spec.result, sigma, tbl):
                     report.violations.append(
                         f"composition: composite through {op} missing from "
@@ -289,15 +279,6 @@ def closure_forms(rng, s: Structure, cap: int):
             if isinstance(rows, Mapping) else rows for op, rows in m.interp.items()},
             {**m.selected, key: m.selected[key] - {gone}})
     yield "dropped", m
-    # one table of each selected set without its first row: its keys are
-    # not the carrier product, so a composition through it is partial
-    m = materialize_selected(s, cap)
-    selected = dict(m.selected)
-    for key in sorted(selected):
-        t = rng.choice(sorted(selected[key], key=repr))
-        part = FnTable.from_map(t.domain_sorts, t.codomain_sort, dict(t.rows[1:]))
-        selected[key] = selected[key] - {t} | {part}
-    yield "partial", Structure(m.signature, m.carriers, m.interp, selected)
 
 
 class TestFnTable:
@@ -345,27 +326,23 @@ class TestFnTable:
         assert repr(t) == repr(RefFnTable.from_map(("a",), "a", dict(t.rows)))
 
     def test_partial_table_from_fls(self):
-        s = fileio.parse_structure(
-            "sort a\nvarsort a\nop c : a\ncarrier a = 0,1\ninterp c = 0\n"
-            "selected a^(a) = {1->0}, {0->0,1->1}\n")
-        partial, total = sorted(s.selected[("a", ("a",))], key=lambda t: len(t.rows))
-        assert partial.rows == ((("1",), "0"),)
+        # a parsed table may be partial, but no structure admits one
+        text = ("sort a\nvarsort a\nop c : a\ncarrier a = 0,1\ninterp c = 0\n"
+                "selected a^(a) = {1->0}, {0->0,1->1}\n")
+        with pytest.raises(InterpretationOutOfCarrier, match=re.escape(
+                "selected a^(a) holds FnTable(domain_sorts=('a',), codomain_sort='a', "
+                "rows=((('1',), '0'),)), which lies outside the carriers or lacks a row")):
+            fileio.parse_structure(text)
+        s = fileio.parse_structure(text.replace("{1->0}, ", ""))
+        total, = s.selected[("a", ("a",))]
+        partial = FnTable.from_map(("a",), "a", {("1",): "0"})
         assert partial.apply(("1",)) == "0"
         with pytest.raises(KeyError):
             partial.apply(("0",))
         assert total.keys is s.product_keys(("a",))
         assert partial.keys is not total.keys
-        assert s.has_table("a", ("a",), partial)
-        assert repr(partial) == repr(RefFnTable.from_map(("a",), "a", {("1",): "0"}))
-
-    def test_partial_table_is_a_composition_violation(self):
-        s = fileio.parse_structure(
-            "sort a\nvarsort a\nop f : (a)a\ncarrier a = 0,1\n"
-            "interp f { (0) -> 1, (1) -> 0 }\nselected a^(a) = {1->0}\n")
-        report = check_closure(s, cap=1)
-        assert not report.ok and report.skipped == []
-        assert "composition: a table of M_a^('a',) is partial, composing " \
-            "through f at ('a',)" in report.violations
+        assert not s.has_table("a", ("a",), partial)
+        assert not s.is_table("a", ("a",), partial)
 
     def test_selected_tables_have_their_sets_sorts(self, small_structure):
         s, rows = small_structure, {("0",): "1", ("1",): "0"}
@@ -689,7 +666,7 @@ class TestLogicalSymbols:
             for kind, form in closure_forms(rng, s, 1):
                 quantifiers_agree(form)
                 kinds.add(kind)
-        assert len(kinds) == 5
+        assert len(kinds) == 4
         tm = build_term_structure(
             TermModelContext(toy_sig, ThOracle(toy_structure), size_bound=4))
         quantifiers_agree(tm.structure)
@@ -822,7 +799,22 @@ class TestClosure:
                     assert rep.ok == (kind in ("full", "reversed", "materialized"))
                     kinds.add(kind)
                     misses += any("undefined" in v for v in rep.violations)
-        assert len(kinds) == 5 and misses
+        assert len(kinds) == 4 and misses
+
+    def test_a_partial_selected_table_is_rejected(self):
+        # a table of a selected set without its first row: its keys are not
+        # the carrier product, so the constructor rejects it, naming the set
+        for seed in range(20):
+            rng = random.Random(seed)
+            sig = rand_structure_signature(rng)
+            m = materialize_selected(rand_full_structure(rng, sig, max_carrier=2), 1)
+            for (gamma, sigma), tables in sorted(m.selected.items()):
+                t = rng.choice(sorted(tables, key=repr))
+                part = FnTable.from_map(t.domain_sorts, t.codomain_sort, dict(t.rows[1:]))
+                with pytest.raises(InterpretationOutOfCarrier, match=re.escape(
+                        f"selected {gamma}^({','.join(sigma)}) holds {part!r}")):
+                    Structure(m.signature, m.carriers, m.interp,
+                              {**m.selected, (gamma, sigma): tables - {t} | {part}})
 
     def test_term_structure_audit_agrees_with_the_reference(self, toy_sig, toy_structure):
         tm = build_term_structure(

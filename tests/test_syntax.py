@@ -302,6 +302,20 @@ class TestParseMemo:
             assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == \
                 outcome(parse_expr, s, text), k
 
+    def test_unit_bound_exact_on_hits(self):
+        """A reused application with parenthesized units inside counts them
+        where it recurs: memo and fresh parses give the same outcome."""
+        s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+        memo = {}
+        inner = "f(" + "(" * 60 + "ca" + ")" * 60 + ")"
+        assert parse_expr(s, inner, memo) is parse_expr(s, "f(ca)")
+        for k in (0, 20, 39, 40, 41, 60):
+            for text in ("(" * k + inner + ")" * k, f"eq_a({'(' * k}{inner}{')' * k},ca)"):
+                assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == \
+                    outcome(parse_expr, s, text), (k, text)
+        with pytest.raises(ParseError, match="nested too deep"):
+            parse_expr(s, "(" * 60 + inner + ")" * 60, memo)
+
     def test_parse_proof_as_lines_parsed_one_by_one(self, monkeypatch):
         s = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a",
                                      "mu": "((a)pi)a"})
