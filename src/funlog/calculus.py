@@ -7,8 +7,9 @@ quantifies the argument-wise equality over fresh variables substituted into
 both binder lists.  Tautologies are recognized semantically by truth table
 over the maximal non-connective subformulas (quantified formulas and
 equalities are opaque atoms; at most 20 atoms): all 2**n rows are checked at
-once, each atom's column an int bitstring and each connective one big-int
-operation.  Rules: detachment and generalization.
+once, each atom's column an int bitstring and each connective (its truth
+function in CONNECTIVES) one big-int operation.  Rules: detachment and
+generalization.
 Equality at the formula sort is the biconditional throughout.
 
 The generators return ordinary Proof values; nothing they produce is trusted,
@@ -166,13 +167,14 @@ class CheckResult:
 # --- tautology recognition --------------------------------------------------
 
 def _postorder(phi: Expr, atoms: dict[Expr, int], code: list):
-    """Append phi's connective skeleton to code in postorder: a connective
-    head for each connective node, the atom's index for each maximal
+    """Append phi's connective skeleton to code in postorder: its entry of
+    CONNECTIVES for each connective node, the atom's index for each maximal
     non-connective subformula (indices numbered in order of first visit)."""
-    if phi.head in CONNECTIVES:
+    connective = CONNECTIVES.get(phi.head)
+    if connective is not None:
         for _, body in phi.args:
             _postorder(body, atoms, code)
-        code.append(phi.head)
+        code.append(connective)
     else:
         code.append(atoms.setdefault(phi, len(atoms)))
 
@@ -196,7 +198,7 @@ MAX_ATOMS = 20  # the most atoms is_tautology decides; 2**20 rows at once
 def is_tautology(phi: Expr) -> bool:
     """Truth-table check over the maximal non-connective subformulas, all
     2**n rows at once: each atom's column is an int bitstring and each
-    connective one big-int operation (Knuth, TAOCP 4A §7.1.1-7.1.3)."""
+    connective's truth function one big-int operation (Knuth, TAOCP 4A §7.1.1-7.1.3)."""
     if phi.sort != PROP:
         return False
     atoms: dict[Expr, int] = {}
@@ -209,27 +211,16 @@ def is_tautology(phi: Expr) -> bool:
     full = (1 << rows) - 1
     masks = [_atom_mask(i, rows) for i in range(n)]
     stack: list[int] = []
-    push, pop = stack.append, stack.pop
     for op in code:
         if type(op) is int:
-            push(masks[op])
-        elif op == "top":
-            push(full)
-        elif op == "bot":
-            push(0)
-        elif op == "not":
-            push(full ^ pop())
+            stack.append(masks[op])
         else:
-            b, a = pop(), pop()
-            if op == "imp":
-                push((full ^ a) | b)
-            elif op == "and":
-                push(a & b)
-            elif op == "or":
-                push(a | b)
-            else:  # iff
-                push(full ^ a ^ b)
-    return pop() == full
+            arity, truth = op
+            start = len(stack) - arity
+            args = stack[start:]
+            del stack[start:]
+            stack.append(truth(full, *args))
+    return stack.pop() == full
 
 
 # --- scheme recognition -----------------------------------------------------
@@ -469,7 +460,7 @@ def _trans_line(b: ProofBuilder, x: Expr, y: Expr, z: Expr) -> int:
     """Line index of x=y -> (y=z -> x=z), via the congruence instance
     x=y -> (x=z <-> y=z) in the first slot of the equality symbol."""
     sig = b.sig
-    op = "iff" if x.sort == PROP else eq_op(x.sort)
+    op = IFF if x.sort == PROP else eq_op(x.sort)
     ab = mk_eq(sig, x, y)
     ac = mk_eq(sig, x, z)
     bc = mk_eq(sig, y, z)
@@ -483,7 +474,7 @@ def derive_symmetry(theory: Theory, a: Expr, b_: Expr) -> Proof:
     """Proof of a=b -> b=a."""
     sig = theory.signature
     b = ProofBuilder(theory)
-    op = "iff" if a.sort == PROP else eq_op(a.sort)
+    op = IFF if a.sort == PROP else eq_op(a.sort)
     ab = mk_eq(sig, a, b_)
     aa = mk_eq(sig, a, a)
     ba = mk_eq(sig, b_, a)

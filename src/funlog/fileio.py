@@ -201,11 +201,10 @@ def parse_structure(text: str) -> Structure:
                 _once(interp_raw, name, value, f"interp {name}")
             elif head == "selected":
                 decl, sep, val = tail.partition("=")
-                m = re.fullmatch(r"(\w+)\^\(([\w,]*)\)", decl.strip())
+                m = re.fullmatch(r"(\w+)\^\((\w+(?:,\w+)*)\)", decl.strip())
                 if not m:
                     raise FormatError(f"bad selected declaration {decl!r}")
-                gamma = m.group(1)
-                dom = tuple(x for x in m.group(2).split(",") if x)
+                gamma, dom = m.group(1), tuple(m.group(2).split(","))
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
                 tables = t.parse(lambda: t.items(lambda: _coerce(_value(t), gamma, dom)))
                 _once(selected_raw, (gamma, dom), frozenset(tables),

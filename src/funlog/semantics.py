@@ -10,20 +10,21 @@ slot is fed the table of its body over its binders' carriers.  Under a
 perspective (a variable sequence covering the free variables) the value is
 the table of these values over the perspective's carriers.
 
-Structure's constructor is the one place a structure is built.  It completes
-the carriers, checks that it is given interpretations of user operations
-only and that they lie in the carriers, and that every selected set
-M_gamma^sigma has a sort gamma and variable sorts sigma and holds only
-tables from the carriers of sigma into gamma's.  Every table it takes, in
-a selected set or as a binder slot's argument, is total, as in the
-paper's models: Structure.is_table, the one test of a table against the
-carriers, requires the shared product of sigma's carriers as its keys and
-values in gamma's carrier.  The logical symbols take no interpretation:
-the constructor gives each its fixed meaning, a small table for a
-connective or eq_<sort>, and for forall^a and exists^a a functional
-defined exactly on M_pi^(a), whose rows are computed as they are asked
-for, so no function space is enumerated.  interp shows the user
-operations only.  Nothing after the constructor has to restore these.  A
+Structure's constructor is the one place a structure is built.  It
+completes the carriers and checks that each lists distinct atoms, the
+formula sort's two, false then true; that it is given interpretations of
+user operations only and that they lie in the carriers; and that every
+selected set M_gamma^sigma has a sort gamma and variable sorts sigma and
+holds only tables from the carriers of sigma into gamma's.  Every table it
+takes, in a selected set or as a binder slot's argument, is total, as in
+the paper's models: Structure.is_table, the one test of a table against
+the carriers, requires the shared product of sigma's carriers as its keys
+and values in gamma's carrier.  The logical symbols take no
+interpretation: the constructor gives each its fixed meaning, a small
+table for a connective (from signature.CONNECTIVES) or eq_<sort>, and for
+forall^a and exists^a a functional defined exactly on M_pi^(a), whose rows
+are computed as they are asked for, so no function space is enumerated.
+interp shows the user operations only.  Nothing after the constructor has to restore these.  A
 structure is full iff it declares no selected set: every selected set is
 then the whole function space, and the closure laws (constants,
 projections, partial fixing, composition) hold by construction.  Whether
@@ -66,7 +67,7 @@ from functools import partial
 from types import MappingProxyType
 
 from .signature import (
-    PROP, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
+    PROP, CONNECTIVES, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
 )
 from .syntax import Expr, ForeignSignature, fv, in_class, perspective_sorts, print_expr
 from .calculus import Theory
@@ -225,13 +226,17 @@ def projection_table(domain_sorts, carriers, j) -> FnTable:
 
 
 def _carriers_for(sig: Signature, carriers: dict) -> dict:
-    """The carrier of every sort: the given nonempty tuple of atom names, the
-    formula sort's defaulting to 0,1 (false, then true)."""
+    """The carrier of every sort: the given nonempty tuple of distinct atom
+    names, the formula sort's two atoms, false then true, defaulting to 0,1."""
     cs = {PROP: ("0", "1")}
     for sort in sorted(sig.sorts):
         atoms = tuple(carriers.get(sort, cs.get(sort, ())))
         if not atoms:
             raise MissingInterpretation(f"no carrier for sort {sort!r}")
+        if len(set(atoms)) != len(atoms):
+            raise InterpretationOutOfCarrier(f"carrier {sort} repeats an atom")
+        if sort == PROP and len(atoms) != 2:
+            raise InterpretationOutOfCarrier(f"carrier {PROP} needs two atoms, false then true")
         cs[sort] = atoms
     return cs
 
@@ -378,22 +383,6 @@ def _check_selected(s: Structure):
                     "or lacks a row of their product")
 
 
-def _bool_tables(f, t):
-    return {
-        "top": t,
-        "bot": f,
-        "not": {(f,): t, (t,): f},
-        "imp": {(x, y): f if (x == t and y == f) else t
-                for x in (f, t) for y in (f, t)},
-        "and": {(x, y): t if (x == t and y == t) else f
-                for x in (f, t) for y in (f, t)},
-        "or": {(x, y): f if (x == f and y == f) else t
-               for x in (f, t) for y in (f, t)},
-        "iff": {(x, y): t if x == y else f
-                for x in (f, t) for y in (f, t)},
-    }
-
-
 class _Quantifier(dict):
     """The meaning of forall^a (holds = all) or exists^a (holds = any): a
     table of M_pi^(a) maps to true iff holds of its values being true.  A
@@ -418,9 +407,14 @@ class _Quantifier(dict):
 
 def _logical_meanings(s: Structure) -> dict:
     """Every logical symbol's fixed meaning over s's carriers: a table for
-    each connective and eq_<sort>, a _Quantifier for forall^a and exists^a."""
+    each connective (its truth function at one row) and eq_<sort>, a
+    _Quantifier for forall^a and exists^a."""
     f, t = s.false_atom, s.true_atom
-    meaning = _bool_tables(f, t)
+    meaning = {}
+    for name, (arity, truth) in CONNECTIVES.items():
+        rows = {xs: (f, t)[truth(1, *(x == t for x in xs))]
+                for xs in itertools.product((f, t), repeat=arity)}
+        meaning[name] = rows if arity else rows[()]
     for a in s.signature.sorts:
         meaning[eq_op(a)] = {(x, y): t if x == y else f
                              for x in s.carriers[a] for y in s.carriers[a]}

@@ -14,16 +14,19 @@ variables, so no operation may be named ``v<n>^<word>``; sort names are single
 words and operation names single concrete-syntax tokens ``word`` or
 ``word^word``.
 
-The constructor, the one place a signature is built from declarations, adds
-pi and the logical symbols and checks every operation; ``Signature.extended``
-adds operations (the completeness proof's special constants) and checks only
-those.  ops is read-only, so every Signature is valid, as ``syntax.mk`` relies
-on; user_ops and ops_by_result are derived on first read; == ignores them.
+Each connective is defined once, in CONNECTIVES, by its arity and truth
+function.  The constructor, the one place a signature is built from
+declarations, adds pi and the logical symbols, valid by construction once
+the sort names are, and checks the given operations; ``Signature.extended``
+adds operations (the completeness proof's special constants) and checks
+only those.  ops is read-only, so every Signature is valid, as ``syntax.mk``
+relies on.  Both record user_ops, the given operations, beside ops, and
+ops_by_result is derived on first read; == ignores them.
 """
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -39,7 +42,18 @@ AND = "and"
 OR = "or"
 IFF = "iff"
 
-CONNECTIVES = frozenset({TOP, BOT, NOT, IMP, AND, OR, IFF})
+# The one definition of the connectives: name -> (arity, truth function).
+# A truth function maps the all-true bit mask and its arguments' masks over
+# the same rows to its result's mask; at one row, full is 1.
+CONNECTIVES: Mapping[str, tuple[int, Callable[..., int]]] = MappingProxyType({
+    TOP: (0, lambda full: full),
+    BOT: (0, lambda full: 0),
+    NOT: (1, lambda full, a: full ^ a),
+    IMP: (2, lambda full, a, b: (full ^ a) | b),
+    AND: (2, lambda full, a, b: a & b),
+    OR: (2, lambda full, a, b: a | b),
+    IFF: (2, lambda full, a, b: full ^ a ^ b),
+})
 
 
 def forall_op(sort: str) -> str:
@@ -197,15 +211,8 @@ def print_ustype(op: OpSig) -> str:
 
 
 def distinguished_ops(sorts: frozenset[str], var_sorts: frozenset[str]) -> dict[str, OpSig]:
-    ops = {
-        TOP: OpSig(PROP),
-        BOT: OpSig(PROP),
-        NOT: OpSig(PROP, ((PROP, ()),)),
-        IMP: OpSig(PROP, ((PROP, ()), (PROP, ()))),
-        AND: OpSig(PROP, ((PROP, ()), (PROP, ()))),
-        OR: OpSig(PROP, ((PROP, ()), (PROP, ()))),
-        IFF: OpSig(PROP, ((PROP, ()), (PROP, ()))),
-    }
+    """The logical symbols over these sorts and their ustypes, in ops' order."""
+    ops = {name: OpSig(PROP, ((PROP, ()),) * arity) for name, (arity, _) in CONNECTIVES.items()}
     for a in sorted(var_sorts):
         ops[forall_op(a)] = OpSig(PROP, ((PROP, (a,)),))
         ops[exists_op(a)] = OpSig(PROP, ((PROP, (a,)),))
@@ -237,7 +244,8 @@ def _op_errors(ops: Mapping[str, OpSig], sorts, var_sorts) -> list[str]:
 class Signature:
     """SRT, VSRT and SOP, valid by construction (see the module docstring).
     ops maps each operation to its ustype, a string or an OpSig; a logical
-    symbol given with its own OpSig is kept, any other raises."""
+    symbol given with its own OpSig is kept, any other raises; user_ops
+    holds the operations other than the logical symbols, in ops' order."""
     sorts: frozenset[str] = frozenset()
     var_sorts: frozenset[str] = frozenset()
     ops: Mapping[str, OpSig] = field(default_factory=dict)
@@ -246,17 +254,18 @@ class Signature:
         sorts, var_sorts = frozenset(self.sorts) | {PROP}, frozenset(self.var_sorts)
         if not var_sorts <= sorts:
             raise UnknownSort(f"variable sorts {sorted(var_sorts - sorts)} not declared as sorts")
-        ops = distinguished_ops(sorts, var_sorts)
+        logical, ops = distinguished_ops(sorts, var_sorts), {}
         for name, spec in self.ops.items():
-            if name not in ops:
+            if name not in logical:
                 ops[name] = parse_ustype(spec, sorts, var_sorts) if isinstance(spec, str) else spec
-            elif spec != ops[name]:  # given names are distinct: a logical symbol
+            elif spec != logical[name]:  # given names are distinct: a logical symbol
                 raise SignatureError(f"operation name {name!r} collides with a logical symbol")
         bad = [f"sort name {s!r} is not a single word"
                for s in sorted(sorts) if not _NAME_RE.fullmatch(s)]
-        if bad := bad + _op_errors(ops, sorts, var_sorts):
+        if bad := bad + _op_errors(logical | ops if bad else ops, sorts, var_sorts):
             raise SignatureError("; ".join(bad))
-        vars(self).update(sorts=sorts, var_sorts=var_sorts, ops=MappingProxyType(ops))
+        vars(self).update(sorts=sorts, var_sorts=var_sorts, ops=MappingProxyType(logical | ops),
+                          user_ops=MappingProxyType(ops))
 
     def extended(self, new_ops: dict[str, OpSig]) -> Signature:
         """This signature with the operations new_ops adds, which alone are
@@ -266,14 +275,9 @@ class Signature:
             raise SignatureError("; ".join(bad))
         sig = object.__new__(Signature)
         vars(sig).update(sorts=self.sorts, var_sorts=self.var_sorts,
-                         ops=MappingProxyType(self.ops | new_ops))
+                         ops=MappingProxyType(self.ops | new_ops),
+                         user_ops=MappingProxyType(self.user_ops | new_ops))
         return sig
-
-    @cached_property
-    def user_ops(self) -> Mapping[str, OpSig]:
-        """The operations other than the logical symbols, in ops' order."""
-        logical = distinguished_ops(self.sorts, self.var_sorts)
-        return MappingProxyType({n: s for n, s in self.ops.items() if n not in logical})
 
     @cached_property
     def ops_by_result(self) -> Mapping[str, tuple[tuple[str, OpSig], ...]]:

@@ -285,7 +285,8 @@ _PAREN_STEP = {"(": 1, ")": -1}
 # default recursion limit of 1000; at 100 they leave nine tenths of it to
 # their callers.  The parser rejects deeper input as its node levels open,
 # and input with more than MAX_NESTING parenthesized units open at once, so
-# deep input costs it linear time.
+# deep input costs it linear time.  It also bounds the cached text: each
+# node keeps its printed form, so a chain d deep holds about d**2/2 chars.
 MAX_NESTING = 100
 
 # The parser's open productions, one stack entry (a list) each:

@@ -343,6 +343,15 @@ class TestStructureValues:
         assert main(["eval", str(bad), "--expr", "top"]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: {reason}")
 
+    @pytest.mark.parametrize("decl", ["pi^(a,)", "pi^(,a)", "pi^(a,,)", "pi^()"])
+    def test_bad_selected_declaration(self, files, capsys, decl):
+        """A selected set's sorts are one or more comma-separated words."""
+        bad = files["dir"] / "bad.fls"
+        bad.write_text(MU_FLS.replace("selected pi^(a) =", f"selected {decl} ="))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line 10: bad selected declaration {decl + ' '!r}")
+
     @pytest.mark.parametrize("text, old, new, line, reason", [
         (TOY_FLS, "interp cb = 1\n", "interp cb = 1\ninterp imp { (0,0) -> 0 }\n", 9,
          "'imp' is a logical symbol"),

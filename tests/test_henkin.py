@@ -157,8 +157,11 @@ def reference_saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
 
 class TestSaturate:
     def test_same_as_the_reference(self):
-        """scripts/henkin_demo.py's bounded completion at depth 3: the same
-        axioms in the same order, some candidates already present."""
+        """A bounded completion over the closed formulas of size at most 3
+        of a level-1 extension, witness constants included (a superset of
+        scripts/henkin_demo.py's candidates, which are over the source
+        signature): the same axioms in the same order, some candidates
+        already present."""
         sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
         m = make_full_structure(
             sig, {"a": ("0", "1")},

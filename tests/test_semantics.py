@@ -13,7 +13,9 @@ from dataclasses import FrozenInstanceError, dataclass, fields, replace
 import pytest
 
 from funlog import fileio
-from funlog.signature import PROP, Signature, eq_op, exists_op, forall_op, variable_sort
+from funlog.signature import (
+    PROP, CONNECTIVES, Signature, eq_op, exists_op, forall_op, variable_sort,
+)
 from funlog.syntax import (
     ExprError, parse_expr, print_expr, ForeignSignature, in_class, perspective_sorts,
 )
@@ -419,6 +421,55 @@ class TestMakeFullStructure:
         assert _apply_op(s, eq_op("a"), ("0", "0")) == "1"
         assert [_apply_op(s, forall_op("a"), (tbl,))
                 for tbl in s.full_space(PROP, ("a",))] == ["0", "0", "0", "1"]
+
+    @pytest.mark.parametrize("carriers, reason", [
+        ({"a": ("x", "x")}, "carrier a repeats an atom"),
+        ({"a": ("x",), PROP: ("0",)}, "carrier pi needs two atoms, false then true"),
+        ({"a": ("x",), PROP: ("1", "1")}, "carrier pi repeats an atom"),
+        ({"a": ("x", "y"), PROP: ("0", "1", "2")}, "carrier pi needs two atoms, false then true"),
+    ], ids=["repeat", "pi-one", "pi-repeat", "pi-three"])
+    def test_malformed_carrier(self, carriers, reason):
+        # the constructor rejects what the .fls reader rejects, in its words
+        sig = Signature(["a"], ["a"], {"c": "a"})
+        for build in (Structure, make_full_structure):
+            with pytest.raises(InterpretationOutOfCarrier, match=f"^{reason}$"):
+                build(sig, carriers, {"c": "x"})
+
+
+# Each connective's truth table, written out by hand.
+TRUTH_TABLES = {
+    "top": {(): True},
+    "bot": {(): False},
+    "not": {(False,): True, (True,): False},
+    "imp": {(False, False): True, (False, True): True, (True, False): False,
+            (True, True): True},
+    "and": {(False, False): False, (False, True): False, (True, False): False,
+            (True, True): True},
+    "or": {(False, False): False, (False, True): True, (True, False): True,
+           (True, True): True},
+    "iff": {(False, False): True, (False, True): False, (True, False): False,
+            (True, True): True},
+}
+
+
+@pytest.mark.parametrize("pi_carrier", ["0,1", "1,0"])
+def test_connective_tables(pi_carrier):
+    """Every row of every connective's table, on a formula carrier in either
+    order: with 1,0 the atom 1 is false."""
+    s = fileio.parse_structure(
+        f"sort a\nvarsort a\nop c : a\ncarrier a = x\ncarrier pi = {pi_carrier}\n"
+        "interp c = x\n")
+    false, true = pi_carrier.split(",")
+    atom = {False: false, True: true}
+    assert (s.false_atom, s.true_atom) == (false, true)
+    assert set(TRUTH_TABLES) == set(CONNECTIVES)
+    for name, table in TRUTH_TABLES.items():
+        if table.keys() != {()}:
+            assert s._interp[name].keys() == {tuple(map(atom.get, xs)) for xs in table}, name
+        for xs, v in table.items():
+            assert _apply_op(s, name, tuple(map(atom.get, xs))) == atom[v], (name, xs)
+    assert satisfies(s, parse_expr(s.signature, "top"))
+    assert not satisfies(s, parse_expr(s.signature, "bot"))
 
 
 class TestEvaluate:
