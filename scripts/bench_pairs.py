@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs: a git revision against the working tree.
 
-    python3 scripts/bench_pairs.py REV WORKLOAD [--pairs N] [--seed S] [--seconds T]
+    python3 scripts/bench_pairs.py REV WORKLOAD... [--pairs N] [--seed S] [--seconds T]
 
-Run it from anywhere inside the repository.  It checks REV out into a
-temporary git worktree, then runs ``perfbench/run.py --workload WORKLOAD
---trace 0`` N times in each checkout, each with its own benchmark files,
-alternating which side goes first.  For every end-to-end metric that
+Run it from anywhere inside the repository.  It extracts REV's files into a
+temporary directory (``git archive``), then runs ``perfbench/run.py
+--workload W --trace 0`` N times for each workload W in each checkout, each
+with its own benchmark files, alternating which side goes first.  For each
+workload, in its own block, and for every end-to-end metric that
 BENCHMARK.json declares it prints each side's median and quartiles and the
 number of pairs the working tree won (ties count for neither side), beside
 the gain rule: a win in at least nine pairs of ten, and a median gap wider
 than the distance between REV's quartiles.  The run length defaults to
-BENCHMARK.json's ``run_seconds``.  The worktree is removed afterwards.
+BENCHMARK.json's ``run_seconds``.  The temporary directory is removed
+afterwards.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
-    ap.add_argument("workload")
+    ap.add_argument("workloads", nargs="+", metavar="workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=None)
@@ -84,25 +86,25 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     rev = git(root, "rev-parse", "--verify", args.rev + "^{commit}")
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = os.path.join(tmp, "parent")
-        git(root, "worktree", "add", "--detach", parent, rev)
-        try:
-            runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for k in range(args.pairs):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+    runs = {w: {"parent": [], "change": []} for w in args.workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
+        archive = subprocess.run(["git", "-C", root, "archive", rev], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for workload, sides in runs.items():
                 for side in order:
                     where = parent if side == "parent" else root
-                    runs[side].append(run_bench(where, args.workload, args.seed, seconds))
-                print(f"pair {k + 1}/{args.pairs}: wall_s parent "
-                      f"{runs['parent'][-1]['metrics']['wall_s']['value']:.3f} "
-                      f"change {runs['change'][-1]['metrics']['wall_s']['value']:.3f}",
+                    sides[side].append(run_bench(where, workload, args.seed, seconds))
+                print(f"pair {k + 1}/{args.pairs} {workload}: wall_s parent "
+                      f"{sides['parent'][-1]['metrics']['wall_s']['value']:.3f} "
+                      f"change {sides['change'][-1]['metrics']['wall_s']['value']:.3f}",
                       file=sys.stderr)
-        finally:
-            git(root, "worktree", "remove", "--force", parent)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
-          f"parent {rev[:10]} against the working tree of {root}")
-    report(bench["end_to_end"], runs)
+    for workload, sides in runs.items():
+        print(f"\n{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
+              f"parent {rev[:10]} against the working tree of {root}")
+        report(bench["end_to_end"], sides)
     return 0
 
 

@@ -186,43 +186,45 @@ def enumerate_exprs(sig: Signature, sort: str, scope, max_size: int,
     so each renaming class contributes one representative."""
     scope = tuple(scope)
     memo = _memo if _memo is not None else {}
-
-    def exact(sort, scope, n):
-        key = (sort, frozenset(scope), n)
-        if key in memo:
-            return memo[key]
-        out = []
-        if n == 1:
-            for v in scope:
-                if variable_sort(sig, v) == sort:
-                    out.append(var(sig, v))
-            for name, spec in sig.ops_by_result[sort]:
-                if spec.arity == 0:
-                    out.append(mk(sig, name))
-        else:
-            for name, spec in sig.ops_by_result[sort]:
-                if not 0 < spec.arity < n:
-                    continue
-                slot_scopes = []
-                slot_binders = []
-                for arg_sort, bsorts in spec.args:
-                    binders = fresh_vars(sig, bsorts, scope)
-                    slot_binders.append(binders)
-                    slot_scopes.append(scope + binders)
-                for sizes in _compositions(n - 1, spec.arity):
-                    pools = [exact(a_sort, slot_scopes[i], sizes[i])
-                             for i, (a_sort, _) in enumerate(spec.args)]
-                    for bodies in itertools.product(*pools):
-                        out.append(mk(sig, name,
-                                      tuple((slot_binders[i], b)
-                                            for i, b in enumerate(bodies))))
-        memo[key] = out
-        return out
-
     result = []
     for n in range(1, max_size + 1):
-        result.extend(sorted(exact(sort, scope, n), key=print_expr))
+        result.extend(sorted(_exact(sig, memo, sort, scope, n), key=print_expr))
     return result
+
+
+def _exact(sig: Signature, memo: dict, sort: str, scope: tuple, n: int) -> list[Expr]:
+    """The expressions of enumerate_exprs with exactly n nodes, memoized
+    in memo by (sort, scope as a set, n)."""
+    key = (sort, frozenset(scope), n)
+    if key in memo:
+        return memo[key]
+    out = []
+    if n == 1:
+        for v in scope:
+            if variable_sort(sig, v) == sort:
+                out.append(var(sig, v))
+        for name, spec in sig.ops_by_result[sort]:
+            if spec.arity == 0:
+                out.append(mk(sig, name))
+    else:
+        for name, spec in sig.ops_by_result[sort]:
+            if not 0 < spec.arity < n:
+                continue
+            slot_scopes = []
+            slot_binders = []
+            for arg_sort, bsorts in spec.args:
+                binders = fresh_vars(sig, bsorts, scope)
+                slot_binders.append(binders)
+                slot_scopes.append(scope + binders)
+            for sizes in _compositions(n - 1, spec.arity):
+                pools = [_exact(sig, memo, a_sort, slot_scopes[i], sizes[i])
+                         for i, (a_sort, _) in enumerate(spec.args)]
+                for bodies in itertools.product(*pools):
+                    out.append(mk(sig, name,
+                                  tuple((slot_binders[i], b)
+                                        for i, b in enumerate(bodies))))
+    memo[key] = out
+    return out
 
 
 # --- the term-model context and norm ----------------------------------------

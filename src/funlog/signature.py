@@ -96,11 +96,10 @@ class OpSig:
         return len(self.args)
 
 
-# A word token of the expression syntax: ``word`` or ``word^word``.
-WORD_TOKEN = r"\w+(?:\^\w+)?"
-
 _NAME_RE = re.compile(r"\w+")
-_OP_NAME_RE = re.compile(WORD_TOKEN)
+# An operation name is one word token of the expression syntax: ``word`` or
+# ``word^word`` (see syntax.lex).
+_OP_NAME_RE = re.compile(r"\w+(?:\^\w+)?")
 
 
 # The ustype grammar's tokens: sort names and the punctuation "(),".
@@ -108,8 +107,9 @@ _USTYPE_TOKEN = re.compile(r"\s*(?:(\w+|[(),])|\S)")
 
 
 def tokenize(pattern: re.Pattern, text: str, error) -> list[str]:
-    """The tokens of text, for every grammar funlog reads.  At each step
-    pattern skips whitespace, then matches either one token, its only group,
+    """The tokens of text, for the ustype and .fls value grammars (the
+    expression syntax has its own lexer, syntax.lex).  At each step pattern
+    skips whitespace, then matches either one token, its only group,
     or one character that starts no token, leaving the group empty; that
     character raises error."""
     toks = pattern.findall(text)
@@ -166,6 +166,8 @@ class Tokens:
 def parse_ustype(text: str, sorts: frozenset[str], var_sorts: frozenset[str]) -> OpSig:
     """Parse ``gamma`` or ``(theta,...,theta)gamma`` with theta = ``alpha`` or
     ``(beta,...,beta)alpha``."""
+    if text in sorts and _NAME_RE.fullmatch(text):  # a bare sort: the grammar's result
+        return OpSig(text)
     t = Tokens(_USTYPE_TOKEN, text,
                lambda msg: MalformedUstype(f"{msg} in ustype {text!r}"))
 

@@ -32,17 +32,18 @@ def substitutable(sig: Signature, d: Expr, x: str, e: Expr) -> bool:
     """Subb(d, x, e): vacuously true at leaves; at an operation node each slot
     must either bind x (making the substitution stop there) or recursively
     admit it with no free variable of d captured by the slot's binders."""
-    fvd = fv(d)
-    def go(e: Expr) -> bool:
-        for binders, body in e.args:
-            if x in binders:
-                continue
-            if fvd & set(binders):
-                return False
-            if not go(body):
-                return False
-        return True
-    return go(e)
+    return _admits(fv(d), x, e)
+
+
+def _admits(fvd: frozenset[str], x: str, e: Expr) -> bool:
+    for binders, body in e.args:
+        if x in binders:
+            continue
+        if fvd & set(binders):
+            return False
+        if not _admits(fvd, x, body):
+            return False
+    return True
 
 
 def substitute(sig: Signature, e: Expr, xs, ds) -> Expr:
@@ -55,22 +56,22 @@ def substitute(sig: Signature, e: Expr, xs, ds) -> Expr:
     for x, d in zip(xs, ds):
         if variable_sort(sig, x) != d.sort:
             raise SortClash(f"cannot substitute sort {d.sort!r} for variable {x!r}")
+    return _substituted(sig, e, xs, ds)
 
-    def go(e: Expr, xs, ds) -> Expr:
-        if e.fv.isdisjoint(xs):
-            return e
-        if not e.args:  # a target variable: its rightmost pair wins
-            for j in range(len(xs) - 1, -1, -1):
-                if xs[j] == e.head:
-                    return ds[j]
-        new_args = []
-        for binders, body in e.args:
-            ext_xs = xs + binders
-            ext_ds = ds + tuple(var(sig, b) for b in binders)
-            new_args.append((binders, go(body, ext_xs, ext_ds)))
-        return Expr(e.head, tuple(new_args), e.sort)
 
-    return go(e, xs, ds)
+def _substituted(sig: Signature, e: Expr, xs: tuple, ds: tuple) -> Expr:
+    if e.fv.isdisjoint(xs):
+        return e
+    if not e.args:  # a target variable: its rightmost pair wins
+        for j in range(len(xs) - 1, -1, -1):
+            if xs[j] == e.head:
+                return ds[j]
+    new_args = []
+    for binders, body in e.args:
+        ext_xs = xs + binders
+        ext_ds = ds + tuple(var(sig, b) for b in binders)
+        new_args.append((binders, _substituted(sig, body, ext_xs, ext_ds)))
+    return Expr(e.head, tuple(new_args), e.sort)
 
 
 def substitute1(sig: Signature, e: Expr, x: str, d: Expr) -> Expr:

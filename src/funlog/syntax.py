@@ -18,8 +18,8 @@ import weakref
 from itertools import accumulate, repeat
 
 from .signature import (
-    PROP, WORD_TOKEN, Signature, eq_op, forall_op, exists_op,
-    is_variable, is_variable_name, tokenize, variable_sort,
+    PROP, Signature, eq_op, forall_op, exists_op,
+    is_variable, is_variable_name, variable_sort,
 )
 
 
@@ -275,7 +275,10 @@ def forall_chain(sig, xs, body: Expr) -> Expr:
 # concrete syntax
 
 _PUNCT = "(),:.="
-_TOKEN = re.compile(rf"\s*(?:({WORD_TOKEN}|[{re.escape(_PUNCT)}])|\S)")
+# A character outside the token alphabet, and a '^' outside a word^word
+# token.  Neither pattern repeats a group, so a search takes linear time.
+_STRAY = re.compile(r"[^\w\s(),:.=^]")
+_STRAY_CARET = re.compile(r"\^(?:(?!\w)|(?<!\w\^)|\w+\^)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
@@ -300,6 +303,25 @@ MAX_NESTING = 100
 _TOP, _APP, _PAREN, _QUANT, _EQ = range(5)
 _TOO_DEEP = "input nested too deep"
 _BARE = "a binder group outside an argument slot"
+
+
+def lex(text: str) -> list[str]:
+    """The tokens of the concrete syntax: ``word``, ``word^word`` and each
+    of ``(),:.=``, with whitespace between them skipped.  A character that
+    starts no token raises ParseError naming the first such character.
+
+    Once both searches find nothing, every run of word characters and '^'
+    is one token, so padding the punctuation with spaces and splitting on
+    whitespace lexes the text.  A caret match lies in the same run as the
+    stray '^' it reports, at or before it, so the caret search stops at the
+    first stray character of another kind: whichever lies first is named."""
+    stray = _STRAY.search(text)
+    if _STRAY_CARET.search(text, 0, stray.start() if stray else len(text)):
+        raise ParseError("unexpected character '^'")
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}")
+    return (text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+            .replace(":", " : ").replace(".", " . ").replace("=", " = ").split())
 
 
 def _expect(toks: list[str], i: int, expected: str) -> int:
@@ -337,17 +359,18 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     unit builds no node, and the sugar ``forall v. e`` and ``a = b`` one.
 
     memo maps the tokens of an operation application ``head(...)``, up to
-    its matching ')', to the expression parsed from them, so that a caller
-    passing one dict to several parses gets each distinct application
-    parsed once.  One memo must serve one signature.  Only successful
-    parses of applications with no parenthesized unit inside are stored:
-    the unit bound does not see the tokens a hit skips.
+    its matching ')' and joined by single spaces, to the expression parsed
+    from them, so that a caller passing one dict to several parses gets
+    each distinct application parsed once.  One memo must serve one
+    signature.  Only successful parses of applications with no
+    parenthesized unit inside are stored: the unit bound does not see the
+    tokens a hit skips.
 
     One loop reads the tokens left to right; a stack holds the productions
     still open, so no input nests the parser's own calls."""
     if memo is None:
         memo = {}
-    toks = tokenize(_TOKEN, text, ParseError)
+    toks = lex(text)
     n = len(toks)
     # level[i]: parentheses open after token i.  The ')' matching a '(' at
     # i is the first token after it that brings level back to level[i] - 1.
@@ -404,7 +427,8 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
                 end = level.index(level[i] - 1, i)
             except ValueError:  # an unclosed '(': the parse fails at the end
                 end = None
-            key = tuple(toks[i - 1:end + 1]) if end is not None else None
+            # no token holds a space, so the joined tokens name the span
+            key = " ".join(toks[i - 1:end + 1]) if end is not None else None
             e = memo.get(key)
             if e is not None:
                 i = end + 1

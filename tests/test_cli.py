@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -215,6 +216,17 @@ class TestEval:
     def test_deep_expr(self, files, capsys, expr):
         assert main(["eval", files["fls"], "--expr", expr]) == 2
         assert capsys.readouterr().err == "error: input nested too deep\n"
+
+    @pytest.mark.parametrize("expr, char", [("a" * 1_000_000 + "$", "$"),
+                                            ("a^" * 100_000 + "a", "^")],
+                             ids=["word-run", "caret-chain"])
+    def test_long_stray_input(self, files, capsys, expr, char):
+        """The lexer's searches take linear time: a regex that repeats a
+        token group backtracks exponentially on such input."""
+        t0 = time.perf_counter()
+        assert main(["eval", files["fls"], "--expr", expr]) == 2
+        assert time.perf_counter() - t0 < 5
+        assert capsys.readouterr().err == f"error: unexpected character {char!r}\n"
 
     def test_incomplete_table(self, files, capsys):
         bad = files["dir"] / "bad.fls"

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import random
 
@@ -210,6 +211,17 @@ class TestEnumeration:
         small = set(enumerate_exprs(small_sig, "a", (), 3))
         big = set(enumerate_exprs(small_sig, "a", (), 4))
         assert small <= big
+
+    def test_a_call_leaves_no_reference_cycle(self, small_sig):
+        """The enumeration builds no closure over itself, which every call
+        would leave behind as a cycle."""
+        gc.disable()
+        try:
+            gc.collect()
+            enumerate_exprs(small_sig, PROP, ("v0^a",), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestNorm:

@@ -187,6 +187,23 @@ class TestUstype:
             with pytest.raises(MalformedUstype):
                 parse_ustype(text, SORTS, VSORTS)
 
+    @pytest.mark.parametrize("text, sorts, want", [
+        ("a", SORTS, OpSig("a")),
+        (" a ", SORTS, OpSig("a")),
+        ("zz", SORTS, (UnknownSort, "sort 'zz' not declared")),
+        ("a b", SORTS, (MalformedUstype, "trailing input from token 'b' in ustype 'a b'")),
+        ("a b", frozenset({"a b", PROP}), (UnknownSort, "sort 'a' not declared")),
+    ])
+    def test_a_bare_word_as_the_grammar_reads_it(self, text, sorts, want):
+        """A declared sort is its own ustype without a scan; anything else,
+        a sort declared under a name that is not one word included, gets
+        the grammar's result or error."""
+        try:
+            got = parse_ustype(text, sorts, VSORTS)
+        except SignatureError as exc:
+            got = type(exc), str(exc)
+        assert got == want
+
 
 class TestSignature:
     def test_distinguished_present(self):

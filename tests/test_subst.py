@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -158,3 +159,23 @@ def test_substitute_as_the_reference(seed):
         assert got is reference_substitute(s, e, xs, ds), print_expr(e)
         changed += got is not e
     assert changed > 30
+
+
+def garbage_cycles_left_by(call) -> int:
+    """The objects that only the cycle collector frees after call()."""
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_call_leaves_no_reference_cycle(sig):
+    """Neither function builds a closure over itself, which every call
+    would leave behind as a cycle."""
+    e = parse_expr(sig, "eq_a(v1^a,mu((v0^a): P(f(v1^a))))")
+    d = parse_expr(sig, "f(v0^a)")
+    assert garbage_cycles_left_by(lambda: substitute(sig, e, ("v1^a",), (d,))) == 0
+    assert garbage_cycles_left_by(lambda: substitutable(sig, d, "v1^a", e)) == 0

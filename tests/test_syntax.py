@@ -1,4 +1,5 @@
 import random
+import re
 import weakref
 
 import pytest
@@ -12,7 +13,7 @@ from funlog.signature import (
 from funlog.syntax import (
     Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
-    fv, in_class, perspective_sorts, MAX_NESTING, _PUNCT, _TOKEN,
+    fv, in_class, perspective_sorts, MAX_NESTING, _PUNCT,
     ExprError, UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
     AliasAmbiguity, ParseError, ForeignSignature,
 )
@@ -167,6 +168,11 @@ def test_forall_chain(sig):
 
 # ---------------------------------------------------------------------------
 # the parse memo, against the parser it replaced
+
+# The expression lexer before syntax.lex: at each step skip whitespace, then
+# match one token, or one character that starts none.
+_TOKEN = re.compile(r"\s*(?:(\w+(?:\^\w+)?|[(),:.=])|\S)")
+
 
 def reference_parse_expr(sig, text: str) -> Expr:
     """parse_expr before the memo: every application is parsed and
@@ -339,6 +345,16 @@ class TestParseMemo:
         assert proof.premises[0] is first
         assert proof.lines[0].formula.args[1][1] is first
         assert proof.lines[1].formula.args[0][1].args[0][1] is first
+
+    def test_a_hit_ignores_whitespace(self, monkeypatch):
+        """An application is keyed by its tokens, so one memo serves every
+        spacing of it: parsing f(ca) after f( ca ) builds no node."""
+        s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+        memo = {}
+        e = parse_expr(s, "f( ca )", memo)
+        monkeypatch.setattr(syntax, "mk", lambda *args: pytest.fail("mk called"))
+        assert parse_expr(s, "f(ca)", memo) is e
+        assert len(memo) == 1
 
     def test_bound_counts_nodes(self):
         """The bound is on the parsed expression's depth in nodes, so

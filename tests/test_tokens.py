@@ -1,7 +1,8 @@
-"""The one lexer, signature.tokenize, against the three hand-written
-tokenizers it replaced (expressions, ustypes, .fls values), which are kept
-here as references.  On every text the two give the same token list, or
-both raise the grammar's error."""
+"""The lexers of the three grammars against the hand-written tokenizers
+they replaced, which are kept here as references: syntax.lex for
+expressions, and signature.tokenize for ustypes and .fls values.  On every
+text the two give the same token list, or both raise the grammar's error;
+an expression lexer's error also names the same character."""
 from __future__ import annotations
 
 import pathlib
@@ -75,9 +76,12 @@ def reference_value_tokens(text: str) -> list[str]:
 
 
 GRAMMARS = {
-    "expr": (reference_expr_tokens, syntax._TOKEN, ParseError),
-    "ustype": (reference_ustype_tokens, signature._USTYPE_TOKEN, MalformedUstype),
-    "value": (reference_value_tokens, fileio._VALUE_TOKEN, FormatError),
+    "expr": (reference_expr_tokens, syntax.lex, ParseError),
+    "ustype": (reference_ustype_tokens,
+               lambda t: tokenize(signature._USTYPE_TOKEN, t, MalformedUstype),
+               MalformedUstype),
+    "value": (reference_value_tokens,
+              lambda t: tokenize(fileio._VALUE_TOKEN, t, FormatError), FormatError),
 }
 
 
@@ -86,6 +90,14 @@ def outcome(lex, text: str, error):
         return lex(text)
     except error:
         return error
+
+
+def expr_outcome(lex, text: str):
+    """The tokens, or the message of the ParseError raised."""
+    try:
+        return lex(text)
+    except ParseError as exc:
+        return str(exc)
 
 
 def printed_texts() -> list[str]:
@@ -106,6 +118,15 @@ def readme_texts() -> list[str]:
     blocks = re.findall(r"```\w*\n(.*?)```", README.read_text(), re.S)
     assert blocks
     return [line for block in blocks for line in block.splitlines()]
+
+
+def random_texts(seed: int) -> list[str]:
+    """Short strings over the token alphabet, spaces, carets and a few
+    characters outside it."""
+    rng = random.Random(seed)
+    alphabet = "ab_1^^^  (),:.=$é\t\n\u00a0"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+            for _ in range(20_000)]
 
 
 def mutants(texts: list[str], seed: int) -> list[str]:
@@ -130,24 +151,34 @@ CORPORA = {
     "readme": readme_texts,
     "printed-mutants": lambda: mutants(printed_texts(), 1),
     "readme-mutants": lambda: mutants(readme_texts(), 2),
+    "random": lambda: random_texts(3),
 }
 
 
 @pytest.mark.parametrize("corpus", CORPORA)
 @pytest.mark.parametrize("grammar", GRAMMARS)
 def test_same_tokens_as_the_reference(grammar, corpus):
-    reference, pattern, error = GRAMMARS[grammar]
+    reference, lex, error = GRAMMARS[grammar]
     texts = CORPORA[corpus]()
     accepted = 0
     for text in texts:
         want = outcome(reference, text, error)
-        got = outcome(lambda t: tokenize(pattern, t, error), text, error)
+        got = outcome(lex, text, error)
         assert got == want, text
         accepted += want is not error
     assert accepted, "no text of the corpus lexes"
 
 
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_expr_errors_name_the_same_character(corpus):
+    for text in CORPORA[corpus]():
+        assert expr_outcome(syntax.lex, text) == expr_outcome(reference_expr_tokens, text), text
+
+
 def test_whitespace_is_what_the_references_skip():
     # the references skip str.isspace() characters; the patterns skip \s
+    # and syntax.lex splits on what str.split() takes for whitespace
     every = "".join(map(chr, range(0x110000)))
-    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    space = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == space
+    assert set(every) - set("".join(every.split())) == set(space)
