@@ -10,14 +10,12 @@ import argparse
 import time
 
 from funlog.cli import count
-from funlog.signature import PROP, Signature
+from funlog.signature import Signature
 from funlog.syntax import parse_expr, print_expr
-from funlog.subst import fv
 from funlog.calculus import Theory
 from funlog.semantics import make_full_structure, check_closure, satisfies_theory
 from funlog.henkin import (
-    ThOracle, TermModelContext, build_term_structure, check_cm_expr,
-    check_ded_sat, norm,
+    ThOracle, TermModelContext, audit_term_model, build_term_structure, norm,
 )
 from funlog import fileio
 
@@ -50,18 +48,7 @@ def main():
     rep = check_closure(tm.structure, cap=1)
     print("closure laws:", "ok" if rep.ok else rep.violations[0])
 
-    cm = ded = bad = 0
-    for sort in sorted(sig.sorts):
-        for scope in ((), ("v0^a",)):
-            for e in ctx.scoped(sort, scope):
-                xs = tuple(x for x in scope if x in fv(e))
-                cm += 1
-                if not check_cm_expr(tm, e, xs):
-                    bad += 1
-    for phi in ctx.closed(PROP):
-        ded += 1
-        if not check_ded_sat(tm, phi):
-            bad += 1
+    cm, ded, bad, _ = audit_term_model(tm)
     print(f"commutation checks: {cm}, provable=satisfied checks: {ded}, "
           f"failures: {bad}")
     print("term structure satisfies theory:",

@@ -14,14 +14,13 @@ import time
 from dataclasses import dataclass, field
 
 from . import fileio
-from .signature import PROP, SignatureError, fresh_vars
+from .signature import PROP, SignatureError
 from .syntax import ExprError, parse_expr, print_expr
-from .subst import fv
 from .calculus import CalculusError, check_proof, used_axioms
 from .semantics import SemanticsError, evaluate, satisfies
 from .henkin import (
     HenkinError, ThOracle, TermModelContext, build_term_structure,
-    check_cm_expr, check_ded_sat, henkin_extend, DEFAULT_SIZE_BOUND,
+    audit_term_model, henkin_extend, DEFAULT_SIZE_BOUND,
 )
 from .gen import SUITES
 
@@ -187,28 +186,7 @@ def cmd_termmodel(args) -> RunReport:
     ctx = TermModelContext(sig, ThOracle(s), size_bound=args.depth)
     tm = build_term_structure(ctx)
 
-    failures = 0
-    cases = 0
-    detail = ""
-    for sort in sorted(sig.sorts):
-        scopes = [()]
-        for vs in sorted(sig.var_sorts):
-            scopes.append(fresh_vars(sig, (vs,), ()))
-        for scope in scopes:
-            for e in ctx.scoped(sort, scope):
-                xs = tuple(x for x in scope if x in fv(e))
-                cases += 1
-                v = check_cm_expr(tm, e, xs)
-                if not v:
-                    failures += 1
-                    detail = detail or f"cm_expr: {v.detail}"
-    cm_cases = cases
-    for phi in ctx.closed(PROP):
-        cases += 1
-        v = check_ded_sat(tm, phi)
-        if not v:
-            failures += 1
-            detail = detail or f"ded=sat: {v.detail}"
+    cm_cases, ded_cases, failures, detail = audit_term_model(tm)
 
     out = args.out or os.path.splitext(args.structure)[0] + ".termmodel.fls"
     text = fileio.print_structure(tm.structure)
@@ -218,12 +196,12 @@ def cmd_termmodel(args) -> RunReport:
         failures += 1
         detail = detail or "emitted structure did not re-parse identically"
 
-    rep.cases = cases
+    rep.cases = cm_cases + ded_cases
     rep.failures = failures
     rep.detail = detail
     rep.extra["depth"] = args.depth
     rep.extra["cm_expr_cases"] = cm_cases
-    rep.extra["ded_sat_cases"] = cases - cm_cases
+    rep.extra["ded_sat_cases"] = ded_cases
     rep.extra["carriers"] = {srt: len(a) for srt, a in tm.structure.carriers.items()}
     rep.extra["out"] = out
     if failures:

@@ -11,14 +11,15 @@ and optional selected function sets::
     interp f { (x) -> y, (y) -> x }
     selected a^(a) = {(x)->x,(y)->y}, {(x)->y,(y)->x}
 
-Atoms containing punctuation (term-model carriers are printed expressions)
-are written in double quotes.  A file with any ``selected`` line describes a
-non-full structure; otherwise interpretations are tabulated over the full
-function spaces.  Each sort, operation and selected set is declared by at
-most one carrier, interp or selected line; logical symbols take no interp.
-Theory files use the same signature header plus ``axiom`` lines; proof
-files hold ``premise`` lines and numbered steps of the form
-``<n>. <formula> ; <rule> <args>`` with 1-based line references.
+An atom is a word or a double-quoted string; atoms containing punctuation
+(term-model carriers are printed expressions) are quoted.  A file with any
+``selected`` line describes a non-full structure; otherwise interpretations
+are tabulated over the full function spaces.  Each sort, operation and
+selected set is declared by at most one carrier, interp or selected line;
+logical symbols take no interp.  Theory files use the same signature
+header plus ``axiom`` lines; proof files hold ``premise`` lines and numbered
+steps of the form ``<n>. <formula> ; <rule> <args>`` with 1-based line
+references.
 """
 from __future__ import annotations
 
@@ -54,33 +55,40 @@ def quote_atom(a: str) -> str:
 _VALUE_TOKEN = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*"|->|[{}(),=]|\w+)|\S)')
 
 
-def _unquote(tok: str) -> str:
-    if tok.startswith('"'):
-        return re.sub(r"\\(.)", r"\1", tok[1:-1])
-    return tok
+def _atom(t: Tokens) -> str:
+    """A word, or a quoted string read back unquoted."""
+    tok = t.take()
+    if not (tok.startswith('"') or WORD.fullmatch(tok)):
+        raise t.error(f"expected an atom, got {tok!r}")
+    return re.sub(r"\\(.)", r"\1", tok[1:-1]) if tok.startswith('"') else tok
 
 
-def _value(t: Tokens):
+def _value(t: Tokens, tables: int):
     """A raw value from the cursor: an atom, or ("table", rows) for a
-    brace-delimited table.  Sorts are attached afterwards from the context
-    of use."""
-    if t.peek() == "{":
-        t.take("{")
-        rows = tuple(t.items(lambda: _row(t)))
-        t.take("}")
-        return ("table", rows)
-    return _unquote(t.take())
+    brace-delimited table, nested at most tables levels deep: 2 for an
+    interp value, 1 for a carrier atom or a selected table.  Sorts are
+    attached afterwards from the context of use."""
+    if t.peek() != "{":
+        return _atom(t)
+    if not tables:
+        raise t.error("nested tables are not supported")
+    t.take("{")
+    rows = tuple(t.items(lambda: _row(t, tables - 1)))
+    t.take("}")
+    return ("table", rows)
 
 
-def _row(t: Tokens):
+def _row(t: Tokens, tables: int):
+    """``args -> value``, where each argument may nest tables levels of
+    tables and the value is an atom."""
     if t.peek() == "(":
         t.take("(")
-        args = t.items(lambda: _value(t))
+        args = t.items(lambda: _value(t, tables))
         t.take(")")
     else:
-        args = [_value(t)]
+        args = [_value(t, tables)]
     t.take("->")
-    return (tuple(args), _value(t))
+    return (tuple(args), _value(t, 0))
 
 
 def _coerce(raw, arg_sort: str, binder_sorts: tuple[str, ...]):
@@ -92,9 +100,6 @@ def _coerce(raw, arg_sort: str, binder_sorts: tuple[str, ...]):
         rows = {args: v for args, v in raw[1]}
         if len(rows) != len(raw[1]):
             raise FormatError("a table repeats an argument tuple")
-        for args, v in rows.items():
-            if any(isinstance(a, tuple) for a in args) or isinstance(v, tuple):
-                raise FormatError("nested tables are not supported")
         return FnTable.from_map(binder_sorts, arg_sort, rows)
     if isinstance(raw, tuple):
         raise FormatError(f"expected an atom of sort {arg_sort!r}, got a table")
@@ -161,7 +166,7 @@ def parse_structure(text: str) -> Structure:
                 if sort not in sig.sorts:
                     raise FormatError(f"unknown sort {sort!r}")
                 t = Tokens(_VALUE_TOKEN, vals, FormatError)
-                atoms = tuple(t.parse(lambda: t.items(lambda: _value(t))))
+                atoms = tuple(t.parse(lambda: t.items(lambda: _value(t, 1))))
                 if any(isinstance(a, tuple) for a in atoms):
                     raise FormatError(f"carrier {sort} holds a table")
                 if len(set(atoms)) != len(atoms):
@@ -170,20 +175,18 @@ def parse_structure(text: str) -> Structure:
                     raise FormatError(f"carrier {PROP} needs two atoms, false then true")
                 _once(carriers, sort, atoms, f"carrier {sort}")
             elif head == "interp":
-                name, sep, val = tail.partition("=")
-                if not sep:
-                    parts = tail.split(None, 1)
-                    name, val = parts if len(parts) == 2 else (tail, "")
+                # the operation, then an optional '=' and the value
+                name = re.match(r"[^\s={]*", tail).group()
+                val = tail[len(name):].lstrip().removeprefix("=")
                 if not val.strip():
-                    raise FormatError(f"interp {name.strip()!r} has no value")
-                name = name.strip()
+                    raise FormatError(f"interp {name!r} has no value")
                 spec = sig.user_ops.get(name)
                 if spec is None:
                     raise FormatError(
                         f"{name!r} is a logical symbol, which takes no interp"
                         if name in sig.ops else f"unknown operation {name!r}")
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
-                raw = t.parse(lambda: _value(t))
+                raw = t.parse(lambda: _value(t, 2))
                 if spec.arity == 0:
                     value = _coerce(raw, spec.result, ())
                 else:
@@ -206,7 +209,7 @@ def parse_structure(text: str) -> Structure:
                     raise FormatError(f"bad selected declaration {decl!r}")
                 gamma, dom = m.group(1), tuple(m.group(2).split(","))
                 t = Tokens(_VALUE_TOKEN, val, FormatError)
-                tables = t.parse(lambda: t.items(lambda: _coerce(_value(t), gamma, dom)))
+                tables = t.parse(lambda: t.items(lambda: _coerce(_value(t, 1), gamma, dom)))
                 _once(selected_raw, (gamma, dom), frozenset(tables),
                       f"selected {gamma}^({','.join(dom)})")
             else:
@@ -357,7 +360,7 @@ def just_from_text(sig: Signature, text: str, memo: dict):
         else:
             try:
                 d = json.loads(tail)
-            except RecursionError:
+            except RecursionError:  # json's C decoder recurses once per level
                 raise FormatError("input nested too deep") from None
             if type(d) is not dict or d.keys() != set(names):
                 raise TypeError(f"expected a JSON object with keys {names}")

@@ -432,3 +432,24 @@ def check_ded_sat(tm: TermModel, phi: Expr) -> Verdict:
         return Verdict(False,
                        f"{print_expr(phi)}: oracle {verdict}, satisfied {sat}")
     return Verdict(True)
+
+
+def audit_term_model(tm: TermModel) -> tuple[int, int, int, str]:
+    """check_cm_expr on every expression in bound over the closed scope and
+    over one fresh variable of each variable sort, then check_ded_sat on
+    every closed formula in bound: the numbers of cm_expr cases, ded=sat
+    cases and failures, and the first failure's detail."""
+    ctx, sig = tm.ctx, tm.ctx.signature
+    scopes = [()] + [fresh_vars(sig, (vs,), ()) for vs in sorted(sig.var_sorts)]
+    cm, ded, failed = 0, 0, []
+    for sort in sorted(sig.sorts):
+        for scope in scopes:
+            for e in ctx.scoped(sort, scope):
+                cm += 1
+                if not (v := check_cm_expr(tm, e, tuple(x for x in scope if x in fv(e)))):
+                    failed.append(f"cm_expr: {v.detail}")
+    for phi in ctx.closed(PROP):
+        ded += 1
+        if not (v := check_ded_sat(tm, phi)):
+            failed.append(f"ded=sat: {v.detail}")
+    return cm, ded, len(failed), failed[0] if failed else ""

@@ -152,12 +152,8 @@ class Tokens:
         return out
 
     def parse(self, rule):
-        """rule() over the whole text: tokens left over are an error, and so
-        is input nested deeper than Python's recursion limit allows."""
-        try:
-            result = rule()
-        except RecursionError:
-            raise self.error("input nested too deep") from None
+        """rule() over the whole text: tokens left over are an error."""
+        result = rule()
         if self.pos < len(self.toks):
             raise self.error(f"trailing input from token {self.toks[self.pos]!r}")
         return result
@@ -256,14 +252,19 @@ class Signature:
         sorts, var_sorts = frozenset(self.sorts) | {PROP}, frozenset(self.var_sorts)
         if not var_sorts <= sorts:
             raise UnknownSort(f"variable sorts {sorted(var_sorts - sorts)} not declared as sorts")
+        bad = [f"sort name {s!r} is not a single word"
+               for s in sorted(sorts) if not _NAME_RE.fullmatch(s)]
         logical, ops = distinguished_ops(sorts, var_sorts), {}
         for name, spec in self.ops.items():
             if name not in logical:
-                ops[name] = parse_ustype(spec, sorts, var_sorts) if isinstance(spec, str) else spec
+                try:  # a misnamed sort, if any, is the error to report
+                    ops[name] = (parse_ustype(spec, sorts, var_sorts)
+                                 if isinstance(spec, str) else spec)
+                except SignatureError:
+                    if not bad:
+                        raise
             elif spec != logical[name]:  # given names are distinct: a logical symbol
                 raise SignatureError(f"operation name {name!r} collides with a logical symbol")
-        bad = [f"sort name {s!r} is not a single word"
-               for s in sorted(sorts) if not _NAME_RE.fullmatch(s)]
         if bad := bad + _op_errors(logical | ops if bad else ops, sorts, var_sorts):
             raise SignatureError("; ".join(bad))
         vars(self).update(sorts=sorts, var_sorts=var_sorts, ops=MappingProxyType(logical | ops),

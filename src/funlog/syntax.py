@@ -287,15 +287,15 @@ _PAREN_STEP = {"(": 1, ")": -1}
 # evaluate and is_tautology do, and fail near 990 levels under Python's
 # default recursion limit of 1000; at 100 they leave nine tenths of it to
 # their callers.  The parser rejects deeper input as its node levels open,
-# and input with more than MAX_NESTING parenthesized units open at once, so
-# deep input costs it linear time.  It also bounds the cached text: each
-# node keeps its printed form, so a chain d deep holds about d**2/2 chars.
+# and input with more than 2 * MAX_NESTING parentheses open at once before
+# it parses, so deep input costs it linear time.  It also bounds the cached
+# text: each node keeps its printed form, so a chain d deep holds about
+# d**2/2 chars.
 MAX_NESTING = 100
 
 # The parser's open productions, one stack entry (a list) each:
 #   [_TOP, binders]                      the whole text
-#   [_APP, head, args, memo key, units, binders]  an operation application;
-#                                        units: the _PARENs opened before it
+#   [_APP, head, args, memo key, binders]  an operation application
 #   [_PAREN, binders]                    a parenthesized slot
 #   [_QUANT, quantifier, var, binders]   the sugar forall v. e
 #   [_EQ, left operand]                  the sugar a = b, after its '='
@@ -355,16 +355,17 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     A binder group is allowed only in an operation's argument slot.  It is
     told from a parenthesized expression by the tokens up to its ':'.  An
     expression deeper than MAX_NESTING nodes is a parse error, and so is
-    input with more than MAX_NESTING parenthesized units open at once; a
-    unit builds no node, and the sugar ``forall v. e`` and ``a = b`` one.
+    input with more than 2 * MAX_NESTING parentheses open at once; a
+    parenthesized unit builds no node, and the sugar ``forall v. e`` and
+    ``a = b`` one.
 
     memo maps the tokens of an operation application ``head(...)``, up to
     its matching ')' and joined by single spaces, to the expression parsed
     from them, so that a caller passing one dict to several parses gets
     each distinct application parsed once.  One memo must serve one
-    signature.  Only successful parses of applications with no
-    parenthesized unit inside are stored: the unit bound does not see the
-    tokens a hit skips.
+    signature.  Every successful parse of an application is stored: the
+    parenthesis bound reads all the tokens before parsing, and the depth
+    bound the expression built, so a hit hides nothing from either.
 
     One loop reads the tokens left to right; a stack holds the productions
     still open, so no input nests the parser's own calls."""
@@ -375,13 +376,12 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     # level[i]: parentheses open after token i.  The ')' matching a '(' at
     # i is the first token after it that brings level back to level[i] - 1.
     level = list(accumulate(map(_PAREN_STEP.get, toks, repeat(0))))
-    # Accepted input opens at most MAX_NESTING units, MAX_NESTING - 1
-    # argument lists and one binder group at once: reject more, keying none.
+    # The one bound on parentheses, argument lists, binder groups and
+    # units alike: reject input past it before keying anything.
     if max(level, default=0) > 2 * MAX_NESTING:
         raise ParseError(_TOO_DEEP)
     stack = [[_TOP, ()]]
-    # open entries that build a node; open _PARENs; _PARENs opened so far
-    nodes = parens = units = 0
+    nodes = 0  # open entries that build a node
     i, at_slot = 0, True
     while True:
         # Read on to the end of a unit e, opening productions on the way.
@@ -412,10 +412,6 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
             i += 1
             if head == "(":
                 stack.append([_PAREN, ()])
-                parens += 1
-                units += 1
-                if parens > MAX_NESTING:
-                    raise ParseError(_TOO_DEEP)
                 at_slot = True
                 continue
             if head in _PUNCT:
@@ -433,7 +429,7 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
             if e is not None:
                 i = end + 1
                 break
-            stack.append([_APP, head, [], key, units, ()])
+            stack.append([_APP, head, [], key, ()])
             i += 1
             nodes += 1
             if nodes >= MAX_NESTING:
@@ -475,14 +471,13 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
                 stack.pop()
                 nodes -= 1
                 e = mk(sig, top[1], tuple(top[2]))
-                if top[3] is not None and top[4] == units:
+                if top[3] is not None:
                     memo[top[3]] = e
             elif top[0] == _PAREN:
                 if top[-1]:
                     raise ParseError(_BARE)
                 i = _expect(toks, i, ")")
                 stack.pop()
-                parens -= 1
             else:  # _TOP
                 if i < n:
                     raise ParseError(f"trailing input from token {toks[i]!r}")

@@ -238,14 +238,43 @@ class TestEval:
         bad = files["dir"] / "bad.fls"
         bad.write_text(MU_FLS.replace('({"0"->0,1->0})', '({{0->0}->0,1->0})'))
         assert main(["eval", str(bad), "--expr", "ca"]) == 2
-        assert "nested tables" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: line 9: nested tables are not supported\n"
+
+    @pytest.mark.parametrize("old, new, line", [
+        ('({"0"->0,1->0}) -> "0"', '({"0"->0,1->0}) -> {0->0}', 9),
+        ("carrier a = \"0\",1", "carrier a = {0->{0->0}}", 6),
+        ("selected pi^(a) = {0->0,1->0}", "selected pi^(a) = {({0->0})->0}", 10),
+    ], ids=["row-value", "carrier", "selected"])
+    def test_nested_table_past_the_fixed_levels(self, files, capsys, old, new, line):
+        """An interp value nests two table levels, a carrier atom or a
+        selected table one, and a row's value none."""
+        bad = files["dir"] / "bad.fls"
+        assert old in MU_FLS
+        bad.write_text(MU_FLS.replace(old, new))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: nested tables are not supported\n"
 
     def test_deep_table(self, files, capsys):
         bad = files["dir"] / "bad.fls"
         deep = "{(" * 2000 + "0" + ")->0}" * 2000
         bad.write_text(TOY_FLS.replace("interp f { (0) -> 1, (1) -> 0 }", f"interp f {deep}"))
         assert main(["eval", str(bad), "--expr", "ca"]) == 2
-        assert capsys.readouterr().err.startswith("error: line 9: ")
+        assert capsys.readouterr().err == "error: line 9: nested tables are not supported\n"
+
+    @pytest.mark.parametrize("old, new, line, tok", [
+        ("carrier a = 0,1", "carrier a = 0,)", 6, ")"),
+        ("(0) -> 1,", "(0) -> ->,", 9, "->"),
+        ("interp ca = 0", "interp ca = =", 7, "="),
+        ("(1) -> 0 }", "(,) -> 0 }", 9, ","),
+        (TOY_FLS, "sort a\nop ca : a\ncarrier a = ), ->\ninterp ca = )\n", 3, ")"),
+    ], ids=["paren", "arrow", "equals", "comma", "all-punctuation"])
+    def test_unquoted_punctuation_is_no_atom(self, files, capsys, old, new, line, tok):
+        """An atom is a word or a quoted string."""
+        bad = files["dir"] / "bad.fls"
+        assert old in TOY_FLS
+        bad.write_text(TOY_FLS.replace(old, new))
+        assert main(["eval", str(bad), "--expr", "ca"]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: expected an atom, got {tok!r}\n"
 
 
 class TestSat:

@@ -10,7 +10,7 @@ from funlog.calculus import (
     Theory, Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
     ForallElim, ExistsIntro, ForallImpDist, ExistsImpDist, EqCongr, check_proof,
 )
-from funlog.semantics import evaluate, satisfies
+from funlog.semantics import evaluate, make_full_structure, materialize_selected, satisfies
 from funlog import fileio
 from funlog.gen import rand_signature, rand_structure_signature, rand_full_structure, rand_proof
 from funlog.henkin import ThOracle, TermModelContext, build_term_structure
@@ -65,8 +65,20 @@ interp f { ("f(x)") -> plain, (plain) -> "f(x)" }
         assert s.carriers["a"] == ("f(x)", "plain")
         assert evaluate(s, parse_expr(s.signature, "f(ca)"), ()) == "plain"
 
+    def test_punctuation_in_quoted_atoms_round_trips(self):
+        """An interp line is read from its operation name, so an '=' or a
+        quote, backslash or comma inside a quoted atom reads back."""
+        atoms = ("x=y", 'a"b', "c\\d", "(,)")
+        sig = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a", "mu": "((a)pi)a"})
+        s = make_full_structure(sig, {"a": atoms}, {
+            "ca": "x=y", "f": lambda v: atoms[atoms.index(v) - 1],
+            "mu": lambda t: atoms[sum(v == "1" for v in t.values) % 4]})
+        for m in (s, materialize_selected(s, cap=1)):
+            text = fileio.print_structure(m)
+            assert '"x=y"' in text and '"a\\"b"' in text and '"c\\\\d"' in text
+            assert fileio.print_structure(fileio.parse_structure(text)) == text
+
     def test_selected_means_not_full(self, small_structure):
-        from funlog.semantics import materialize_selected
         m = materialize_selected(small_structure, cap=1)
         text = fileio.print_structure(m)
         s2 = fileio.parse_structure(text)

@@ -260,6 +260,18 @@ class TestSignature:
         decls = ["a"], ["a"], {"f": "(a)a"}
         assert outcome(Signature, *decls) == outcome(reference_signature, *decls)
 
+    @pytest.mark.parametrize("ops", [{"f": "a b"}, {"f": "(a b)pi"}, {"f": "a b", "g": "pi"}])
+    def test_a_misnamed_sort_in_a_ustype(self, ops):
+        """The sort names are checked before the ustypes are read, so a
+        misnamed sort used in a ustype is reported as misnamed, not as
+        undeclared.  reference_signature reads the ustypes first, so these
+        cases are not in HOSTILE."""
+        with pytest.raises(SignatureError) as exc:
+            Signature(["a b"], [], ops)
+        assert (type(exc.value), str(exc.value)) == (
+            SignatureError, "sort name 'a b' is not a single word; "
+                            "operation name 'eq_a b' is not a single token")
+
     def test_rebuilt_from_its_own_fields(self):
         sig = Signature(["a"], ["a"], {"f": "(a)a"})
         again = Signature(sig.sorts, sig.var_sorts, sig.ops)

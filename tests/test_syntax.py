@@ -308,19 +308,37 @@ class TestParseMemo:
             assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == \
                 outcome(parse_expr, s, text), k
 
-    def test_unit_bound_exact_on_hits(self):
-        """A reused application with parenthesized units inside counts them
-        where it recurs: memo and fresh parses give the same outcome."""
+    def test_paren_bound_exact_on_hits(self):
+        """A reused application with parenthesized units inside counts its
+        parentheses where it recurs: memo and fresh parses give the same
+        outcome, and 2 * MAX_NESTING parentheses may be open at once."""
         s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
         memo = {}
         inner = "f(" + "(" * 60 + "ca" + ")" * 60 + ")"
         assert parse_expr(s, inner, memo) is parse_expr(s, "f(ca)")
-        for k in (0, 20, 39, 40, 41, 60):
+        for k in (0, 20, 39, 40, 41, 60, 138, 139, 140):
             for text in ("(" * k + inner + ")" * k, f"eq_a({'(' * k}{inner}{')' * k},ca)"):
                 assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == \
                     outcome(parse_expr, s, text), (k, text)
-        with pytest.raises(ParseError, match="nested too deep"):
-            parse_expr(s, "(" * 60 + inner + ")" * 60, memo)
+        assert 2 * MAX_NESTING == 200
+        for m in (None, memo, memo):
+            assert parse_expr(s, "(" * 200 + "ca" + ")" * 200, m) is parse_expr(s, "ca")
+            assert parse_expr(s, "(" * 139 + inner + ")" * 139, m) is parse_expr(s, "f(ca)")
+            for text in ("(" * 201 + "ca" + ")" * 201, "(" * 140 + inner + ")" * 140):
+                with pytest.raises(ParseError, match="^input nested too deep$"):
+                    parse_expr(s, text, m)
+
+    def test_a_hit_with_grouping_parentheses_is_the_fresh_parse(self, monkeypatch):
+        """An application with grouping parentheses inside is stored like
+        any other, and a hit returns the node a fresh parse builds."""
+        s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+        memo = {}
+        e = parse_expr(s, "eq_a(f(((ca))),f((f(ca))))", memo)
+        assert {"f ( ( ( ca ) ) )", "f ( ( f ( ca ) ) )"} <= memo.keys()
+        fresh = [parse_expr(s, text) for text in ("f(((ca)))", "f((f(ca)))")]
+        monkeypatch.setattr(syntax, "mk", lambda *args: pytest.fail("mk called"))
+        assert [parse_expr(s, text, memo) for text in ("f(((ca)))", "f((f(ca)))")] == fresh
+        assert e.args[0][1] is fresh[0] and e.args[1][1] is fresh[1]
 
     def test_parse_proof_as_lines_parsed_one_by_one(self, monkeypatch):
         s = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a",
