@@ -11,15 +11,19 @@ workload, in its own block, and for every end-to-end metric that
 BENCHMARK.json declares it prints each side's median and quartiles and the
 number of pairs the working tree won (ties count for neither side), beside
 the gain rule: a win in at least nine pairs of ten, and a median gap wider
-than the distance between REV's quartiles.  The run length defaults to
-BENCHMARK.json's ``run_seconds``.  The temporary directory is removed
-afterwards.
+than the distance between REV's quartiles.  Each block's header names the
+Python version and whether the children write bytecode caches: they inherit
+PYTHONDONTWRITEBYTECODE, and without caches every child recompiles
+``src/funlog``, which moves ``setup_s`` by about a third.  The run length
+defaults to BENCHMARK.json's ``run_seconds``.  The temporary directory is
+removed afterwards.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -71,6 +75,13 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
               f"{'  (gain rule met)' if claim else ''}")
 
 
+def how_it_ran() -> str:
+    no_caches = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
+    return (f"Python {platform.python_version()}, children write bytecode caches: "
+            f"{'no' if no_caches else 'yes'} (PYTHONDONTWRITEBYTECODE={no_caches!r}, "
+            f"sys.flags.dont_write_bytecode={sys.flags.dont_write_bytecode})")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
@@ -104,6 +115,7 @@ def main(argv=None) -> int:
     for workload, sides in runs.items():
         print(f"\n{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
               f"parent {rev[:10]} against the working tree of {root}")
+        print(how_it_ran())
         report(bench["end_to_end"], sides)
     return 0
 

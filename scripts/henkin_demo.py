@@ -14,7 +14,7 @@ alone, and a run that listed them grew past 7 GB before it was killed.
 """
 import argparse
 
-from funlog.cli import count
+from funlog.cli import count, without_cycle_collector
 from funlog.signature import PROP, Signature
 from funlog.syntax import parse_expr
 from funlog.calculus import Theory, is_consistent_up_to
@@ -30,30 +30,31 @@ def main():
     ap.add_argument("--depth", type=count, default=3)
     args = ap.parse_args()
 
-    sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
-    m = make_full_structure(
-        sig, {"a": ("0", "1")},
-        {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
-    theory = Theory(sig, (parse_expr(sig, "eq_a(f(ca),cb)"),))
+    with without_cycle_collector():  # see funlog.cli
+        sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+        m = make_full_structure(
+            sig, {"a": ("0", "1")},
+            {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
+        theory = Theory(sig, (parse_expr(sig, "eq_a(f(ca),cb)"),))
 
-    ext = henkin_extend(theory, args.levels, args.depth)
-    print(f"levels={args.levels} depth={args.depth}: "
-          f"{len(ext.constants)} witness constants, "
-          f"{len(ext.theory.axioms)} axioms")
+        ext = henkin_extend(theory, args.levels, args.depth)
+        print(f"levels={args.levels} depth={args.depth}: "
+              f"{len(ext.constants)} witness constants, "
+              f"{len(ext.theory.axioms)} axioms")
 
-    big = extend_structure_for_henkin(m, ext)
-    print("extended structure models extended theory:",
-          satisfies_theory(big, ext.theory))
-    print("reduct still models the original theory:",
-          satisfies_theory(restrict_structure(big, sig), theory))
+        big = extend_structure_for_henkin(m, ext)
+        print("extended structure models extended theory:",
+              satisfies_theory(big, ext.theory))
+        print("reduct still models the original theory:",
+              satisfies_theory(restrict_structure(big, sig), theory))
 
-    oracle = ThOracle(big)
-    print("consistent up to the oracle:",
-          is_consistent_up_to(ext.theory, oracle))
-    candidates = enumerate_exprs(sig, PROP, (), 3)
-    completed = saturate_bounded(ext.theory, candidates, oracle)
-    print(f"bounded completion over {len(candidates)} candidates: "
-          f"{len(completed.axioms)} axioms")
+        oracle = ThOracle(big)
+        print("consistent up to the oracle:",
+              is_consistent_up_to(ext.theory, oracle))
+        candidates = enumerate_exprs(sig, PROP, (), 3)
+        completed = saturate_bounded(ext.theory, candidates, oracle)
+        print(f"bounded completion over {len(candidates)} candidates: "
+              f"{len(completed.axioms)} axioms")
 
 
 if __name__ == "__main__":

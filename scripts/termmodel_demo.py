@@ -9,7 +9,7 @@ every in-bound closed formula.
 import argparse
 import time
 
-from funlog.cli import count
+from funlog.cli import count, without_cycle_collector
 from funlog.signature import Signature
 from funlog.syntax import parse_expr, print_expr
 from funlog.calculus import Theory
@@ -26,36 +26,37 @@ def main():
     ap.add_argument("--out", default="termmodel_demo.fls")
     args = ap.parse_args()
 
-    sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
-    m = make_full_structure(
-        sig, {"a": ("0", "1")},
-        {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
-    theory = Theory(sig, (
-        parse_expr(sig, "eq_a(f(ca),cb)"),
-        parse_expr(sig, "forall v0^a. eq_a(f(f(v0^a)),v0^a)")))
-    print("source structure satisfies theory:", satisfies_theory(m, theory))
+    with without_cycle_collector():  # see funlog.cli
+        sig = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a"})
+        m = make_full_structure(
+            sig, {"a": ("0", "1")},
+            {"ca": "0", "cb": "1", "f": lambda v: "1" if v == "0" else "0"})
+        theory = Theory(sig, (
+            parse_expr(sig, "eq_a(f(ca),cb)"),
+            parse_expr(sig, "forall v0^a. eq_a(f(f(v0^a)),v0^a)")))
+        print("source structure satisfies theory:", satisfies_theory(m, theory))
 
-    ctx = TermModelContext(sig, ThOracle(m), size_bound=args.depth)
-    t0 = time.time()
-    tm = build_term_structure(ctx)
-    print(f"term structure built in {time.time() - t0:.2f}s; "
-          f"carriers: { {s: list(c) for s, c in tm.structure.carriers.items()} }")
+        ctx = TermModelContext(sig, ThOracle(m), size_bound=args.depth)
+        t0 = time.time()
+        tm = build_term_structure(ctx)
+        print(f"term structure built in {time.time() - t0:.2f}s; "
+              f"carriers: { {s: list(c) for s, c in tm.structure.carriers.items()} }")
 
-    for text in ("f(f(ca))", "f(cb)", "eq_a(f(ca),cb)"):
-        e = parse_expr(sig, text)
-        print(f"norm({text}) = {print_expr(norm(ctx, e))}")
+        for text in ("f(f(ca))", "f(cb)", "eq_a(f(ca),cb)"):
+            e = parse_expr(sig, text)
+            print(f"norm({text}) = {print_expr(norm(ctx, e))}")
 
-    rep = check_closure(tm.structure, cap=1)
-    print("closure laws:", "ok" if rep.ok else rep.violations[0])
+        rep = check_closure(tm.structure, cap=1)
+        print("closure laws:", "ok" if rep.ok else rep.violations[0])
 
-    cm, ded, bad, _ = audit_term_model(tm)
-    print(f"commutation checks: {cm}, provable=satisfied checks: {ded}, "
-          f"failures: {bad}")
-    print("term structure satisfies theory:",
-          satisfies_theory(tm.structure, theory))
+        cm, ded, bad, _ = audit_term_model(tm)
+        print(f"commutation checks: {cm}, provable=satisfied checks: {ded}, "
+              f"failures: {bad}")
+        print("term structure satisfies theory:",
+              satisfies_theory(tm.structure, theory))
 
-    fileio.save(args.out, fileio.print_structure(tm.structure))
-    print("emitted", args.out)
+        fileio.save(args.out, fileio.print_structure(tm.structure))
+        print("emitted", args.out)
 
 
 if __name__ == "__main__":

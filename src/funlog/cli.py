@@ -7,6 +7,8 @@ Reports print as key/value lines, or as a single JSON document with --json.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
@@ -65,6 +67,26 @@ class RunReport:
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def without_cycle_collector():
+    """Run the body with CPython's cycle collector off, then put it back as
+    it was.  The kernel makes no reference cycles, so reference counting
+    alone frees everything it drops: nodes are interned in a table of weak
+    references, a structure's quantifiers point back at it weakly, and the
+    recursive helpers are module-level functions, not closures over
+    themselves.  With the collector on, each full collection re-walks every
+    live node and frees nothing.  A cycle added to the kernel would leak
+    for the rest of the process; tests/test_cli.py::TestNoReferenceCycles
+    runs every command and fuzz suite and requires zero cyclic garbage."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _load_theory(path):
@@ -270,7 +292,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        rep = args.fn(args)
+        with without_cycle_collector():
+            rep = args.fn(args)
     except (UsageError, fileio.FormatError, ExprError, OSError,
             UnicodeDecodeError, SignatureError, CalculusError, SemanticsError,
             HenkinError) as exc:

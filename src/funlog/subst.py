@@ -19,12 +19,18 @@ class SortClash(Exception):
 
 
 def gv(e: Expr) -> frozenset[str]:
-    """Bound variables: every binder-list component plus the bodies' own."""
-    if not e.args:
-        return frozenset()
+    """Bound variables: every binder-list component plus the bodies' own.
+    One loop over an explicit stack, each distinct node visited once, so
+    nesting depth costs no Python frames."""
     out = set()
-    for binders, body in e.args:
-        out |= gv(body) | set(binders)
+    seen = {e}
+    stack = [e]
+    while stack:
+        for binders, body in stack.pop().args:
+            out.update(binders)
+            if body.args and body not in seen:
+                seen.add(body)
+                stack.append(body)
     return frozenset(out)
 
 

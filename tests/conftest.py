@@ -1,9 +1,20 @@
+import gc
+
 import pytest
 
+from funlog.cli import without_cycle_collector
 from funlog.signature import Signature
 from funlog.syntax import parse_expr
 from funlog.calculus import Theory
 from funlog.semantics import make_full_structure
+
+
+def garbage_cycles_left_by(call) -> int:
+    """The objects that only the cycle collector frees after call()."""
+    with without_cycle_collector():
+        gc.collect()
+        call()
+        return gc.collect()
 
 
 @pytest.fixture

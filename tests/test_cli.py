@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -11,6 +12,8 @@ from funlog import fileio, gen
 from funlog.cli import main, build_parser, RunReport
 from funlog.syntax import MAX_NESTING, parse_expr
 from funlog.semantics import satisfies_theory
+
+from conftest import garbage_cycles_left_by
 
 
 TOY_FLS = """\
@@ -706,3 +709,54 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as e:
         build_parser().parse_args([])
     assert e.value.code == 2
+
+
+# One small run of every command and of every fuzz suite; {dir}/bad.* are
+# written by broken_files.
+SMALL_RUNS = {
+    "check-ok": "check {flt} {flp}",
+    "check-fail": "check {flt} {dir}/bad.flp",
+    "eval-table": "eval {fls} --expr f(v0^a) --persp v0^a",
+    "sat-ok": "sat {fls} {flt}",
+    "sat-fail": "sat {fls} {dir}/bad.flt",
+    "termmodel": "termmodel {fls} --depth 4 --out {dir}/tm.fls",
+    "henkin": "henkin {flt} --depth 4 --out {dir}/h.flt",
+    **{f"fuzz-{suite}": f"fuzz {suite} --n 20" for suite in gen.SUITES},
+}
+
+
+@pytest.fixture
+def broken_files(files):
+    (files["dir"] / "bad.flp").write_text("1. bot ; taut\n")
+    (files["dir"] / "bad.flt").write_text(
+        TOY_FLT.replace("axiom eq_a(f(ca),cb)", "axiom bot"))
+    return files
+
+
+class TestNoReferenceCycles:
+    """main runs each command with the cycle collector off, which is sound
+    only while reference counting alone frees everything a command drops."""
+
+    def test_the_helper_sees_a_cycle(self):
+        def cycle():
+            xs = []
+            xs.append(xs)
+        assert garbage_cycles_left_by(cycle) > 0
+
+    @pytest.mark.parametrize("name", SMALL_RUNS)
+    def test_a_command_leaves_no_cycle(self, broken_files, capsys, name):
+        # argparse makes its own cycles, once per parser: parse first
+        args = build_parser().parse_args(SMALL_RUNS[name].format(**broken_files).split())
+        assert garbage_cycles_left_by(lambda: args.fn(args)) == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("proof,code", [
+        ("{flp}", 0), ("{dir}/bad.flp", 1), ("{dir}/none.flp", 2)])
+    def test_main_restores_the_collector(self, broken_files, capsys, enabled, proof, code):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["check", broken_files["flt"], proof.format(**broken_files)]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

@@ -1,5 +1,4 @@
 import bisect
-import gc
 import itertools
 import random
 
@@ -22,6 +21,8 @@ from funlog.henkin import (
     check_cm_expr, check_ded_sat,
     NotSingleFree, NoRepresentativeInBound,
 )
+
+from conftest import garbage_cycles_left_by
 
 
 @pytest.fixture
@@ -215,13 +216,8 @@ class TestEnumeration:
     def test_a_call_leaves_no_reference_cycle(self, small_sig):
         """The enumeration builds no closure over itself, which every call
         would leave behind as a cycle."""
-        gc.disable()
-        try:
-            gc.collect()
-            enumerate_exprs(small_sig, PROP, ("v0^a",), 4)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert garbage_cycles_left_by(
+            lambda: enumerate_exprs(small_sig, PROP, ("v0^a",), 4)) == 0
 
 
 class TestNorm:

@@ -1,15 +1,16 @@
-import gc
 import random
 
 import pytest
 
 from funlog.signature import Signature
-from funlog.syntax import parse_expr, print_expr, var
+from funlog.syntax import neg, parse_expr, print_expr, var
 from funlog.subst import (
     fv, gv, substitutable, substitute, substitute1, SortClash,
 )
 from funlog.gen import rand_signature, rand_expr, SUBST_CHECKS, _rand_terms_for, _rand_vec
 from funlog.syntax import Expr
+
+from conftest import garbage_cycles_left_by
 
 
 @pytest.fixture
@@ -40,6 +41,36 @@ class TestFreeBound:
         e = parse_expr(sig, "mu((v0^a): P(mu((v1^a): eq_a(v2^a,v1^a))))")
         assert fv(e) == {"v2^a"}
         assert gv(e) == {"v0^a", "v1^a"}
+
+    def test_deep_chain(self, sig):
+        # past the interpreter's recursion limit; its printed form is ~8 MB
+        e = parse_expr(sig, "forall v1^a. eq_a(v1^a,ca)")
+        for _ in range(2000):
+            e = neg(sig, e)
+        assert e.depth > 2000
+        assert gv(e) == {"v1^a"}
+
+
+def reference_gv(e):
+    """gv by its inductive definition, recursively."""
+    if not e.args:
+        return frozenset()
+    out = set()
+    for binders, body in e.args:
+        out |= reference_gv(body) | set(binders)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gv_as_the_reference(seed):
+    rng = random.Random(seed)
+    binding = 0
+    for _ in range(300):
+        s = rand_signature(rng)
+        e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+        assert gv(e) == reference_gv(e), print_expr(e)
+        binding += bool(gv(e))
+    assert binding > 30
 
 
 class TestSubstitutable:
@@ -159,17 +190,6 @@ def test_substitute_as_the_reference(seed):
         assert got is reference_substitute(s, e, xs, ds), print_expr(e)
         changed += got is not e
     assert changed > 30
-
-
-def garbage_cycles_left_by(call) -> int:
-    """The objects that only the cycle collector frees after call()."""
-    gc.disable()
-    try:
-        gc.collect()
-        call()
-        return gc.collect()
-    finally:
-        gc.enable()
 
 
 def test_a_call_leaves_no_reference_cycle(sig):
