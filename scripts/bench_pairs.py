@@ -15,8 +15,14 @@ than the distance between REV's quartiles.  Each block's header names the
 Python version and whether the children write bytecode caches: they inherit
 PYTHONDONTWRITEBYTECODE, and without caches every child recompiles
 ``src/funlog``, which moves ``setup_s`` by about a third.  The run length
-defaults to BENCHMARK.json's ``run_seconds``.  The temporary directory is
-removed afterwards.
+defaults to BENCHMARK.json's ``run_seconds``.
+
+After the pairs it makes one traced run (``--trace 1``) per side per
+workload, and each block ends with whether each traced run was correct and
+every per-layer metric whose unit is not seconds (call counts, counters,
+ratios, bytes) that differs between the sides, or ``all counts equal``.
+The traced runs always happen; no flag skips them.  The temporary directory
+is removed afterwards.
 """
 from __future__ import annotations
 
@@ -35,10 +41,11 @@ def git(root: str, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(root: str, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     """One perfbench run in the checkout at root: its last stdout line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
         sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n"
@@ -73,6 +80,21 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
               f"change {nq[1]:.4g} [{nq[0]:.4g}, {nq[2]:.4g}]  "
               f"median {(nq[1] - oq[1]) / oq[1]:+.1%}  change won {won}/{n} pairs"
               f"{'  (gain rule met)' if claim else ''}")
+
+
+def compare_counts(traced: dict[str, dict]) -> None:
+    """Print each side's traced-run verdict, then every per-layer metric not
+    in seconds that differs between the sides, or that all are equal."""
+    for side, result in traced.items():
+        print(f"traced {side}: {'correct' if result['correct'] else 'NOT correct'}, "
+              f"{result['failed']} operations failed")
+    old, new = (traced[side]["metrics"] for side in ("parent", "change"))
+    moved = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, {}), new.get(name, {})
+        if (a.get("unit") or b.get("unit")) != "s" and a.get("value") != b.get("value"):
+            moved.append(f"  {name}: parent {a.get('value')}, change {b.get('value')}")
+    print("\n".join(["counts that differ:"] + moved) if moved else "all counts equal")
 
 
 def how_it_ran() -> str:
@@ -112,11 +134,15 @@ def main(argv=None) -> int:
                       f"{sides['parent'][-1]['metrics']['wall_s']['value']:.3f} "
                       f"change {sides['change'][-1]['metrics']['wall_s']['value']:.3f}",
                       file=sys.stderr)
+        traced = {w: {side: run_bench(where, w, args.seed, seconds, trace=1)
+                      for side, where in (("parent", parent), ("change", root))}
+                  for w in runs}
     for workload, sides in runs.items():
         print(f"\n{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs, "
               f"parent {rev[:10]} against the working tree of {root}")
         print(how_it_ran())
         report(bench["end_to_end"], sides)
+        compare_counts(traced[workload])
     return 0
 
 

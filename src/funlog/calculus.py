@@ -456,30 +456,30 @@ class ProofBuilder:
         return Proof(self.theory, self.premises, tuple(self.lines))
 
 
-def _trans_line(b: ProofBuilder, x: Expr, y: Expr, z: Expr) -> int:
-    """Line index of x=y -> (y=z -> x=z), via the congruence instance
-    x=y -> (x=z <-> y=z) in the first slot of the equality symbol."""
+def _congruence_line(b: ProofBuilder, x: Expr, y: Expr, z: Expr) -> int:
+    """Line index of the congruence instance x=y -> (x=z <-> y=z), in the
+    first slot of the equality symbol that mk_eq puts at x's sort."""
     sig = b.sig
-    op = IFF if x.sort == PROP else eq_op(x.sort)
-    ab = mk_eq(sig, x, y)
-    ac = mk_eq(sig, x, z)
-    bc = mk_eq(sig, y, z)
-    congr = b.add(imp(sig, ab, mk_eq(sig, ac, bc)),
-                  EqCongr(op, 0, (), (), (), x, y, (), (((), z),)))
-    t = b.taut(imp(sig, b.formula(congr), imp(sig, ab, imp(sig, bc, ac))))
+    xz = mk_eq(sig, x, z)
+    return b.add(imp(sig, mk_eq(sig, x, y), mk_eq(sig, xz, mk_eq(sig, y, z))),
+                 EqCongr(xz.head, 0, (), (), (), x, y, (), (((), z),)))
+
+
+def _trans_line(b: ProofBuilder, x: Expr, y: Expr, z: Expr) -> int:
+    """Line index of x=y -> (y=z -> x=z), from the congruence line."""
+    sig = b.sig
+    congr = _congruence_line(b, x, y, z)
+    xy, yz, xz = mk_eq(sig, x, y), mk_eq(sig, y, z), mk_eq(sig, x, z)
+    t = b.taut(imp(sig, b.formula(congr), imp(sig, xy, imp(sig, yz, xz))))
     return b.mp(congr, t)
 
 
 def derive_symmetry(theory: Theory, a: Expr, b_: Expr) -> Proof:
-    """Proof of a=b -> b=a."""
+    """Proof of a=b -> b=a, from the congruence line a=b -> (a=a <-> b=a)."""
     sig = theory.signature
     b = ProofBuilder(theory)
-    op = IFF if a.sort == PROP else eq_op(a.sort)
-    ab = mk_eq(sig, a, b_)
-    aa = mk_eq(sig, a, a)
-    ba = mk_eq(sig, b_, a)
-    congr = b.add(imp(sig, ab, mk_eq(sig, aa, ba)),
-                  EqCongr(op, 0, (), (), (), a, b_, (), (((), a),)))
+    aa, ab, ba = mk_eq(sig, a, a), mk_eq(sig, a, b_), mk_eq(sig, b_, a)
+    congr = _congruence_line(b, a, b_, a)
     t = b.taut(imp(sig, b.formula(congr), imp(sig, aa, imp(sig, ab, ba))))
     step = b.mp(congr, t)
     refl = b.add(aa, EqRefl())
@@ -515,86 +515,89 @@ def _eq_theorem(b: ProofBuilder, e: Expr, z: str, r: Expr, s: Expr, ys) -> int:
     """Core induction: line index proving forall ys (r=s) -> e[z<-r]=e[z<-s]."""
     sig = b.sig
     ys = tuple(ys)
-    rs = mk_eq(sig, r, s)
-    h = forall_chain(sig, ys, rs)
-
-    def recurse(e: Expr) -> int:
-        er = substitute1(sig, e, z, r)
-        es = substitute1(sig, e, z, s)
-        if er == es:
-            refl = b.add(mk_eq(sig, er, er), EqRefl())
-            t = b.taut(imp(sig, b.formula(refl), imp(sig, h, b.formula(refl))))
-            return b.mp(refl, t)
-        if not e.args:
-            # e is the variable z itself: peel the quantifiers off h
-            assert e.head == z
-            if not ys:
-                return b.taut(imp(sig, h, h))
-            return _elim_chain(b, h, ys, [var(sig, y) for y in ys])
-
-        # slot-by-slot chain: rewrite the i-th argument from p_i to q_i
-        cur = None
-        f_start = er
-        f_prev = er
-        for i, (binders, a_i) in enumerate(e.args):
-            p_i = er.args[i][1]
-            q_i = es.args[i][1]
-            if p_i == q_i:
-                continue
-            assert z not in binders
-            rec = recurse(a_i)  # h -> p_i = q_i
-            chi = mk_eq(sig, p_i, q_i)
-            assert b.formula(rec) == imp(sig, h, chi)
-            a_idx = rec
-            for x in reversed(binders):
-                a_idx = b.dist_forall(a_idx, x)  # h -> forall binders chi
-            phi_i = forall_chain(sig, binders, chi)
-
-            f_new = Expr(e.head, es.args[:i + 1] + er.args[i + 1:], e.sort)
-            step_eq = mk_eq(sig, f_prev, f_new)
-            if binders:
-                zs = b.fresh(tuple(variable_sort(sig, v) for v in binders))
-                elim = _elim_chain(b, phi_i, binders, [var(sig, w) for w in zs])
-                inner = mk_eq(sig,
-                              substitute(sig, p_i, binders, [var(sig, w) for w in zs]),
-                              substitute(sig, q_i, binders, [var(sig, w) for w in zs]))
-                assert b.formula(elim) == imp(sig, phi_i, inner)
-                for w in reversed(zs):
-                    elim = b.dist_forall(elim, w)
-                ant = forall_chain(sig, zs, inner)
-                congr = b.add(imp(sig, ant, step_eq),
-                              EqCongr(e.head, i, binders, binders, zs, p_i, q_i,
-                                      es.args[:i], er.args[i + 1:]))
-                phi_to_step = b.syll(elim, congr)
-            else:
-                phi_to_step = b.add(imp(sig, chi, step_eq),
-                                    EqCongr(e.head, i, (), (), (), p_i, q_i,
-                                            es.args[:i], er.args[i + 1:]))
-            h_to_step = b.syll(a_idx, phi_to_step)  # h -> f_prev = f_new
-
-            if cur is None:
-                cur = h_to_step
-            else:
-                tr = _trans_line(b, f_start, f_prev, f_new)
-                f_cur = b.formula(cur)
-                f_stp = b.formula(h_to_step)
-                goal = imp(sig, h, mk_eq(sig, f_start, f_new))
-                t = b.taut(imp(sig, b.formula(tr),
-                               imp(sig, f_cur, imp(sig, f_stp, goal))))
-                m1 = b.mp(tr, t)
-                m2 = b.mp(cur, m1)
-                cur = b.mp(h_to_step, m2)
-            f_prev = f_new
-        assert f_prev == es
-        return cur
-
+    h = forall_chain(sig, ys, mk_eq(sig, r, s))
     b.note_vars(e, r, s)
     b.avoid |= set(ys) | {z}
-    idx = recurse(e)
+    idx = _eq_step(b, e, z, r, s, ys, h)
     assert b.formula(idx) == imp(sig, h,
                                  mk_eq(sig, substitute1(sig, e, z, r),
                                        substitute1(sig, e, z, s)))
     return idx
+
+
+def _eq_step(b: ProofBuilder, e: Expr, z: str, r: Expr, s: Expr, ys: tuple,
+             h: Expr) -> int:
+    """Line index proving h -> e[z<-r]=e[z<-s], h being forall ys (r=s), by
+    induction on e: one congruence step per argument slot that differs."""
+    sig = b.sig
+    er = substitute1(sig, e, z, r)
+    es = substitute1(sig, e, z, s)
+    if er == es:
+        refl = b.add(mk_eq(sig, er, er), EqRefl())
+        t = b.taut(imp(sig, b.formula(refl), imp(sig, h, b.formula(refl))))
+        return b.mp(refl, t)
+    if not e.args:
+        # e is the variable z itself: peel the quantifiers off h
+        assert e.head == z
+        if not ys:
+            return b.taut(imp(sig, h, h))
+        return _elim_chain(b, h, ys, [var(sig, y) for y in ys])
+
+    # slot-by-slot chain: rewrite the i-th argument from p_i to q_i
+    cur = None
+    f_start = er
+    f_prev = er
+    for i, (binders, a_i) in enumerate(e.args):
+        p_i = er.args[i][1]
+        q_i = es.args[i][1]
+        if p_i == q_i:
+            continue
+        assert z not in binders
+        rec = _eq_step(b, a_i, z, r, s, ys, h)  # h -> p_i = q_i
+        chi = mk_eq(sig, p_i, q_i)
+        assert b.formula(rec) == imp(sig, h, chi)
+        a_idx = rec
+        for x in reversed(binders):
+            a_idx = b.dist_forall(a_idx, x)  # h -> forall binders chi
+        phi_i = forall_chain(sig, binders, chi)
+
+        f_new = Expr(e.head, es.args[:i + 1] + er.args[i + 1:], e.sort)
+        step_eq = mk_eq(sig, f_prev, f_new)
+        if binders:
+            zs = b.fresh(tuple(variable_sort(sig, v) for v in binders))
+            elim = _elim_chain(b, phi_i, binders, [var(sig, w) for w in zs])
+            inner = mk_eq(sig,
+                          substitute(sig, p_i, binders, [var(sig, w) for w in zs]),
+                          substitute(sig, q_i, binders, [var(sig, w) for w in zs]))
+            assert b.formula(elim) == imp(sig, phi_i, inner)
+            for w in reversed(zs):
+                elim = b.dist_forall(elim, w)
+            ant = forall_chain(sig, zs, inner)
+            congr = b.add(imp(sig, ant, step_eq),
+                          EqCongr(e.head, i, binders, binders, zs, p_i, q_i,
+                                  es.args[:i], er.args[i + 1:]))
+            phi_to_step = b.syll(elim, congr)
+        else:
+            phi_to_step = b.add(imp(sig, chi, step_eq),
+                                EqCongr(e.head, i, (), (), (), p_i, q_i,
+                                        es.args[:i], er.args[i + 1:]))
+        h_to_step = b.syll(a_idx, phi_to_step)  # h -> f_prev = f_new
+
+        if cur is None:
+            cur = h_to_step
+        else:
+            tr = _trans_line(b, f_start, f_prev, f_new)
+            f_cur = b.formula(cur)
+            f_stp = b.formula(h_to_step)
+            goal = imp(sig, h, mk_eq(sig, f_start, f_new))
+            t = b.taut(imp(sig, b.formula(tr),
+                           imp(sig, f_cur, imp(sig, f_stp, goal))))
+            m1 = b.mp(tr, t)
+            m2 = b.mp(cur, m1)
+            cur = b.mp(h_to_step, m2)
+        f_prev = f_new
+    assert f_prev == es
+    return cur
 
 
 def derive_equality_theorem(theory: Theory, e: Expr, z: str, r: Expr, s: Expr,

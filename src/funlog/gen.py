@@ -317,62 +317,50 @@ class SuiteResult:
     first_detail: str = ""
 
 
+def _tally(n: int, details) -> SuiteResult:
+    """The result of n cases, given each case's failure detail in order, or
+    "" for a case that passed."""
+    failed = [d for d in details if d]
+    return SuiteResult(n, len(failed), failed[0] if failed else "")
+
+
 def suite_subst(n: int, seed: int) -> SuiteResult:
     """n cases, split over the five laws: law i runs n // 5 cases, plus one
     if i < n % 5."""
     rng = random.Random(seed)
-    failures = 0
-    detail = ""
     per, extra = divmod(n, len(SUBST_CHECKS))
-    for i, check in enumerate(SUBST_CHECKS):
-        for _ in range(per + (i < extra)):
-            sig = rand_signature(rng)
-            case = check(sig, rng)
-            if not case.ok:
-                failures += 1
-                if not detail:
-                    detail = f"{case.name}: {case.detail}"
-    return SuiteResult(n, failures, detail)
+    laws = [check for i, check in enumerate(SUBST_CHECKS) for _ in range(per + (i < extra))]
+    cases = (check(rand_signature(rng), rng) for check in laws)
+    return _tally(n, ("" if case.ok else f"{case.name}: {case.detail}" for case in cases))
 
 
 def suite_soundness(n: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
-    failures = 0
-    detail = ""
+    details = []
     for _ in range(n):
         sig = rand_structure_signature(rng)
         s = rand_full_structure(rng, sig)
-        thy = rand_satisfied_theory(rng, s)
-        p = rand_proof(rng, thy)
+        p = rand_proof(rng, rand_satisfied_theory(rng, s))
         res = check_proof(p)
         if not res:
-            failures += 1
-            detail = detail or f"generated proof rejected: {res.reason}"
+            details.append(f"generated proof rejected: {res.reason}")
             continue
-        for line in p.lines:
-            if not satisfies(s, line.formula):
-                failures += 1
-                detail = detail or f"unsound line: {print_expr(line.formula)}"
-                break
-    return SuiteResult(n, failures, detail)
+        bad = next((line.formula for line in p.lines if not satisfies(s, line.formula)), None)
+        details.append("" if bad is None else f"unsound line: {print_expr(bad)}")
+    return _tally(n, details)
 
 
 def suite_closure(n: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
-    failures = 0
-    detail = ""
+    details = []
     for i in range(n):
         sig = rand_structure_signature(rng)
         s = rand_full_structure(rng, sig, max_carrier=2)
         rep = check_closure(s, cap=2)
-        ok = rep.ok
-        if ok and i % 3 == 0:
+        if rep.ok and i % 3 == 0:
             rep = check_closure(materialize_selected(s, cap=2), cap=2)
-            ok = rep.ok
-        if not ok:
-            failures += 1
-            detail = detail or rep.violations[0]
-    return SuiteResult(n, failures, detail)
+        details.append("" if rep.ok else rep.violations[0])
+    return _tally(n, details)
 
 
 def suite_eval_invariance(n: int, seed: int) -> SuiteResult:
@@ -382,8 +370,7 @@ def suite_eval_invariance(n: int, seed: int) -> SuiteResult:
     earlier one only in the unused variables, so those rows are read back,
     not computed."""
     rng = random.Random(seed)
-    failures = 0
-    detail = ""
+    details = []
     for _ in range(n):
         sig = rand_structure_signature(rng)
         s = rand_full_structure(rng, sig, max_carrier=2)
@@ -400,19 +387,11 @@ def suite_eval_invariance(n: int, seed: int) -> SuiteResult:
             # values, stored under the same free variables' values
             v2 = evaluate(Structure(s.signature, s.carriers, s.interp, s.selected), e, ext)
         except Exception as exc:
-            failures += 1
-            detail = detail or f"evaluation error: {exc}"
+            details.append(f"evaluation error: {exc}")
             continue
-        ok = True
-        for args, out in v2.rows:
-            proj = args[:len(base)]
-            want = v1.apply(proj) if base else v1
-            if out != want:
-                ok = False
-        if not ok:
-            failures += 1
-            detail = detail or f"perspective extension changed {print_expr(e)}"
-    return SuiteResult(n, failures, detail)
+        ok = all(out == (v1.apply(args[:len(base)]) if base else v1) for args, out in v2.rows)
+        details.append("" if ok else f"perspective extension changed {print_expr(e)}")
+    return _tally(n, details)
 
 
 SUITES = {

@@ -169,13 +169,11 @@ def extend_structure_for_henkin(s: Structure, ext: HenkinExtension) -> Structure
 # --- bounded expression enumeration -----------------------------------------
 
 def _compositions(total: int, parts: int):
-    """All ways of writing total as an ordered sum of ``parts`` positives."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All ways of writing total as an ordered sum of ``parts`` positives, in
+    lexicographic order: one per choice of parts - 1 cut points."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def enumerate_exprs(sig: Signature, sort: str, scope, max_size: int,
@@ -340,24 +338,17 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
         carriers[sort] = tuple(print_expr(n) for n in ordered)
         atom_expr[sort] = {print_expr(n): n for n in ordered}
 
-    # selected sets: substitution maps over canonical perspectives, with every
-    # witness expression retained for the functionality audit below
-    selected: dict[tuple[str, tuple[str, ...]], frozenset[FnTable]] = {}
+    # selected sets: substitution maps over canonical perspectives, each
+    # kept with its witness expression, which the user operations combine
+    sigmas = dict.fromkeys([(a,) for a in sorted(sig.var_sorts)] + [
+        bsorts for spec in sig.user_ops.values() for _, bsorts in spec.args if bsorts])
+    binders = {sigma: fresh_vars(sig, sigma, ()) for sigma in sigmas}
     witnesses: dict[tuple[str, tuple[str, ...]], list[tuple[FnTable, Expr]]] = {}
-    sigmas = [(a,) for a in sorted(sig.var_sorts)]
-    for _, spec in sig.user_ops.items():
-        for _, bsorts in spec.args:
-            if bsorts and bsorts not in sigmas:
-                sigmas.append(bsorts)
-    for sigma in sigmas:
-        u, keys = fresh_vars(sig, sigma, ()), carrier_product(carriers, sigma)
+    for sigma, u in binders.items():
+        keys = carrier_product(carriers, sigma)
         for gamma in sig.sorts:
-            wits = []
-            for e in ctx.scoped(gamma, u):
-                tbl = _subst_table(ctx, keys, atom_expr, e, u, sigma)
-                wits.append((tbl, e))
-            witnesses[(gamma, sigma)] = wits
-            selected[(gamma, sigma)] = frozenset(t for t, _ in wits)
+            witnesses[gamma, sigma] = [(_subst_table(ctx, keys, atom_expr, e, u, sigma), e)
+                                       for e in ctx.scoped(gamma, u)]
 
     # user operations: every combination of witnesses, normed; conflicting
     # values for one argument tuple would refute the oracle's consistency
@@ -366,28 +357,19 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
         if spec.arity == 0:
             interp[name] = print_expr(norm(ctx, mk(sig, name)))
             continue
-        slot_wits = []
-        slot_binders = []
-        for arg_sort, bsorts in spec.args:
-            if bsorts:
-                v = fresh_vars(sig, bsorts, ())
-                slot_binders.append(v)
-                slot_wits.append([(tbl, e) for tbl, e in witnesses[(arg_sort, bsorts)]])
-            else:
-                slot_binders.append(())
-                slot_wits.append([(c, atom_expr[arg_sort][c])
-                                  for c in carriers[arg_sort]])
+        slots = [(binders[bsorts], witnesses[arg_sort, bsorts]) if bsorts else
+                 ((), [(c, atom_expr[arg_sort][c]) for c in carriers[arg_sort]])
+                 for arg_sort, bsorts in spec.args]
         table: dict[tuple, str] = {}
-        for combo in itertools.product(*slot_wits):
+        for combo in itertools.product(*(wits for _, wits in slots)):
             keys = tuple(k for k, _ in combo)
-            expr = mk(sig, name, tuple((slot_binders[i], w)
-                                       for i, (_, w) in enumerate(combo)))
+            expr = mk(sig, name, tuple((u, w) for (u, _), (_, w) in zip(slots, combo)))
             value = print_expr(norm(ctx, expr))
-            if keys in table and table[keys] != value:
+            if table.setdefault(keys, value) != value:
                 raise OracleInconsistent(
                     f"operation {name!r} not functional on norms at {keys}")
-            table[keys] = value
         interp[name] = table
+    selected = {key: frozenset(t for t, _ in wits) for key, wits in witnesses.items()}
     return TermModel(ctx, Structure(sig, carriers, interp, selected), atom_expr)
 
 

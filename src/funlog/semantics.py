@@ -33,9 +33,10 @@ check_closure audits it on request.
 
 A function table (FnTable) keeps its argument tuples sorted, as keys, and its
 values aligned with them.  Tables with the same argument tuples share one
-keys object, which indexes itself on first use: applying a table is one dict
-lookup, partial fixing slices the contiguous block of keys that start with
-the fixed arguments, and the audit composes tables column by column.  Every
+keys object, which indexes itself on first use by the contiguous block of
+keys that start with each prefix: applying a table reads the one-row block
+of its argument tuple, partial fixing slices the block of the fixed
+arguments, and the audit composes tables column by column.  Every
 total table is built one way: tabulate computes its values in the order of
 carrier_product, the shared sorted product of its carriers, which
 Structure.product_keys caches per structure; fix and _compose build their
@@ -70,7 +71,6 @@ from .signature import (
     PROP, CONNECTIVES, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
 )
 from .syntax import Expr, ForeignSignature, fv, in_class, perspective_sorts, print_expr
-from .calculus import Theory
 
 
 class SemanticsError(Exception):
@@ -104,16 +104,9 @@ class SpaceTooLarge(SemanticsError):
 class _Keys(tuple):
     """A sorted, duplicate-free sequence of argument tuples, the keys of a
     table.  _shared keeps one object per distinct sequence, so tables
-    compare keys by identity.  It indexes itself on first use: the position
-    of each tuple (for apply), and per fixed prefix the contiguous block of
-    the tuples that start with it (for fix)."""
-
-    def position(self, args: tuple) -> int:
-        try:
-            index = self._position
-        except AttributeError:
-            index = self._position = {k: i for i, k in enumerate(self)}
-        return index[args]
+    compare keys by identity.  It indexes itself on first use: per fixed
+    prefix, the contiguous block of the tuples that start with it (for fix,
+    and for apply, whose prefix is a whole tuple)."""
 
     def block(self, prefix: tuple):
         """(start, stop, rest): the slice of the tuples that start with
@@ -182,7 +175,10 @@ class FnTable:
         return tuple(zip(self.keys, self.values))
 
     def apply(self, args) -> str:
-        return self.values[self.keys.position(tuple(args))]
+        start, stop, _ = self.keys.block(tuple(args))
+        if start == stop:
+            raise KeyError(args)
+        return self.values[start]
 
     def fix(self, prefix) -> "FnTable":
         """Partial fixing: freeze the first len(prefix) arguments."""
@@ -552,7 +548,8 @@ def satisfies(s: Structure, phi: Expr) -> bool:
     return all(v == s.true_atom for v in val.values)
 
 
-def satisfies_theory(s: Structure, t: Theory) -> bool:
+def satisfies_theory(s: Structure, t) -> bool:
+    """Whether s satisfies every axiom of the theory t (a calculus.Theory)."""
     return all(satisfies(s, a) for a in t.axioms)
 
 

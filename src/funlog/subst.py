@@ -36,19 +36,18 @@ def gv(e: Expr) -> frozenset[str]:
 
 def substitutable(sig: Signature, d: Expr, x: str, e: Expr) -> bool:
     """Subb(d, x, e): vacuously true at leaves; at an operation node each slot
-    must either bind x (making the substitution stop there) or recursively
-    admit it with no free variable of d captured by the slot's binders."""
-    return _admits(fv(d), x, e)
-
-
-def _admits(fvd: frozenset[str], x: str, e: Expr) -> bool:
-    for binders, body in e.args:
-        if x in binders:
-            continue
-        if fvd & set(binders):
-            return False
-        if not _admits(fvd, x, body):
-            return False
+    must either bind x (making the substitution stop there) or admit it in
+    its body with no free variable of d captured by the slot's binders.  One
+    loop over an explicit stack, so nesting depth costs no Python frames."""
+    fvd = fv(d)
+    stack = [e]
+    while stack:
+        for binders, body in stack.pop().args:
+            if x in binders:
+                continue
+            if not fvd.isdisjoint(binders):
+                return False
+            stack.append(body)
     return True
 
 

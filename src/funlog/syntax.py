@@ -282,9 +282,9 @@ _STRAY_CARET = re.compile(r"\^(?:(?!\w)|(?<!\w\^)|\w+\^)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
-# deepest leaf (Expr.depth).  ==, hash, fv, gv, size, depth, printing and
-# parsing do not recurse.  check_expr, substitute, substitutable,
-# evaluate and is_tautology do, and fail near 990 levels under Python's
+# deepest leaf (Expr.depth).  ==, hash, fv, gv, substitutable, size, depth,
+# printing and parsing do not recurse.  check_expr, substitute, evaluate
+# and is_tautology do, and fail near 990 levels under Python's
 # default recursion limit of 1000; at 100 they leave nine tenths of it to
 # their callers.  The parser rejects deeper input as its node levels open,
 # and input with more than 2 * MAX_NESTING parentheses open at once before

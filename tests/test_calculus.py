@@ -1,5 +1,10 @@
+import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +28,8 @@ from funlog.calculus import (
 )
 from funlog.gen import rand_signature, rand_expr, rand_proof, _pool
 from funlog.henkin import ThOracle
+
+from conftest import garbage_cycles_left_by
 
 
 @pytest.fixture
@@ -416,6 +423,113 @@ class TestCheckProof:
             assert check_proof(p)
 
 
+def rejections(sig, thy):
+    """The lines check_proof accepts, and name -> (premises, lines, the line
+    check_proof must reject, its exact reason).  Each proof opens with a
+    valid line.  The congruence cases change one field of an accepted
+    instance, and the repeated zs keep the formula _congruence would want
+    of them, so that only the check for distinct zs rejects it."""
+    p, q = parse_expr(sig, "P(ca)"), parse_expr(sig, "P(cb)")
+    ok = ProofLine(imp(sig, p, p), Taut())
+    ca, cb = parse_expr(sig, "ca"), parse_expr(sig, "cb")
+    f_congr = ProofLine(imp(sig, mk_eq(sig, ca, cb), mk_eq(sig, mk(sig, "f", (((), ca),)),
+                                                            mk(sig, "f", (((), cb),)))),
+                        EqCongr("f", 0, (), (), (), ca, cb, (), ()))
+
+    def binder_congr(op, zs, xs, b1, b2):
+        """The congruence instance of op's binder slot, built as _congruence
+        builds the formula it wants."""
+        b1, b2 = parse_expr(sig, b1), parse_expr(sig, b2)
+        z1, z2 = (substitute(sig, b, xs, [var(sig, z) for z in zs]) for b in (b1, b2))
+        return ProofLine(imp(sig, forall_chain(sig, zs, mk_eq(sig, z1, z2)),
+                             mk_eq(sig, mk(sig, op, ((xs, b1),)), mk(sig, op, ((xs, b2),)))),
+                         EqCongr(op, 0, xs, xs, zs, b1, b2, (), ()))
+
+    mu_congr = binder_congr("mu", ("v1^a",), ("v0^a",), "P(v0^a)", "P(f(v0^a))")
+    nu_slot = ("v0^a", "v3^a"), "eq_a(v0^a,v3^a)", "eq_a(v3^a,v0^a)"
+    nu_congr = binder_congr("nu", ("v1^a", "v2^a"), *nu_slot)
+    repeated = binder_congr("nu", ("v1^a", "v1^a"), *nu_slot)
+    wide = parse_expr(sig, "eq_a(v0^a,ca)")
+    for i in range(1, 21):
+        wide = disj(sig, wide, parse_expr(sig, f"eq_a(v{i}^a,ca)"))
+
+    class Bogus:
+        pass
+
+    def one(formula, just, reason, premises=()):
+        return premises, (ok, ProofLine(formula, just)), 1, reason
+
+    def congr(line, **change):
+        return one(line.formula, dataclasses.replace(line.justification, **change),
+                   "not an instance of EqCongr")
+
+    not_an = "not an instance of "
+    return (ok, f_congr, mu_congr, nu_congr), {
+        "axiom index": one(thy.axioms[0], NonlogicalAxiom(2),
+                           "nonlogical axiom index out of range"),
+        "axiom differs": one(p, NonlogicalAxiom(0), "formula differs from the cited axiom"),
+        "premise index": one(p, Premise(1), "premise index out of range", (p,)),
+        "premise differs": one(q, Premise(0), "formula differs from the cited premise", (p,)),
+        "mp later": one(p, MP(0, 1), "rule references must be earlier lines"),
+        "mp not the implication": one(q, MP(0, 0), "cited line is not the required implication"),
+        "gen later": one(forall(sig, "v0^a", ok.formula), Gen(1, "v0^a"),
+                         "rule references must be earlier lines"),
+        "gen non-variable": one(ok.formula, Gen(0, "ca"), "'ca' is not a variable"),
+        "gen wrong formula": one(forall(sig, "v0^a", p), Gen(0, "v0^a"),
+                                 "formula is not the generalization of the cited line"),
+        "non-formula": one(ca, Taut(), "line formula is not of the formula sort"),
+        "too many atoms": one(imp(sig, wide, wide), Taut(), "21 atoms exceed the 20-atom bound"),
+        "forall elim no implication": one(p, ForallElim("v0^a", ca), not_an + "ForallElim"),
+        "exists intro no implication": one(p, ExistsIntro("v0^a", ca), not_an + "ExistsIntro"),
+        "distribution no implication": one(p, ForallImpDist("v0^a"), not_an + "ForallImpDist"),
+        "reflexivity not binary": one(top(sig), EqRefl(), not_an + "EqRefl"),
+        "congruence unknown op": congr(f_congr, op="g"),
+        "congruence slot out of range": congr(f_congr, i=1),
+        "congruence repeated zs": one(repeated.formula, repeated.justification,
+                                      not_an + "EqCongr"),
+        "congruence zs sorts": congr(mu_congr, zs=()),
+        "unknown justification": one(p, Bogus(), not_an + "Bogus"),
+    }
+
+
+CHECKER_SIG = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a", "P": "(a)pi",
+                                       "mu": "((a)pi)a", "nu": "((a,a)pi)a"})
+CHECKER_THY = Theory(CHECKER_SIG, (parse_expr(CHECKER_SIG, "eq_a(f(ca),cb)"),
+                                   parse_expr(CHECKER_SIG, "forall v0^a. P(v0^a)")))
+ACCEPTED, REJECTED = rejections(CHECKER_SIG, CHECKER_THY)
+
+
+class TestCheckerReasons:
+    """Every reason check_proof gives, each at the line it rejects."""
+
+    def test_the_unchanged_lines(self):
+        assert check_proof(Proof(CHECKER_THY, (), ACCEPTED))
+
+    @pytest.mark.parametrize("name", list(REJECTED))
+    def test_reason(self, name):
+        premises, lines, line, reason = REJECTED[name]
+        assert (check_proof(Proof(CHECKER_THY, premises, lines))
+                == CheckResult(False, line, reason))
+
+    @pytest.mark.parametrize("step, reason", [
+        ("2. eq_a(f(ca),cb) ; axiom 2", "nonlogical axiom index out of range"),
+        ("2. forall v0^a. imp(P(ca),P(ca)) ; gen 2 v0^a",
+         "rule references must be earlier lines"),
+    ])
+    def test_through_the_cli(self, tmp_path, step, reason):
+        """funlog check exits 1 and names the file, the step and the reason."""
+        flt, flp = tmp_path / "t.flt", tmp_path / "p.flp"
+        flt.write_text("sort a\nvarsort a\nop ca : a\nop cb : a\nop f : (a)a\n"
+                       "op P : (a)pi\naxiom eq_a(f(ca),cb)\naxiom forall v0^a. P(v0^a)\n")
+        flp.write_text(f"1. imp(P(ca),P(ca)) ; taut\n{step}\n")
+        src = os.path.dirname(os.path.dirname(calculus.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "funlog.cli", "--json", "check", str(flt), str(flp)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == 1, run.stderr
+        assert json.loads(run.stdout)["detail"] == f"{flp}:2: {reason}"
+
+
 class TestDerived:
     def test_symmetry(self, sig, thy):
         a, b = parse_expr(sig, "f(ca)"), parse_expr(sig, "cb")
@@ -469,6 +583,19 @@ class TestDerived:
         assert p.premises == (mk_eq(sig, r, s),)
         assert p.conclusion == mk_eq(
             sig, substitute1(sig, e, "v1^a", r), substitute1(sig, e, "v1^a", s))
+
+    @pytest.mark.parametrize("generator", ["theorem", "rule", "deduction"])
+    def test_a_call_leaves_no_reference_cycle(self, sig, thy, generator):
+        """The induction is a module-level function, not a closure over
+        itself, which every call would leave behind as a cycle with the
+        builder and its lines."""
+        e = parse_expr(sig, "eq_a(f(mu((v1^a): eq_a(v0^a,v1^a))),ca)")
+        r, s = parse_expr(sig, "ca"), parse_expr(sig, "cb")
+        rule = derive_equality_rule(thy, e, "v0^a", r, s)
+        call = {"theorem": lambda: derive_equality_theorem(thy, e, "v0^a", r, s, ()),
+                "rule": lambda: derive_equality_rule(thy, e, "v0^a", r, s),
+                "deduction": lambda: deduction_transform(rule)}[generator]
+        assert garbage_cycles_left_by(call) == 0
 
     def test_random_equality_theorems(self):
         rng = random.Random(77)

@@ -11,7 +11,7 @@ import pytest
 from funlog import fileio, gen
 from funlog.cli import main, build_parser, RunReport
 from funlog.syntax import MAX_NESTING, parse_expr
-from funlog.semantics import satisfies_theory
+from funlog.semantics import ClosureReport, check_closure, satisfies_theory
 
 from conftest import garbage_cycles_left_by
 
@@ -324,6 +324,40 @@ class TestFuzz:
     def test_unknown_suite(self, capsys):
         assert main(["fuzz", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_a_failing_law(self, capsys, monkeypatch):
+        """A law that fails every case it runs: the suite counts each, keeps
+        the first case's detail, and fuzz exits 1."""
+        details = []
+
+        def split(sig, rng):
+            case = gen.check_split(sig, rng)  # the same draws as the law
+            details.append(f"split: {case.detail}")
+            return gen.SubstCase(case.name, False, case.detail)
+
+        monkeypatch.setattr(gen, "SUBST_CHECKS", tuple(
+            split if check is gen.check_split else check for check in gen.SUBST_CHECKS))
+        # 12 cases over five laws: the first two run three each
+        assert gen.suite_subst(12, 4) == gen.SuiteResult(12, 3, details[0])
+        assert len(details) == 3
+        assert main(["--json", "fuzz", "subst", "--n", "12", "--seed", "4"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["cases"], doc["failures"], doc["detail"]) == (
+            "fail", 12, 3, details[0])
+
+    def test_a_failing_closure_audit(self, capsys, monkeypatch):
+        """An audit that fails every explicit structure: only the cases that
+        pass on the full structure and are audited again once materialized
+        (every third) fail."""
+        def audit(s, cap):
+            if s.full:
+                return check_closure(s, cap)
+            return ClosureReport([f"projection: forged at cap {cap}"], [])
+
+        monkeypatch.setattr(gen, "check_closure", audit)
+        assert gen.suite_closure(7, 0) == gen.SuiteResult(7, 3, "projection: forged at cap 2")
+        assert main(["fuzz", "closure", "--n", "7", "--seed", "0"]) == 1
+        assert "verdict:  fail" in capsys.readouterr().out
 
     def test_json_and_determinism(self, capsys):
         assert main(["--json", "fuzz", "subst", "--n", "60", "--seed", "3"]) == 0

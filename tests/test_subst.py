@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from funlog.signature import Signature
+from funlog.signature import Signature, variable_sort
 from funlog.syntax import neg, parse_expr, print_expr, var
 from funlog.subst import (
     fv, gv, substitutable, substitute, substitute1, SortClash,
@@ -93,6 +93,42 @@ class TestSubstitutable:
         d = parse_expr(sig, "f(ca)")
         e = parse_expr(sig, "mu((v1^a): P(v0^a))")
         assert substitutable(sig, d, "v0^a", e)
+
+    def test_deep_chain(self, sig):
+        # past the interpreter's recursion limit, a capture at the bottom
+        d = parse_expr(sig, "f(v1^a)")
+        fits, captures = (parse_expr(sig, f"forall {v}. eq_a(v0^a,ca)")
+                          for v in ("v2^a", "v1^a"))
+        for _ in range(2000):
+            fits, captures = neg(sig, fits), neg(sig, captures)
+        assert captures.depth > 2000
+        assert substitutable(sig, d, "v0^a", fits)
+        assert not substitutable(sig, d, "v0^a", captures)
+
+
+def reference_substitutable(d, x, e):
+    """substitutable by its inductive definition, recursively."""
+    return all(x in binders or (not fv(d) & set(binders)
+                                and reference_substitutable(d, x, body))
+               for binders, body in e.args)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_substitutable_as_the_reference(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(300):
+        s = rand_signature(rng)
+        e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+        (x,) = _rand_vec(s, rng, 1)
+        (d,) = _rand_terms_for(s, rng, (x,))
+        bound = sorted(y for y in gv(e) if variable_sort(s, y) == d.sort)
+        if bound and rng.random() < 0.7:
+            d = var(s, rng.choice(bound))  # a binder of e may capture it
+        got = substitutable(s, d, x, e)
+        assert got == reference_substitutable(d, x, e), print_expr(e)
+        verdicts.append(got)
+    assert 15 < verdicts.count(False) < 285
 
 
 class TestSubstitute:
