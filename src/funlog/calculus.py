@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
 from .signature import (
     PROP, CONNECTIVES, IFF, IMP, Signature, SignatureError, forall_op,
     exists_op, eq_op, variable_sort, fresh_vars, sorted_vars,
 )
 from .syntax import (
-    Expr, ExprError, mk, var, bot, imp, forall, forall_chain, mk_eq, print_expr,
+    Expr, ExprError, mk, nodes, var, bot, imp, forall, forall_chain, mk_eq, print_expr,
 )
 from .subst import SortClash, fv, gv, substitutable, substitute, substitute1
 
@@ -166,19 +167,6 @@ class CheckResult:
 
 # --- tautology recognition --------------------------------------------------
 
-def _postorder(phi: Expr, atoms: dict[Expr, int], code: list):
-    """Append phi's connective skeleton to code in postorder: its entry of
-    CONNECTIVES for each connective node, the atom's index for each maximal
-    non-connective subformula (indices numbered in order of first visit)."""
-    connective = CONNECTIVES.get(phi.head)
-    if connective is not None:
-        for _, body in phi.args:
-            _postorder(body, atoms, code)
-        code.append(connective)
-    else:
-        code.append(atoms.setdefault(phi, len(atoms)))
-
-
 def _atom_mask(i: int, rows: int) -> int:
     """Truth table of atom i over ``rows`` rows as a bitstring: bit j is bit
     i of j.  Built from one block of 2**i zeros then 2**i ones, doubled by
@@ -198,29 +186,24 @@ MAX_ATOMS = 20  # the most atoms is_tautology decides; 2**20 rows at once
 def is_tautology(phi: Expr) -> bool:
     """Truth-table check over the maximal non-connective subformulas, all
     2**n rows at once: each atom's column is an int bitstring and each
-    connective's truth function one big-int operation (Knuth, TAOCP 4A §7.1.1-7.1.3)."""
+    connective's truth function one big-int operation (Knuth, TAOCP 4A §7.1.1-7.1.3),
+    once per distinct node of the connective skeleton."""
     if phi.sort != PROP:
         return False
-    atoms: dict[Expr, int] = {}
-    code: list = []
-    _postorder(phi, atoms, code)
+    skeleton = nodes(phi, lambda node, _: node.head in CONNECTIVES)
+    atoms = [node for node in skeleton if node.head not in CONNECTIVES]
     n = len(atoms)
     if n > MAX_ATOMS:
         raise TooManyAtoms(f"{n} atoms exceed the {MAX_ATOMS}-atom bound")
     rows = 1 << n
     full = (1 << rows) - 1
-    masks = [_atom_mask(i, rows) for i in range(n)]
-    stack: list[int] = []
-    for op in code:
-        if type(op) is int:
-            stack.append(masks[op])
-        else:
-            arity, truth = op
-            start = len(stack) - arity
-            args = stack[start:]
-            del stack[start:]
-            stack.append(truth(full, *args))
-    return stack.pop() == full
+    mask = {atom: _atom_mask(i, rows) for i, atom in enumerate(atoms)}
+    skeleton.sort(key=attrgetter("depth"))  # bodies first
+    for node in skeleton:
+        if node not in mask:  # a connective
+            _, truth = CONNECTIVES[node.head]
+            mask[node] = truth(full, *[mask[body] for _, body in node.args])
+    return mask[phi] == full
 
 
 # --- scheme recognition -----------------------------------------------------
@@ -388,11 +371,17 @@ def reindex_axioms(p: Proof, axioms: tuple[Expr, ...]) -> Proof:
     return Proof(Theory(p.theory.signature, axioms), p.premises, tuple(new_lines))
 
 
-def is_consistent_up_to(theory: Theory, oracle) -> bool:
-    verdict = oracle.decide(bot(theory.signature))
+def provable(oracle, phi: Expr) -> bool:
+    """The oracle's verdict on phi: whether it is "provable"; "undecided"
+    raises OracleUndecided."""
+    verdict = oracle.decide(phi)
     if verdict == "undecided":
-        raise OracleUndecided("oracle cannot decide the falsum query")
-    return verdict != "provable"
+        raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
+    return verdict == "provable"
+
+
+def is_consistent_up_to(theory: Theory, oracle) -> bool:
+    return not provable(oracle, bot(theory.signature))
 
 
 # --- proof construction -----------------------------------------------------
@@ -416,8 +405,7 @@ class ProofBuilder:
         return self.add(formula, Taut())
 
     def mp(self, frm: int, impl: int) -> int:
-        want = self.formula(impl)
-        lhs, rhs = want.args[0][1], want.args[1][1]
+        lhs, rhs = _split_imp(self.formula(impl))
         assert lhs == self.formula(frm)
         return self.add(rhs, MP(frm, impl))
 
@@ -428,7 +416,8 @@ class ProofBuilder:
         """From H->A and A->B conclude H->B (one tautology, two detachments)."""
         sig = self.sig
         fa, fb = self.formula(h_a), self.formula(a_b)
-        t = self.taut(imp(sig, fa, imp(sig, fb, imp(sig, fa.args[0][1], fb.args[1][1]))))
+        (h, _), (_, b) = _split_imp(fa), _split_imp(fb)
+        t = self.taut(imp(sig, fa, imp(sig, fb, imp(sig, h, b))))
         step = self.mp(h_a, t)
         return self.mp(a_b, step)
 
@@ -444,8 +433,7 @@ class ProofBuilder:
     def dist_forall(self, idx: int, x: str) -> int:
         """From H -> chi (with x not free in H) conclude H -> forall x chi."""
         sig = self.sig
-        f = self.formula(idx)
-        h, chi = f.args[0][1], f.args[1][1]
+        h, chi = _split_imp(self.formula(idx))
         assert x not in fv(h)
         g = self.gen(idx, x)
         d = self.add(imp(sig, self.formula(g), imp(sig, h, forall(sig, x, chi))),

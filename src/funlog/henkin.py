@@ -21,7 +21,7 @@ from .syntax import (
     Expr, mk, var, top, bot, neg, imp, exists, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
-from .calculus import Theory, OracleUndecided
+from .calculus import Theory, provable
 from .semantics import Structure, FnTable, carrier_product, evaluate, satisfies, tabulate
 
 
@@ -136,10 +136,7 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
     axioms = list(theory.axioms)
     present = set(axioms)
     for phi in candidates:
-        verdict = oracle.decide(phi)
-        if verdict == "undecided":
-            raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
-        chosen = phi if verdict == "provable" else neg(theory.signature, phi)
+        chosen = phi if provable(oracle, phi) else neg(theory.signature, phi)
         if chosen not in present:
             present.add(chosen)
             axioms.append(chosen)
@@ -278,10 +275,7 @@ def norm(ctx: TermModelContext, e: Expr) -> Expr:
     sig = ctx.signature
 
     if e.sort == PROP:
-        verdict = ctx.oracle.decide(e)
-        if verdict == "undecided":
-            raise OracleUndecided(f"oracle undecided on {print_expr(e)}")
-        result = top(sig) if verdict == "provable" else bot(sig)
+        result = top(sig) if provable(ctx.oracle, e) else bot(sig)
         ctx.norm_cache[e] = result
         return result
 
@@ -405,12 +399,10 @@ def check_cm_expr(tm: TermModel, e: Expr, xs) -> Verdict:
 
 def check_ded_sat(tm: TermModel, phi: Expr) -> Verdict:
     """Provability by the oracle coincides with truth in the term structure."""
-    verdict = tm.ctx.oracle.decide(phi)
-    if verdict == "undecided":
-        raise OracleUndecided(print_expr(phi))
-    provable = verdict == "provable"
+    proved = provable(tm.ctx.oracle, phi)
     sat = satisfies(tm.structure, phi)
-    if provable != sat:
+    if proved != sat:
+        verdict = "provable" if proved else "refutable"
         return Verdict(False,
                        f"{print_expr(phi)}: oracle {verdict}, satisfied {sat}")
     return Verdict(True)

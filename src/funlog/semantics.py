@@ -104,9 +104,9 @@ class SpaceTooLarge(SemanticsError):
 class _Keys(tuple):
     """A sorted, duplicate-free sequence of argument tuples, the keys of a
     table.  _shared keeps one object per distinct sequence, so tables
-    compare keys by identity.  It indexes itself on first use: per fixed
-    prefix, the contiguous block of the tuples that start with it (for fix,
-    and for apply, whose prefix is a whole tuple)."""
+    compare keys by identity.  It indexes itself once per prefix length, on
+    first use: per prefix, the contiguous block of the tuples that start
+    with it (for fix, and for apply, whose prefix is a whole tuple)."""
 
     def block(self, prefix: tuple):
         """(start, stop, rest): the slice of the tuples that start with
@@ -115,15 +115,17 @@ class _Keys(tuple):
         try:
             return self._blocks[prefix]
         except AttributeError:
-            self._blocks = {}
+            self._blocks, self._indexed = {}, set()
         except KeyError:
             pass
-        k, start = len(prefix), 0  # index every prefix of this length
-        for head, block in itertools.groupby(self, key=lambda args: args[:k]):
-            rest = _shared(tuple(args[k:] for args in block))
-            self._blocks[head] = (start, start + len(rest), rest)
-            start += len(rest)
-        return self._blocks.setdefault(prefix, (0, 0, _shared(())))
+        k, start = len(prefix), 0
+        if k not in self._indexed:  # index every prefix of this length, once
+            self._indexed.add(k)
+            for head, block in itertools.groupby(self, key=lambda args: args[:k]):
+                rest = _shared(tuple(args[k:] for args in block))
+                self._blocks[head] = (start, start + len(rest), rest)
+                start += len(rest)
+        return self._blocks.get(prefix, (0, 0, _shared(())))
 
 
 # Sorted argument-tuple sequence -> its one shared _Keys.  It grows with the

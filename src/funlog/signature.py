@@ -129,10 +129,9 @@ class Tokens:
         self.pos = 0
         self.error = error
 
-    def peek(self, k=0):
-        """The token k places ahead, or None past the end."""
-        i = self.pos + k
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self):
+        """The next token, or None past the end."""
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def take(self, expected=None):
         if self.pos >= len(self.toks):

@@ -11,7 +11,7 @@ move a free variable of d under a binder that captures it.
 from __future__ import annotations
 
 from .signature import Signature, variable_sort
-from .syntax import Expr, fv, var
+from .syntax import Expr, fv, nodes, var
 
 
 class SortClash(Exception):
@@ -19,36 +19,20 @@ class SortClash(Exception):
 
 
 def gv(e: Expr) -> frozenset[str]:
-    """Bound variables: every binder-list component plus the bodies' own.
-    One loop over an explicit stack, each distinct node visited once, so
-    nesting depth costs no Python frames."""
-    out = set()
-    seen = {e}
-    stack = [e]
-    while stack:
-        for binders, body in stack.pop().args:
-            out.update(binders)
-            if body.args and body not in seen:
-                seen.add(body)
-                stack.append(body)
-    return frozenset(out)
+    """Bound variables: every binder-list component of every node."""
+    return frozenset(v for node in nodes(e) for binders, _ in node.args for v in binders)
 
 
 def substitutable(sig: Signature, d: Expr, x: str, e: Expr) -> bool:
     """Subb(d, x, e): vacuously true at leaves; at an operation node each slot
     must either bind x (making the substitution stop there) or admit it in
-    its body with no free variable of d captured by the slot's binders.  One
-    loop over an explicit stack, so nesting depth costs no Python frames."""
+    its body with no free variable of d captured by the slot's binders.  So
+    every slot of every node reached through slots that do not bind x is
+    checked."""
     fvd = fv(d)
-    stack = [e]
-    while stack:
-        for binders, body in stack.pop().args:
-            if x in binders:
-                continue
-            if not fvd.isdisjoint(binders):
-                return False
-            stack.append(body)
-    return True
+    return all(x in binders or fvd.isdisjoint(binders)
+               for node in nodes(e, lambda _, binders: x not in binders)
+               for binders, _ in node.args)
 
 
 def substitute(sig: Signature, e: Expr, xs, ds) -> Expr:

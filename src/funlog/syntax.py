@@ -198,15 +198,33 @@ def mk(sig: Signature, head: str, args=()) -> Expr:
     return e
 
 
+def nodes(e: Expr, into=None) -> list[Expr]:
+    """e's distinct nodes, each once, in preorder: a node, then the bodies
+    of its slots left to right.  into(node, binders), when given, says
+    whether the walk enters the slot of node that binds binders (a body
+    reached through another slot is still listed).  One loop over a stack,
+    so nesting depth costs no Python frames."""
+    out, seen, stack = [], set(), [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        out.append(node)
+        for binders, body in reversed(node.args):
+            if into is None or into(node, binders):
+                stack.append(body)
+    return out
+
+
 def check_expr(sig: Signature, e: Expr) -> None:
     """Revalidate every generation-predicate clause of e; raises on violation."""
-    if e.head not in sig.ops and variable_sort(sig, e.head) is None:
-        raise ForeignSignature(f"symbol {e.head!r} not in signature")
-    rebuilt = mk(sig, e.head, e.args)
-    if rebuilt.sort != e.sort:
-        raise SortMismatch(f"cached sort {e.sort!r} disagrees with {rebuilt.sort!r}")
-    for _, body in e.args:
-        check_expr(sig, body)
+    for node in nodes(e):
+        if node.head not in sig.ops and variable_sort(sig, node.head) is None:
+            raise ForeignSignature(f"symbol {node.head!r} not in signature")
+        rebuilt = mk(sig, node.head, node.args)
+        if rebuilt.sort != node.sort:
+            raise SortMismatch(f"cached sort {node.sort!r} disagrees with {rebuilt.sort!r}")
 
 
 def size(e: Expr) -> int:
@@ -282,15 +300,15 @@ _STRAY_CARET = re.compile(r"\^(?:(?!\w)|(?<!\w\^)|\w+\^)")
 _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
-# deepest leaf (Expr.depth).  ==, hash, fv, gv, substitutable, size, depth,
-# printing and parsing do not recurse.  check_expr, substitute, evaluate
-# and is_tautology do, and fail near 990 levels under Python's
-# default recursion limit of 1000; at 100 they leave nine tenths of it to
-# their callers.  The parser rejects deeper input as its node levels open,
-# and input with more than 2 * MAX_NESTING parentheses open at once before
-# it parses, so deep input costs it linear time.  It also bounds the cached
-# text: each node keeps its printed form, so a chain d deep holds about
-# d**2/2 chars.
+# deepest leaf (Expr.depth).  Walks over an expression go through nodes()
+# and do not recurse; the functions that do, listed with their bounds in
+# tests/test_recursion_guards.py (substitute and evaluate among them), fail
+# near 990 levels under Python's default recursion limit of 1000, and at
+# 100 leave nine tenths of it to their callers.  The parser rejects deeper
+# input as its node levels open, and input with more than 2 * MAX_NESTING
+# parentheses open at once before it parses, so deep input costs it linear
+# time.  It also bounds the cached text: each node keeps its printed form,
+# so a chain d deep holds about d**2/2 chars.
 MAX_NESTING = 100
 
 # The parser's open productions, one stack entry (a list) each:

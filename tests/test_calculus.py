@@ -188,6 +188,37 @@ class TestTautologyAgainstTruthTable:
                     conj(sig, t, neg(sig, t)), disj(sig, f, neg(sig, f))):
             assert is_tautology(phi) == truth_table_tautology(phi)
 
+    @pytest.mark.parametrize("levels", (12, 14, 16))
+    def test_shared_subformulas(self, sig, levels):
+        """and(phi,phi)-style nesting: 2**levels paths to one atom, a few
+        distinct nodes."""
+        rng = random.Random(levels)
+        p, q = parse_expr(sig, "P(ca)"), parse_expr(sig, "forall v0^a. P(v0^a)")
+        for _ in range(4):
+            phi = rand_connective_formula(sig, rng, [p, q], 2)
+            for _ in range(levels):
+                op = rng.choice((conj, disj, imp, iff, conj, disj))
+                phi = op(sig, phi, phi) if rng.random() < 0.8 else neg(sig, phi)
+            cases = (phi, neg(sig, phi), imp(sig, phi, phi))
+            verdicts = [is_tautology(psi) for psi in cases]
+            assert verdicts == [truth_table_tautology(psi) for psi in cases]
+            assert not all(verdicts[:2]) and verdicts[2]  # both verdicts occur
+
+    def test_past_the_recursion_limit(self, sig):
+        """2,000-level chains of not and of a quantifier; the quantifier
+        chain's cached printed forms hold about 36 MB."""
+        p = parse_expr(sig, "P(v0^a)")
+        negs = imp(sig, p, p)
+        for _ in range(2000):
+            negs = neg(sig, negs)
+        assert is_tautology(negs) and not is_tautology(neg(sig, negs))
+        del negs
+        quants = p
+        for _ in range(2000):
+            quants = forall(sig, "v0^a", quants)
+        assert quants.depth > 2000
+        assert is_tautology(imp(sig, quants, quants)) and not is_tautology(quants)
+
     def test_atom_masks(self):
         n = 5
         rows = 1 << n

@@ -8,7 +8,7 @@ from funlog import henkin
 from funlog.signature import PROP, Signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq, neg
 from funlog.subst import fv, gv, substitute
-from funlog.calculus import Theory, OracleUndecided
+from funlog.calculus import Theory, OracleUndecided, is_consistent_up_to
 from funlog.semantics import (
     Structure, evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     make_full_structure,
@@ -185,6 +185,31 @@ class TestSaturate:
         assert parse_expr(small_sig, "not(eq_a(ca,cb))") in sat.axioms
         for a in sat.axioms:
             assert oracle.decide(a) == "provable"
+
+
+class Undecided:
+    """An oracle that decides nothing."""
+
+    def decide(self, phi):
+        return "undecided"
+
+
+class TestUndecidedOracle:
+    """Every reader of an oracle's verdict raises OracleUndecided naming
+    the formula it asked about."""
+
+    def test_each_reader_raises(self, small_sig, small_structure):
+        phi = parse_expr(small_sig, "eq_a(f(ca),cb)")
+        ctx = TermModelContext(small_sig, Undecided(), size_bound=4)
+        tm = TermModel(ctx, small_structure, {})
+        theory = Theory(small_sig)
+        for call, formula in ((lambda: norm(ctx, phi), phi),
+                              (lambda: check_ded_sat(tm, phi), phi),
+                              (lambda: saturate_bounded(theory, [phi], Undecided()), phi),
+                              (lambda: is_consistent_up_to(theory, Undecided()), bot(small_sig))):
+            with pytest.raises(OracleUndecided) as info:
+                call()
+            assert str(info.value) == f"oracle undecided on {print_expr(formula)}"
 
 
 class TestEnumeration:

@@ -354,6 +354,18 @@ class TestFnTable:
             with pytest.raises(InterpretationOutOfCarrier, match=r"^selected a\^\(a\) holds"):
                 Structure(s.signature, s.carriers, {}, {("a", ("a",)): frozenset({table})})
 
+    def test_a_missing_tuple_is_not_stored(self):
+        """A miss at an indexed prefix length answers the shared empty
+        block and leaves the index as it was."""
+        carrier = [f"keys-test-{i}" for i in range(10)]
+        t = FnTable.from_map(("a", "a"), "a", {(x, y): x for x in carrier for y in carrier})
+        assert t.apply((carrier[3], carrier[4])) == carrier[3]
+        assert len(t.keys._blocks) == 100
+        for i in range(50):
+            with pytest.raises(KeyError):
+                t.apply((carrier[i % 10], f"absent-{i}"))
+        assert len(t.keys._blocks) == 100
+
     def test_fix_of_an_absent_prefix_is_empty(self):
         t = FnTable.from_map(("a", "b"), "a", {("0", "x"): "1", ("0", "y"): "0"})
         empty = t.fix(("1",))

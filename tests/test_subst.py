@@ -94,6 +94,15 @@ class TestSubstitutable:
         e = parse_expr(sig, "mu((v1^a): P(v0^a))")
         assert substitutable(sig, d, "v0^a", e)
 
+    def test_a_shared_body_is_checked_under_each_slot(self, sig):
+        """P(v0^a) is one node under two slots; only the second binds v1^a."""
+        d = parse_expr(sig, "f(v1^a)")
+        for text in ("and(P(v0^a),forall v1^a. P(v0^a))",
+                     "and(forall v2^a. P(v0^a),forall v1^a. P(v0^a))"):
+            e = parse_expr(sig, text)
+            assert not substitutable(sig, d, "v0^a", e)
+            assert not reference_substitutable(d, "v0^a", e)
+
     def test_deep_chain(self, sig):
         # past the interpreter's recursion limit, a capture at the bottom
         d = parse_expr(sig, "f(v1^a)")

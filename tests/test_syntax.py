@@ -179,15 +179,20 @@ def reference_parse_expr(sig, text: str) -> Expr:
     validated where it occurs."""
     t = Tokens(_TOKEN, text, ParseError)
 
+    def ahead(k: int):
+        """The token k places ahead, or None past the end."""
+        i = t.pos + k
+        return t.toks[i] if i < len(t.toks) else None
+
     def word(k: int) -> bool:
-        tok = t.peek(k)
+        tok = ahead(k)
         return tok is not None and tok not in _PUNCT
 
     def group_ahead() -> bool:
         k = 1
-        while word(k) and t.peek(k + 1) == ",":
+        while word(k) and ahead(k + 1) == ",":
             k += 2
-        return word(k) and t.peek(k + 1) == ")" and t.peek(k + 2) == ":"
+        return word(k) and ahead(k + 1) == ")" and ahead(k + 2) == ":"
 
     def binder() -> str:
         v = t.take()
@@ -214,7 +219,7 @@ def reference_parse_expr(sig, text: str) -> Expr:
             binders = tuple(t.items(binder))
             t.take(")")
             t.take(":")
-        if t.peek() in ("forall", "exists") and is_variable(sig, t.peek(1) or ""):
+        if t.peek() in ("forall", "exists") and is_variable(sig, ahead(1) or ""):
             quant = t.take()
             v = t.take()
             t.take(".")
@@ -613,3 +618,121 @@ class TestHashConsing:
             assert print_expr(e) == reference_print(e)
             nodes += size(e)
         assert nodes > 500
+
+
+# ---------------------------------------------------------------------------
+# the one walk over an expression's distinct nodes, and the recursive check
+# it replaced
+
+def reference_nodes(e: Expr, into=None) -> list[Expr]:
+    """nodes by recursion: a node at its first visit, then the nodes of the
+    bodies of the slots into enters."""
+    out = {}
+
+    def visit(node):
+        if node not in out:
+            out[node] = None
+            for binders, body in node.args:
+                if into is None or into(node, binders):
+                    visit(body)
+    visit(e)
+    return list(out)
+
+
+def reference_check_expr(sig, e: Expr) -> None:
+    """check_expr before the walk: the node, then each body, recursively."""
+    if e.head not in sig.ops and variable_sort(sig, e.head) is None:
+        raise ForeignSignature(f"symbol {e.head!r} not in signature")
+    rebuilt = mk(sig, e.head, e.args)
+    if rebuilt.sort != e.sort:
+        raise SortMismatch(f"cached sort {e.sort!r} disagrees with {rebuilt.sort!r}")
+    for _, body in e.args:
+        reference_check_expr(sig, body)
+
+
+def check_outcome(check, sig, e):
+    """None when check accepts e, else the class and message it raised."""
+    try:
+        check(sig, e)
+    except ExprError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def forged_copy(s, e: Expr, rng: random.Random) -> Expr:
+    """e rebuilt bottom-up by Expr(...), each node forged with a small
+    chance: a cached sort it does not have, a head in no signature, or a
+    binder list with its first variable repeated or of another sort."""
+    args = []
+    for binders, body in e.args:
+        if binders and rng.random() < 0.1:
+            other = rng.choice(sorted(s.var_sorts))
+            binders = (binders[0],) * len(binders) if len(binders) > 1 else (f"v0^{other}",)
+        args.append((binders, forged_copy(s, body, rng)))
+    head, sort, r = e.head, e.sort, rng.random()
+    if r < 0.05:
+        sort = rng.choice(sorted(s.sorts))
+    elif r < 0.08:
+        head = "zz"
+    return Expr(head, tuple(args), sort)
+
+
+class TestNodes:
+    def test_shared_nodes_are_listed_once(self, sig):
+        a = mk(sig, "P", (((), mk(sig, "ca")),))
+        e = a
+        for _ in range(16):
+            e = conj(sig, e, e)
+        assert size(e) == 3 * 2 ** 16 - 1
+        walk = syntax.nodes(e)
+        assert walk[0] is e and len(walk) == 18 and walk[-2:] == [a, a.args[0][1]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_as_the_reference(self, seed):
+        """The same nodes in the same order, entering every slot or only
+        the slots that bind nothing."""
+        rng = random.Random(seed)
+        def unbound(_, binders):
+            return not binders
+        skipped = 0
+        for _ in range(200):
+            s = rand_signature(rng)
+            e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+            assert syntax.nodes(e) == reference_nodes(e)
+            assert syntax.nodes(e, unbound) == reference_nodes(e, unbound)
+            skipped += len(syntax.nodes(e)) - len(syntax.nodes(e, unbound))
+        assert skipped > 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_check_expr_as_the_reference(self, seed):
+        """The same verdict, exception class and message as the recursive
+        check, on generated expressions and on forged copies of them."""
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(200):
+            s = rand_signature(rng)
+            e = rand_expr(s, rng, rng.choice(sorted(s.sorts)), rng.randint(0, 8))
+            assert check_outcome(check_expr, s, e) is None
+            forged = forged_copy(s, e, rng)
+            got = check_outcome(check_expr, s, forged)
+            assert got == check_outcome(reference_check_expr, s, forged), print_expr(forged)
+            outcomes.add(got and got[0])
+        assert outcomes >= {None, SortMismatch, ForeignSignature, DuplicateBinder}
+
+    def test_check_expr_past_the_recursion_limit(self, sig):
+        """2,000-level chains of not and of a quantifier; the quantifier
+        chain's cached printed forms hold about 36 MB."""
+        a = var(sig, "v0^a")
+        p = mk(sig, "P", (((), a),))
+        dup = Expr("bind2", ((("v0^a", "v0^a"), top(sig)), ((), a)), PROP)
+        negs, quants, forged = p, p, dup
+        for _ in range(2000):
+            negs, forged = neg(sig, negs), neg(sig, forged)
+        check_expr(sig, negs)
+        with pytest.raises(DuplicateBinder):
+            check_expr(sig, forged)
+        del negs, forged
+        for _ in range(2000):
+            quants = forall(sig, "v0^a", quants)
+        assert quants.depth > 2000
+        check_expr(sig, quants)
