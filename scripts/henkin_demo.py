@@ -17,10 +17,11 @@ import argparse
 from funlog.cli import count, without_cycle_collector
 from funlog.signature import PROP, Signature
 from funlog.syntax import parse_expr
-from funlog.calculus import Theory, is_consistent_up_to
+from funlog.calculus import Theory
 from funlog.semantics import make_full_structure, satisfies_theory, restrict_structure
 from funlog.henkin import (
     ThOracle, enumerate_exprs, henkin_extend, extend_structure_for_henkin, saturate_bounded,
+    is_consistent_up_to,
 )
 
 

@@ -22,16 +22,16 @@ from functools import partial
 from operator import attrgetter
 
 from .signature import (
-    PROP, CONNECTIVES, IFF, IMP, Signature, SignatureError, forall_op,
+    PROP, CONNECTIVES, IFF, IMP, FunlogError, Signature, SignatureError, forall_op,
     exists_op, eq_op, variable_sort, fresh_vars, sorted_vars,
 )
 from .syntax import (
-    Expr, ExprError, mk, nodes, var, bot, imp, forall, forall_chain, mk_eq, print_expr,
+    Expr, ExprError, mk, nodes, var, imp, forall, forall_chain, mk_eq, print_expr,
 )
 from .subst import SortClash, fv, gv, substitutable, substitute, substitute1
 
 
-class CalculusError(Exception):
+class CalculusError(FunlogError):
     pass
 
 
@@ -48,10 +48,6 @@ class PremiseNotClosed(CalculusError):
 
 
 class SourceProofInvalid(CalculusError):
-    pass
-
-
-class OracleUndecided(CalculusError):
     pass
 
 
@@ -237,7 +233,7 @@ def _instantiation(sig: Signature, just, phi: Expr, quant, side: int) -> bool:
     if split is None:
         return False
     body = _quantified_body(sig, split[side], quant, just.x)
-    return (body is not None and substitutable(sig, just.a, just.x, body)
+    return (body is not None and substitutable(just.a, just.x, body)
             and split[1 - side] == substitute1(sig, body, just.x, just.a))
 
 
@@ -371,19 +367,6 @@ def reindex_axioms(p: Proof, axioms: tuple[Expr, ...]) -> Proof:
     return Proof(Theory(p.theory.signature, axioms), p.premises, tuple(new_lines))
 
 
-def provable(oracle, phi: Expr) -> bool:
-    """The oracle's verdict on phi: whether it is "provable"; "undecided"
-    raises OracleUndecided."""
-    verdict = oracle.decide(phi)
-    if verdict == "undecided":
-        raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
-    return verdict == "provable"
-
-
-def is_consistent_up_to(theory: Theory, oracle) -> bool:
-    return not provable(oracle, bot(theory.signature))
-
-
 # --- proof construction -----------------------------------------------------
 
 class ProofBuilder:
@@ -426,7 +409,7 @@ class ProofBuilder:
             self.avoid |= fv(e) | gv(e)
 
     def fresh(self, sorts) -> tuple[str, ...]:
-        out = fresh_vars(self.sig, sorts, self.avoid)
+        out = fresh_vars(sorts, self.avoid)
         self.avoid |= set(out)
         return out
 
@@ -606,7 +589,7 @@ def derive_equality_rule(theory: Theory, e: Expr, z: str, r: Expr, s: Expr) -> P
     """Proof with premise r=s of e[z<-r] = e[z<-s]."""
     sig = theory.signature
     rs = mk_eq(sig, r, s)
-    ys = sorted_vars(sig, gv(e) & fv(rs))
+    ys = sorted_vars(gv(e) & fv(rs))
     b = ProofBuilder(theory, premises=(rs,))
     prem = b.add(rs, Premise(0))
     for y in reversed(ys):

@@ -3,6 +3,7 @@
 Subcommands: check, eval, sat, fuzz, henkin, termmodel.  Exit status is 0
 when the verdict is ok, 1 when a check fails, 2 on usage or parse errors.
 Reports print as key/value lines, or as a single JSON document with --json.
+Each command imports the layers beyond the proof checker when it runs.
 """
 from __future__ import annotations
 
@@ -16,15 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import fileio
-from .signature import PROP, SignatureError
-from .syntax import ExprError, parse_expr, print_expr
-from .calculus import CalculusError, check_proof, used_axioms
-from .semantics import SemanticsError, evaluate, satisfies
-from .henkin import (
-    HenkinError, ThOracle, TermModelContext, build_term_structure,
-    audit_term_model, henkin_extend, DEFAULT_SIZE_BOUND,
-)
-from .gen import SUITES
+from .signature import PROP, FunlogError, print_ustype
+from .syntax import parse_expr, print_expr
+from .calculus import check_proof, used_axioms
 
 
 @dataclass
@@ -65,7 +60,7 @@ class RunReport:
         print(f"seconds:  {self.seconds:.3f}")
 
 
-class UsageError(Exception):
+class UsageError(FunlogError):
     pass
 
 
@@ -89,21 +84,15 @@ def without_cycle_collector():
             gc.enable()
 
 
-def _load_theory(path):
+def _read(path) -> str:
     with open(path) as fh:
-        return fileio.parse_theory(fh.read())
-
-
-def _load_structure(path):
-    with open(path) as fh:
-        return fileio.parse_structure(fh.read())
+        return fh.read()
 
 
 def cmd_check(args) -> RunReport:
     rep = RunReport("check")
-    theory = _load_theory(args.theory)
-    with open(args.proof) as fh:
-        proof = fileio.parse_proof(fh.read(), theory)
+    theory = fileio.parse_theory(_read(args.theory))
+    proof = fileio.parse_proof(_read(args.proof), theory)
     if not proof.lines:
         raise UsageError(f"{args.proof}: the proof has no steps")
     rep.cases = len(proof.lines)
@@ -120,8 +109,9 @@ def cmd_check(args) -> RunReport:
 
 
 def cmd_eval(args) -> RunReport:
+    from .semantics import evaluate
     rep = RunReport("eval")
-    s = _load_structure(args.structure)
+    s = fileio.parse_structure(_read(args.structure))
     e = parse_expr(s.signature, args.expr)
     persp = tuple(x for x in (args.persp or "").split(",") if x)
     val = evaluate(s, e, persp)
@@ -141,9 +131,14 @@ def cmd_eval(args) -> RunReport:
 
 
 def cmd_sat(args) -> RunReport:
+    from .semantics import satisfies
     rep = RunReport("sat")
-    s = _load_structure(args.structure)
-    theory = _load_theory(args.theory)
+    s = fileio.parse_structure(_read(args.structure))
+    theory = fileio.parse_theory(_read(args.theory))
+    for name, spec in theory.signature.user_ops.items():
+        if s.signature.ops.get(name, spec) != spec:
+            raise UsageError(f"operation {name!r} is {print_ustype(spec)} in the theory but "
+                             f"{print_ustype(s.signature.ops[name])} in the structure")
     rep.cases = len(theory.axioms)
     for i, a in enumerate(theory.axioms):
         if not satisfies(s, a):
@@ -155,6 +150,7 @@ def cmd_sat(args) -> RunReport:
 
 
 def cmd_fuzz(args) -> RunReport:
+    from .gen import SUITES
     rep = RunReport(f"fuzz {args.suite}")
     suite = SUITES.get(args.suite)
     if suite is None:
@@ -171,8 +167,9 @@ def cmd_fuzz(args) -> RunReport:
 
 
 def cmd_henkin(args) -> RunReport:
+    from .henkin import henkin_extend
     rep = RunReport("henkin")
-    theory = _load_theory(args.theory)
+    theory = fileio.parse_theory(_read(args.theory))
     ext = henkin_extend(theory, args.levels, args.depth)
     out = args.out or os.path.splitext(args.theory)[0] + ".henkin.flt"
     text = fileio.print_theory(ext.theory)
@@ -191,8 +188,9 @@ def cmd_henkin(args) -> RunReport:
 
 
 def cmd_termmodel(args) -> RunReport:
+    from .henkin import ThOracle, TermModelContext, build_term_structure, audit_term_model
     rep = RunReport("termmodel")
-    s = _load_structure(args.structure)
+    s = fileio.parse_structure(_read(args.structure))
     sig = s.signature
     if not s.full:
         raise UsageError("oracle source must be a full structure")
@@ -274,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("henkin", help="emit a witness-saturated theory")
     p.add_argument("theory")
     p.add_argument("--levels", type=count, default=1)
-    p.add_argument("--depth", type=count, default=DEFAULT_SIZE_BOUND)
+    p.add_argument("--depth", type=count, default=6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_henkin)
 
     p = sub.add_parser("termmodel",
                        help="build and audit the term structure of a model")
     p.add_argument("structure")
-    p.add_argument("--depth", type=count, default=DEFAULT_SIZE_BOUND)
+    p.add_argument("--depth", type=count, default=6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_termmodel)
     return ap
@@ -294,9 +292,7 @@ def main(argv=None) -> int:
     try:
         with without_cycle_collector():
             rep = args.fn(args)
-    except (UsageError, fileio.FormatError, ExprError, OSError,
-            UnicodeDecodeError, SignatureError, CalculusError, SemanticsError,
-            HenkinError) as exc:
+    except (FunlogError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep.seconds = time.perf_counter() - t0

@@ -19,7 +19,8 @@ selected set is declared by at most one carrier, interp or selected line;
 logical symbols take no interp.  Theory files use the same signature
 header plus ``axiom`` lines; proof files hold ``premise`` lines and numbered
 steps of the form ``<n>. <formula> ; <rule> <args>`` with 1-based line
-references.
+references.  Only structures need funlog.semantics, which their readers import
+as they run: reading a theory or a proof loads the checker's modules alone.
 """
 from __future__ import annotations
 
@@ -27,19 +28,22 @@ import json
 import re
 from dataclasses import fields
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .signature import (
-    PROP, Signature, Tokens, print_ustype,
+    PROP, FunlogError, Signature, Tokens, print_ustype,
 )
 from .syntax import ExprError, parse_expr, print_expr
 from .calculus import (
     Theory, Proof, ProofLine, Taut, ForallElim, ExistsIntro, ForallImpDist,
     ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
 )
-from .semantics import Structure, FnTable, make_full_structure
+
+if TYPE_CHECKING:
+    from .semantics import FnTable, Structure
 
 
-class FormatError(Exception):
+class FormatError(FunlogError):
     pass
 
 
@@ -95,6 +99,7 @@ def _coerce(raw, arg_sort: str, binder_sorts: tuple[str, ...]):
     """Attach sorts: a binder slot expects a table over binder_sorts, a plain
     slot expects an atom."""
     if binder_sorts:
+        from .semantics import FnTable
         if not (isinstance(raw, tuple) and raw[0] == "table"):
             raise FormatError(f"expected a function table, got {raw!r}")
         rows = {args: v for args, v in raw[1]}
@@ -151,6 +156,7 @@ def _once(table: dict, key, value, what: str):
 
 
 def parse_structure(text: str) -> Structure:
+    from .semantics import Structure, make_full_structure
     sorts, var_sorts, ops, rest = _split_decls(text)
     sig = Signature(sorts, var_sorts, ops)
     carriers = {}
@@ -234,9 +240,7 @@ def _print_table(t: FnTable) -> str:
 
 
 def _print_value(v) -> str:
-    if isinstance(v, FnTable):
-        return _print_table(v)
-    return quote_atom(v)
+    return quote_atom(v) if isinstance(v, str) else _print_table(v)
 
 
 def print_structure(s: Structure) -> str:

@@ -289,7 +289,7 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
                 x = rng.choice(_pool(sig))
                 body = rand_expr(sig, rng, PROP, rng.randint(0, 2), scope=(x,))
                 a = rand_expr(sig, rng, variable_sort(sig, x), rng.randint(0, 1))
-                if substitutable(sig, a, x, body):
+                if substitutable(a, x, body):
                     f = imp(sig, forall(sig, x, body),
                             substitute1(sig, body, x, a))
                     pool.append(b.add(f, ForallElim(x, a)))
@@ -297,7 +297,7 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
                 x = rng.choice(_pool(sig))
                 body = rand_expr(sig, rng, PROP, rng.randint(0, 2), scope=(x,))
                 a = rand_expr(sig, rng, variable_sort(sig, x), rng.randint(0, 1))
-                if substitutable(sig, a, x, body):
+                if substitutable(a, x, body):
                     f = imp(sig, substitute1(sig, body, x, a),
                             exists(sig, x, body))
                     pool.append(b.add(f, ExistsIntro(x, a)))

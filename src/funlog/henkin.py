@@ -15,17 +15,17 @@ import itertools
 from dataclasses import dataclass, field
 
 from .signature import (
-    PROP, Signature, OpSig, fresh_vars, variable_sort,
+    PROP, FunlogError, Signature, OpSig, fresh_vars, variable_sort,
 )
 from .syntax import (
     Expr, mk, var, top, bot, neg, imp, exists, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
-from .calculus import Theory, provable
+from .calculus import Theory
 from .semantics import Structure, FnTable, carrier_product, evaluate, satisfies, tabulate
 
 
-class HenkinError(Exception):
+class HenkinError(FunlogError):
     pass
 
 
@@ -41,7 +41,8 @@ class OracleInconsistent(HenkinError):
     pass
 
 
-DEFAULT_SIZE_BOUND = 6  # expression-size cutoff (node count) for bounded enumerations
+class OracleUndecided(HenkinError):
+    pass
 
 
 # --- oracles ----------------------------------------------------------------
@@ -64,6 +65,19 @@ class ThOracle:
         """The value of a closed expression.  Equal values are exactly the
         provable equalities, because ``eq_<sort>`` is interpreted as identity."""
         return evaluate(self.structure, e, ())
+
+
+def provable(oracle, phi: Expr) -> bool:
+    """The oracle's verdict on phi: whether it is "provable"; "undecided"
+    raises OracleUndecided."""
+    verdict = oracle.decide(phi)
+    if verdict == "undecided":
+        raise OracleUndecided(f"oracle undecided on {print_expr(phi)}")
+    return verdict == "provable"
+
+
+def is_consistent_up_to(theory: Theory, oracle) -> bool:
+    return not provable(oracle, bot(theory.signature))
 
 
 # --- special constants and saturation ---------------------------------------
@@ -102,8 +116,7 @@ class HenkinExtension:
     level_sizes: tuple[int, ...]
 
 
-def henkin_extend(theory: Theory, levels: int,
-                  size_bound: int = DEFAULT_SIZE_BOUND) -> HenkinExtension:
+def henkin_extend(theory: Theory, levels: int, size_bound: int) -> HenkinExtension:
     """Iterate the special-constant construction: per level, walk every
     formula with at most one free (canonical) variable within the size bound
     and add its witness constant and axiom."""
@@ -115,7 +128,7 @@ def henkin_extend(theory: Theory, levels: int,
     for _ in range(levels):
         batch = []
         for srt in sorted(sig.var_sorts):
-            x = fresh_vars(sig, (srt,), ())[0]
+            x = fresh_vars((srt,), ())[0]
             for phi in enumerate_exprs(sig, PROP, (x,), size_bound):
                 if (phi, x) not in known:
                     known.add((phi, x))
@@ -208,7 +221,7 @@ def _exact(sig: Signature, memo: dict, sort: str, scope: tuple, n: int) -> list[
             slot_scopes = []
             slot_binders = []
             for arg_sort, bsorts in spec.args:
-                binders = fresh_vars(sig, bsorts, scope)
+                binders = fresh_vars(bsorts, scope)
                 slot_binders.append(binders)
                 slot_scopes.append(scope + binders)
             for sizes in _compositions(n - 1, spec.arity):
@@ -228,7 +241,7 @@ def _exact(sig: Signature, memo: dict, sort: str, scope: tuple, n: int) -> list[
 class TermModelContext:
     signature: Signature
     oracle: object
-    size_bound: int = DEFAULT_SIZE_BOUND
+    size_bound: int  # node-count cutoff of every enumeration
     norm_cache: dict = field(default_factory=dict, init=False)
     _enum_memo: dict = field(default_factory=dict, init=False)
     _closed: dict = field(default_factory=dict, init=False)
@@ -336,7 +349,7 @@ def build_term_structure(ctx: TermModelContext) -> TermModel:
     # kept with its witness expression, which the user operations combine
     sigmas = dict.fromkeys([(a,) for a in sorted(sig.var_sorts)] + [
         bsorts for spec in sig.user_ops.values() for _, bsorts in spec.args if bsorts])
-    binders = {sigma: fresh_vars(sig, sigma, ()) for sigma in sigmas}
+    binders = {sigma: fresh_vars(sigma, ()) for sigma in sigmas}
     witnesses: dict[tuple[str, tuple[str, ...]], list[tuple[FnTable, Expr]]] = {}
     for sigma, u in binders.items():
         keys = carrier_product(carriers, sigma)
@@ -414,7 +427,7 @@ def audit_term_model(tm: TermModel) -> tuple[int, int, int, str]:
     every closed formula in bound: the numbers of cm_expr cases, ded=sat
     cases and failures, and the first failure's detail."""
     ctx, sig = tm.ctx, tm.ctx.signature
-    scopes = [()] + [fresh_vars(sig, (vs,), ()) for vs in sorted(sig.var_sorts)]
+    scopes = [()] + [fresh_vars((vs,), ()) for vs in sorted(sig.var_sorts)]
     cm, ded, failed = 0, 0, []
     for sort in sorted(sig.sorts):
         for scope in scopes:

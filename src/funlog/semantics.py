@@ -68,12 +68,12 @@ from functools import partial
 from types import MappingProxyType
 
 from .signature import (
-    PROP, CONNECTIVES, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
+    PROP, CONNECTIVES, FunlogError, Signature, forall_op, exists_op, eq_op, extends, sorted_vars,
 )
 from .syntax import Expr, ForeignSignature, fv, in_class, perspective_sorts, print_expr
 
 
-class SemanticsError(Exception):
+class SemanticsError(FunlogError):
     pass
 
 
@@ -543,7 +543,7 @@ def satisfies(s: Structure, phi: Expr) -> bool:
     perspective (the sorted free variables) and require constant truth."""
     if phi.sort != PROP:
         raise SemanticsError("satisfaction is defined for formulas only")
-    p = sorted_vars(s.signature, fv(phi))
+    p = sorted_vars(fv(phi))
     val = evaluate(s, phi, p)
     if not p:
         return val == s.true_atom

@@ -68,7 +68,11 @@ def eq_op(sort: str) -> str:
     return f"eq_{sort}"
 
 
-class SignatureError(Exception):
+class FunlogError(Exception):
+    """The root of every funlog error; the CLI reports each one, exit 2."""
+
+
+class SignatureError(FunlogError):
     pass
 
 
@@ -324,7 +328,7 @@ def is_variable_name(name: str) -> bool:
     return _VAR_RE.fullmatch(name) is not None
 
 
-def fresh_vars(sig: Signature, sorts, avoid) -> tuple[str, ...]:
+def fresh_vars(sorts, avoid) -> tuple[str, ...]:
     """Pairwise-distinct variables of the given sorts, disjoint from avoid.
     Deterministic: lowest available indices, left to right."""
     taken = set(avoid)
@@ -339,7 +343,7 @@ def fresh_vars(sig: Signature, sorts, avoid) -> tuple[str, ...]:
     return tuple(out)
 
 
-def sorted_vars(sig: Signature, names) -> tuple[str, ...]:
+def sorted_vars(names) -> tuple[str, ...]:
     """Variables ordered by sort name, then by index."""
     def key(n):
         m = _VAR_RE.fullmatch(n)

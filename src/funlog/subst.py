@@ -10,11 +10,11 @@ move a free variable of d under a binder that captures it.
 """
 from __future__ import annotations
 
-from .signature import Signature, variable_sort
+from .signature import FunlogError, Signature, variable_sort
 from .syntax import Expr, fv, nodes, var
 
 
-class SortClash(Exception):
+class SortClash(FunlogError):
     pass
 
 
@@ -23,7 +23,7 @@ def gv(e: Expr) -> frozenset[str]:
     return frozenset(v for node in nodes(e) for binders, _ in node.args for v in binders)
 
 
-def substitutable(sig: Signature, d: Expr, x: str, e: Expr) -> bool:
+def substitutable(d: Expr, x: str, e: Expr) -> bool:
     """Subb(d, x, e): vacuously true at leaves; at an operation node each slot
     must either bind x (making the substitution stop there) or admit it in
     its body with no free variable of d captured by the slot's binders.  So

@@ -18,12 +18,12 @@ import weakref
 from itertools import accumulate, repeat
 
 from .signature import (
-    PROP, Signature, eq_op, forall_op, exists_op,
+    PROP, FunlogError, Signature, eq_op, forall_op, exists_op,
     is_variable, is_variable_name, variable_sort,
 )
 
 
-class ExprError(Exception):
+class ExprError(FunlogError):
     pass
 
 

@@ -83,7 +83,7 @@ def test_criterion_2_derived_proof_generators_1000_each():
                       rng.randint(0, 4), scope=(z,))
         r = rand_expr(sig, rng, zsort, rng.randint(0, 2))
         s = rand_expr(sig, rng, zsort, rng.randint(0, 2))
-        ys = sorted_vars(sig, gv(e) & (fv(r) | fv(s)))
+        ys = sorted_vars(gv(e) & (fv(r) | fv(s)))
         assert check_proof(derive_equality_theorem(thy, e, z, r, s, ys))
 
     for _ in range(1000):

@@ -1,17 +1,24 @@
 import gc
+import importlib
 import json
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from funlog import fileio, gen
-from funlog.cli import main, build_parser, RunReport
-from funlog.syntax import MAX_NESTING, parse_expr
-from funlog.semantics import ClosureReport, check_closure, satisfies_theory
+from funlog import cli, fileio, gen
+from funlog.cli import main, build_parser, RunReport, UsageError
+from funlog.signature import FunlogError, SignatureError
+from funlog.syntax import MAX_NESTING, ExprError
+from funlog.subst import SortClash
+from funlog.calculus import CalculusError
+from funlog.semantics import ClosureReport, SemanticsError, check_closure, satisfies_theory
+from funlog.henkin import HenkinError
 
 from conftest import garbage_cycles_left_by
 
@@ -294,6 +301,27 @@ class TestSat:
         bad.write_text(TOY_FLT.replace("axiom eq_a(f(ca),cb)", "axiom bot"))
         assert main(["sat", files["fls"], str(bad)]) == 1
         assert "axiom 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("structure_f, theory_f, axioms, shown", [
+        # f(cb) would evaluate as the structure's constant f
+        (("op f : a", "interp f = 0"), "op f : (a)a",
+         ["eq_a(f(cb),ca)", "eq_a(f(ca),f(cb))"], "'f' is (a)a in the theory but a"),
+        # the truth atom 1 would be read as an element of a
+        (("op f : (a)a", "interp f { (0) -> 0, (1) -> 0 }"), "op f : (pi)a",
+         ["eq_a(f(top),ca)"], "'f' is (pi)a in the theory but (a)a"),
+    ], ids=["constant-as-unary", "formula-slot-as-element"])
+    def test_an_operation_of_another_ustype(self, files, capsys, structure_f, theory_f,
+                                            axioms, shown):
+        """sat gives no verdict when an operation of the theory has another
+        ustype in the structure: exit 2, naming the operation."""
+        fls, flt = files["dir"] / "s.fls", files["dir"] / "t.flt"
+        op, interp = structure_f
+        fls.write_text(TOY_FLS.replace("op f : (a)a", op)
+                       .replace("interp f { (0) -> 1, (1) -> 0 }", interp))
+        flt.write_text(TOY_FLT.split("axiom")[0].replace("op f : (a)a", theory_f)
+                       + "".join(f"axiom {a}\n" for a in axioms))
+        assert main(["sat", str(fls), str(flt)]) == 2
+        assert capsys.readouterr().err == f"error: operation {shown} in the structure\n"
 
 
 def test_twenty_atom_carrier(files, capsys):
@@ -794,3 +822,71 @@ class TestNoReferenceCycles:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+PACKAGE = pathlib.Path(fileio.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
+
+# The modules `funlog check` loads, which a check verdict rests on
+CHECKER = ("calculus", "cli", "fileio", "signature", "subst", "syntax")
+# command -> the modules it loads beyond CHECKER
+LOADS = {
+    "check {flt} {flp}": (),
+    "eval {fls} --expr f(ca)": ("semantics",),
+    "sat {fls} {flt}": ("semantics",),
+    "henkin {flt} --depth 3 --out {dir}/h.flt": ("semantics", "henkin"),
+    "termmodel {fls} --depth 3 --out {dir}/tm.fls": ("semantics", "henkin"),
+    "fuzz subst --n 5": ("semantics", "gen"),
+}
+# Runs one command, then writes its exit code and the funlog modules loaded.
+LIST_MODULES = """
+import sys
+from funlog.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("funlog.")), file=sys.stderr)
+"""
+
+
+class TestModulesLoaded:
+    """Each command imports the layers it runs.  Counted in a fresh process:
+    this one has imported every module."""
+
+    @pytest.mark.parametrize("command", LOADS)
+    def test_a_command_loads_its_layers(self, files, command):
+        run = subprocess.run(
+            [sys.executable, "-c", LIST_MODULES, *command.format(**files).split()],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+        code, *loaded = run.stderr.splitlines()[-1].split()
+        assert code == "0", run.stderr
+        assert loaded == sorted(f"funlog.{m}" for m in CHECKER + LOADS[command])
+
+    def test_the_readme_counts_the_trusted_base(self):
+        """The README's "Trusted base" paragraph names the modules check
+        loads and their `wc -l` total."""
+        modules, lines = re.search(r"`funlog check` loads six modules, (.*?), ([\d,]+) lines",
+                                   " ".join(README.read_text().split())).groups()
+        assert sorted(re.findall(r"`(\w+)`", modules)) == list(CHECKER)
+        assert int(lines.replace(",", "")) == sum(
+            (PACKAGE / f"{m}.py").read_bytes().count(b"\n") for m in CHECKER)
+
+
+def test_every_error_derives_from_funlog_error():
+    modules = [importlib.import_module(f"funlog.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]
+    errors = {c for m in modules for c in vars(m).values() if isinstance(c, type)
+              and issubclass(c, BaseException) and c.__module__ == m.__name__}
+    assert len(errors) > 20
+    assert sorted(c.__name__ for c in errors if not issubclass(c, FunlogError)) == []
+
+
+@pytest.mark.parametrize("root", [SignatureError, ExprError, SortClash, CalculusError,
+                                  SemanticsError, HenkinError, fileio.FormatError, UsageError],
+                         ids=lambda c: c.__name__)
+def test_every_error_root_exits_2(files, capsys, monkeypatch, root):
+    """An error of any root that reaches main is reported, exit 2, with no
+    traceback."""
+    def fail(proof):
+        raise root("no verdict")
+    monkeypatch.setattr(cli, "check_proof", fail)
+    assert main(["check", files["flt"], files["flp"]]) == 2
+    assert capsys.readouterr() == ("", "error: no verdict\n")

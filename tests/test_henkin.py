@@ -8,7 +8,7 @@ from funlog import henkin
 from funlog.signature import PROP, Signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq, neg
 from funlog.subst import fv, gv, substitute
-from funlog.calculus import Theory, OracleUndecided, is_consistent_up_to
+from funlog.calculus import Theory
 from funlog.semantics import (
     Structure, evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     make_full_structure,
@@ -18,7 +18,7 @@ from funlog.henkin import (
     ThOracle, special_constant, HenkinExtension, henkin_extend,
     saturate_bounded, extend_structure_for_henkin, enumerate_exprs,
     TermModelContext, TermModel, order_key, norm, build_term_structure,
-    check_cm_expr, check_ded_sat,
+    check_cm_expr, check_ded_sat, OracleUndecided, is_consistent_up_to,
     NotSingleFree, NoRepresentativeInBound,
 )
 

@@ -50,7 +50,7 @@ def test_free_variables_after_substitution(seed):
     e = rand_expr(sig, rng, rng.choice(sorted(sig.sorts)), rng.randint(0, 5))
     x = rng.choice(_pool(sig))
     (d,) = _rand_terms_for(sig, rng, (x,))
-    if not substitutable(sig, d, x, e):
+    if not substitutable(d, x, e):
         return
     out = substitute1(sig, e, x, d)
     assert fv(out) <= (fv(e) - {x}) | fv(d)

@@ -377,10 +377,9 @@ class TestVariables:
         assert is_variable(sig, "v12^a")
 
     def test_fresh_vars_avoid_and_distinct(self):
-        sig = Signature(["a"], ["a"], {})
-        got = fresh_vars(sig, ("a", "a"), avoid={"v0^a", "v2^a"})
+        got = fresh_vars(("a", "a"), avoid={"v0^a", "v2^a"})
         assert got == ("v1^a", "v3^a")
-        assert fresh_vars(sig, ("a",), avoid=()) == ("v0^a",)
+        assert fresh_vars(("a",), avoid=()) == ("v0^a",)
 
 
 class TestExtends:

@@ -76,23 +76,23 @@ def test_gv_as_the_reference(seed):
 class TestSubstitutable:
     def test_vacuous_at_leaves(self, sig):
         d = parse_expr(sig, "f(v1^a)")
-        assert substitutable(sig, d, "v0^a", parse_expr(sig, "v0^a"))
-        assert substitutable(sig, d, "v0^a", parse_expr(sig, "ca"))
+        assert substitutable(d, "v0^a", parse_expr(sig, "v0^a"))
+        assert substitutable(d, "v0^a", parse_expr(sig, "ca"))
 
     def test_capture_detected(self, sig):
         d = parse_expr(sig, "f(v1^a)")
         e = parse_expr(sig, "mu((v1^a): P(v0^a))")
-        assert not substitutable(sig, d, "v0^a", e)
+        assert not substitutable(d, "v0^a", e)
 
     def test_shadowed_target_ok(self, sig):
         d = parse_expr(sig, "f(v1^a)")
         e = parse_expr(sig, "mu((v0^a): P(v0^a))")
-        assert substitutable(sig, d, "v0^a", e)
+        assert substitutable(d, "v0^a", e)
 
     def test_closed_always_fits(self, sig):
         d = parse_expr(sig, "f(ca)")
         e = parse_expr(sig, "mu((v1^a): P(v0^a))")
-        assert substitutable(sig, d, "v0^a", e)
+        assert substitutable(d, "v0^a", e)
 
     def test_a_shared_body_is_checked_under_each_slot(self, sig):
         """P(v0^a) is one node under two slots; only the second binds v1^a."""
@@ -100,7 +100,7 @@ class TestSubstitutable:
         for text in ("and(P(v0^a),forall v1^a. P(v0^a))",
                      "and(forall v2^a. P(v0^a),forall v1^a. P(v0^a))"):
             e = parse_expr(sig, text)
-            assert not substitutable(sig, d, "v0^a", e)
+            assert not substitutable(d, "v0^a", e)
             assert not reference_substitutable(d, "v0^a", e)
 
     def test_deep_chain(self, sig):
@@ -111,8 +111,8 @@ class TestSubstitutable:
         for _ in range(2000):
             fits, captures = neg(sig, fits), neg(sig, captures)
         assert captures.depth > 2000
-        assert substitutable(sig, d, "v0^a", fits)
-        assert not substitutable(sig, d, "v0^a", captures)
+        assert substitutable(d, "v0^a", fits)
+        assert not substitutable(d, "v0^a", captures)
 
 
 def reference_substitutable(d, x, e):
@@ -134,7 +134,7 @@ def test_substitutable_as_the_reference(seed):
         bound = sorted(y for y in gv(e) if variable_sort(s, y) == d.sort)
         if bound and rng.random() < 0.7:
             d = var(s, rng.choice(bound))  # a binder of e may capture it
-        got = substitutable(s, d, x, e)
+        got = substitutable(d, x, e)
         assert got == reference_substitutable(d, x, e), print_expr(e)
         verdicts.append(got)
     assert 15 < verdicts.count(False) < 285
@@ -243,4 +243,4 @@ def test_a_call_leaves_no_reference_cycle(sig):
     e = parse_expr(sig, "eq_a(v1^a,mu((v0^a): P(f(v1^a))))")
     d = parse_expr(sig, "f(v0^a)")
     assert garbage_cycles_left_by(lambda: substitute(sig, e, ("v1^a",), (d,))) == 0
-    assert garbage_cycles_left_by(lambda: substitutable(sig, d, "v1^a", e)) == 0
+    assert garbage_cycles_left_by(lambda: substitutable(d, "v1^a", e)) == 0
