@@ -3,7 +3,9 @@
 Subcommands: check, eval, sat, fuzz, henkin, termmodel.  Exit status is 0
 when the verdict is ok, 1 when a check fails, 2 on usage or parse errors.
 Reports print as key/value lines, or as a single JSON document with --json.
-Each command imports the layers beyond the proof checker when it runs.
+Each command imports the layers it runs when it runs: funlog.fileio where
+it reads or writes a file, funlog.calculus where it handles a theory or a
+proof.
 """
 from __future__ import annotations
 
@@ -16,10 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import fileio
 from .signature import PROP, FunlogError, print_ustype
 from .syntax import parse_expr, print_expr
-from .calculus import check_proof, used_axioms
 
 
 @dataclass
@@ -90,6 +90,8 @@ def _read(path) -> str:
 
 
 def cmd_check(args) -> RunReport:
+    from . import fileio
+    from .calculus import check_proof, used_axioms
     rep = RunReport("check")
     theory = fileio.parse_theory(_read(args.theory))
     proof = fileio.parse_proof(_read(args.proof), theory)
@@ -109,6 +111,7 @@ def cmd_check(args) -> RunReport:
 
 
 def cmd_eval(args) -> RunReport:
+    from . import fileio
     from .semantics import evaluate
     rep = RunReport("eval")
     s = fileio.parse_structure(_read(args.structure))
@@ -131,6 +134,7 @@ def cmd_eval(args) -> RunReport:
 
 
 def cmd_sat(args) -> RunReport:
+    from . import fileio
     from .semantics import satisfies
     rep = RunReport("sat")
     s = fileio.parse_structure(_read(args.structure))
@@ -167,6 +171,7 @@ def cmd_fuzz(args) -> RunReport:
 
 
 def cmd_henkin(args) -> RunReport:
+    from . import fileio
     from .henkin import henkin_extend
     rep = RunReport("henkin")
     theory = fileio.parse_theory(_read(args.theory))
@@ -188,6 +193,7 @@ def cmd_henkin(args) -> RunReport:
 
 
 def cmd_termmodel(args) -> RunReport:
+    from . import fileio
     from .henkin import ThOracle, TermModelContext, build_term_structure, audit_term_model
     rep = RunReport("termmodel")
     s = fileio.parse_structure(_read(args.structure))

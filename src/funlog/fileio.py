@@ -19,27 +19,24 @@ selected set is declared by at most one carrier, interp or selected line;
 logical symbols take no interp.  Theory files use the same signature
 header plus ``axiom`` lines; proof files hold ``premise`` lines and numbered
 steps of the form ``<n>. <formula> ; <rule> <args>`` with 1-based line
-references.  Only structures need funlog.semantics, which their readers import
-as they run: reading a theory or a proof loads the checker's modules alone.
+references.  Structures need funlog.semantics and theories and proofs
+funlog.calculus; each reader and printer imports its layer as it runs.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from .signature import (
     PROP, FunlogError, Signature, Tokens, print_ustype,
 )
 from .syntax import ExprError, parse_expr, print_expr
-from .calculus import (
-    Theory, Proof, ProofLine, Taut, ForallElim, ExistsIntro, ForallImpDist,
-    ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise, MP, Gen,
-)
 
 if TYPE_CHECKING:
+    from .calculus import Proof, Theory
     from .semantics import FnTable, Structure
 
 
@@ -272,6 +269,7 @@ def print_structure(s: Structure) -> str:
 # --- theories ---------------------------------------------------------------
 
 def parse_theory(text: str) -> Theory:
+    from .calculus import Theory
     sorts, var_sorts, ops, rest = _split_decls(text)
     sig = Signature(sorts, var_sorts, ops)
     axioms = []
@@ -296,13 +294,23 @@ def print_theory(t: Theory) -> str:
 
 # --- proofs -----------------------------------------------------------------
 
-RULES = {
-    "taut": Taut, "eqrefl": EqRefl, "axiom": NonlogicalAxiom, "premise": Premise,
-    "mp": MP, "gen": Gen, "forall_elim": ForallElim, "exists_intro": ExistsIntro,
-    "forall_imp_dist": ForallImpDist, "exists_imp_dist": ExistsImpDist,
-    "eqcongr": EqCongr,
-}
-_KEYWORDS = {cls: kw for kw, cls in RULES.items()}
+@cache
+def rules() -> dict:
+    """Rule keyword -> justification class, built on first use."""
+    from . import calculus as c
+    return {
+        "taut": c.Taut, "eqrefl": c.EqRefl, "axiom": c.NonlogicalAxiom,
+        "premise": c.Premise, "mp": c.MP, "gen": c.Gen, "forall_elim": c.ForallElim,
+        "exists_intro": c.ExistsIntro, "forall_imp_dist": c.ForallImpDist,
+        "exists_imp_dist": c.ExistsImpDist, "eqcongr": c.EqCongr,
+    }
+
+
+@cache
+def _keywords() -> dict:
+    return {cls: kw for kw, cls in rules().items()}
+
+
 # rules whose arguments are space-separated words; every other rule takes
 # one JSON object keyed by its fields
 _WORD_RULES = frozenset({"taut", "eqrefl", "axiom", "premise", "mp", "gen"})
@@ -340,7 +348,7 @@ _FIELDS = {
 
 
 def just_to_text(just) -> str:
-    keyword = _KEYWORDS[type(just)]
+    keyword = _keywords()[type(just)]
     args = {f.name: _FIELDS[f.name][0](getattr(just, f.name)) for f in fields(just)}
     if keyword in _WORD_RULES:
         return " ".join([keyword, *map(str, args.values())])
@@ -351,7 +359,7 @@ def just_from_text(sig: Signature, text: str, memo: dict):
     """The justification written as text; its expression arguments are
     parsed through memo (see parse_expr)."""
     keyword, _, tail = text.strip().partition(" ")
-    cls = RULES.get(keyword)
+    cls = rules().get(keyword)
     if cls is None:
         raise FormatError(f"unknown rule {keyword!r}")
     names = [f.name for f in fields(cls)]
@@ -380,6 +388,7 @@ _STEP = re.compile(r"(\d+)\.\s+(.*)")
 
 
 def parse_proof(text: str, theory: Theory) -> Proof:
+    from .calculus import Proof, ProofLine
     sig = theory.signature
     premises = []
     lines = []

@@ -3,12 +3,14 @@ structures, theories, and proofs, plus the fuzz suites the CLI exposes.
 
 The expression generator deliberately reuses binder names as free names (and
 across nesting levels) so that the substitution laws are exercised on their
-capture-protection paths, not just on well-separated instances.
+capture-protection paths, not just on well-separated instances.  Only the
+code that builds theories and proofs imports funlog.calculus, as it runs.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .signature import (
     PROP, Signature, variable_name, variable_sort,
@@ -17,14 +19,13 @@ from .syntax import (
     Expr, mk, var, mk_eq, imp, disj, forall, exists, print_expr, parse_expr,
 )
 from .subst import fv, gv, substitute, substitute1, substitutable
-from .calculus import (
-    Theory, Proof, ProofBuilder, Premise, NonlogicalAxiom, EqRefl,
-    ForallElim, ExistsIntro, check_proof, is_tautology, TooManyAtoms,
-)
 from .semantics import (
     SemanticsError, Structure, make_full_structure, evaluate, satisfies,
     check_closure, materialize_selected,
 )
+
+if TYPE_CHECKING:
+    from .calculus import Proof, Theory
 
 
 VAR_POOL = 6
@@ -232,6 +233,7 @@ def rand_full_structure(rng: random.Random, sig: Signature,
 
 def rand_satisfied_theory(rng: random.Random, s: Structure) -> Theory:
     """Up to three random formulas the structure satisfies, from 24 draws."""
+    from .calculus import Theory
     sig = s.signature
     axioms = []
     for _ in range(24):
@@ -249,6 +251,10 @@ def rand_satisfied_theory(rng: random.Random, s: Structure) -> Theory:
 def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
     """A random derivation mixing axiom instances, tautologies, detachments
     and generalizations."""
+    from .calculus import (
+        ProofBuilder, Premise, NonlogicalAxiom, EqRefl, ForallElim, ExistsIntro,
+        is_tautology, TooManyAtoms,
+    )
     sig = theory.signature
     b = ProofBuilder(theory, premises)
     pool = []
@@ -335,6 +341,7 @@ def suite_subst(n: int, seed: int) -> SuiteResult:
 
 
 def suite_soundness(n: int, seed: int) -> SuiteResult:
+    from .calculus import check_proof
     rng = random.Random(seed)
     details = []
     for _ in range(n):

@@ -7,12 +7,15 @@ canonical print string — cut off at a size bound.  Oracles used in practice
 are complete theories of finite structures in which every carrier element is
 named by a constant; against such an oracle the whole pipeline is executable
 and the term structure can be compared against the source structure.
+
+The term-model side loads neither funlog.calculus nor hashlib (OpenSSL): the
+functions that build a theory or name witness constants import them as they run.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .signature import (
     PROP, FunlogError, Signature, OpSig, fresh_vars, variable_sort,
@@ -21,8 +24,10 @@ from .syntax import (
     Expr, mk, var, top, bot, neg, imp, exists, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
-from .calculus import Theory
 from .semantics import Structure, FnTable, carrier_product, evaluate, satisfies, tabulate
+
+if TYPE_CHECKING:
+    from .calculus import Theory
 
 
 class HenkinError(FunlogError):
@@ -82,14 +87,15 @@ def is_consistent_up_to(theory: Theory, oracle) -> bool:
 
 # --- special constants and saturation ---------------------------------------
 
-def _witness_op(sig: Signature, phi: Expr, x: str) -> tuple[str, OpSig]:
-    """Name and ustype of the witness constant of (phi, x)."""
+def _witness_op(sig: Signature, phi: Expr, x: str, sha256) -> tuple[str, OpSig]:
+    """Name and ustype of the witness constant of (phi, x); sha256 is
+    hashlib's, which the caller imports once for all its formulas."""
     xsort = variable_sort(sig, x)
     if xsort is None:
         raise NotSingleFree(f"{x!r} is not a variable")
     if not fv(phi) <= {x}:
         raise NotSingleFree(f"free variables {sorted(fv(phi) - {x})} besides {x!r}")
-    digest = hashlib.sha256(f"{print_expr(phi)}|{x}".encode()).hexdigest()[:12]
+    digest = sha256(f"{print_expr(phi)}|{x}".encode()).hexdigest()[:12]
     return f"c_{digest}", OpSig(xsort)
 
 
@@ -101,7 +107,8 @@ def _witness_axiom(sig: Signature, phi: Expr, x: str, name: str) -> Expr:
 def special_constant(sig: Signature, phi: Expr, x: str) -> tuple[Signature, str, Expr]:
     """Extend sig by the witness constant of (phi, x) and return it together
     with the axiom  exists x phi -> phi[x <- c]."""
-    name, spec = _witness_op(sig, phi, x)
+    from hashlib import sha256
+    name, spec = _witness_op(sig, phi, x, sha256)
     new_sig = sig.extended({name: spec})
     return new_sig, name, _witness_axiom(new_sig, phi, x, name)
 
@@ -120,6 +127,8 @@ def henkin_extend(theory: Theory, levels: int, size_bound: int) -> HenkinExtensi
     """Iterate the special-constant construction: per level, walk every
     formula with at most one free (canonical) variable within the size bound
     and add its witness constant and axiom."""
+    from hashlib import sha256
+    from .calculus import Theory
     sig = theory.signature
     axioms = list(theory.axioms)
     constants: list[tuple[str, Expr, str]] = []
@@ -133,7 +142,7 @@ def henkin_extend(theory: Theory, levels: int, size_bound: int) -> HenkinExtensi
                 if (phi, x) not in known:
                     known.add((phi, x))
                     batch.append((phi, x))
-        ops = [_witness_op(sig, phi, x) for phi, x in batch]
+        ops = [_witness_op(sig, phi, x, sha256) for phi, x in batch]
         sig = sig.extended(dict(ops))
         for (phi, x), (name, _) in zip(batch, ops):
             constants.append((name, phi, x))
@@ -146,6 +155,7 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
     """Bounded stand-in for the maximal-consistent-extension construction:
     walk the candidate list, adjoining each formula or its negation according
     to the oracle's verdict."""
+    from .calculus import Theory
     axioms = list(theory.axioms)
     present = set(axioms)
     for phi in candidates:

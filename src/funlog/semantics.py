@@ -475,11 +475,12 @@ def evaluate(s: Structure, e: Expr, p):
     perspective, otherwise the function table over the perspective carriers
     whose row xs is e's value at the assignment of xs to p."""
     p = tuple(p)
+    # a component that is not a variable is reported as such, not as uncovered
+    sorts = perspective_sorts(s.signature, p) if p else ()
     if not in_class(e, p):
         raise NotInPerspective(f"{print_expr(e)} not covered by perspective {p}")
     if not p:
         return _value(s, e, {})
-    sorts = perspective_sorts(s.signature, p)
     # dict(zip(...)) keeps the rightmost occurrence of a repeated variable
     return tabulate(s.product_keys(sorts), sorts, e.sort,
                     lambda xs: _value(s, e, dict(zip(p, xs))))

@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import pytest
-
 from funlog.signature import PROP, Signature, variable_sort
 from funlog.syntax import parse_expr, print_expr, size, mk_eq
 from funlog.subst import fv, gv
@@ -21,7 +19,7 @@ from funlog.calculus import (
     deduction_transform, sorted_vars,
 )
 from funlog.semantics import (
-    Structure, make_full_structure, evaluate, satisfies, satisfies_theory, check_closure,
+    Structure, make_full_structure, evaluate, satisfies_theory, check_closure,
     materialize_selected, restrict_structure, constant_table, projection_table,
 )
 from funlog.henkin import (

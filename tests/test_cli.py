@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from funlog import cli, fileio, gen
+from funlog import calculus, fileio, gen
 from funlog.cli import main, build_parser, RunReport, UsageError
 from funlog.signature import FunlogError, SignatureError
 from funlog.syntax import MAX_NESTING, ExprError
@@ -202,6 +202,13 @@ class TestEval:
     def test_uncovered_variable(self, files, capsys):
         assert main(["eval", files["fls"], "--expr", "f(v0^a)"]) == 2
         assert "perspective" in capsys.readouterr().err
+
+    def test_a_constant_in_the_perspective(self, files, capsys):
+        """A perspective component that is not a variable is named as such,
+        before the expression's coverage is checked."""
+        assert main(["eval", files["fls"], "--expr", "f(v0^a)", "--persp", "ca"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: perspective component 'ca' is not a variable\n")
 
     @pytest.mark.parametrize("point", ["z", "0,1", ","])
     def test_args_not_a_point(self, files, capsys, point):
@@ -829,21 +836,31 @@ README = PACKAGE.parent.parent / "README.md"
 
 # The modules `funlog check` loads, which a check verdict rests on
 CHECKER = ("calculus", "cli", "fileio", "signature", "subst", "syntax")
-# command -> the modules it loads beyond CHECKER
+FUZZ = ("cli", "gen", "semantics", "signature", "subst", "syntax")
+# command -> the funlog modules it loads
 LOADS = {
-    "check {flt} {flp}": (),
-    "eval {fls} --expr f(ca)": ("semantics",),
-    "sat {fls} {flt}": ("semantics",),
-    "henkin {flt} --depth 3 --out {dir}/h.flt": ("semantics", "henkin"),
-    "termmodel {fls} --depth 3 --out {dir}/tm.fls": ("semantics", "henkin"),
-    "fuzz subst --n 5": ("semantics", "gen"),
+    "check {flt} {flp}": CHECKER,
+    "eval {fls} --expr f(ca)": ("cli", "fileio", "semantics", "signature", "syntax"),
+    "sat {fls} {flt}": CHECKER + ("semantics",),
+    "henkin {flt} --depth 3 --out {dir}/h.flt": CHECKER + ("semantics", "henkin"),
+    "termmodel {fls} --depth 3 --out {dir}/tm.fls": (
+        "cli", "fileio", "henkin", "semantics", "signature", "subst", "syntax"),
+    "fuzz subst --n 5": FUZZ,
+    "fuzz closure --n 0 --seed 0": FUZZ,
+    "fuzz eval-invariance --n 5": FUZZ,
+    "fuzz soundness --n 5": FUZZ + ("calculus",),
 }
-# Runs one command, then writes its exit code and the funlog modules loaded.
+# Commands that do not load hashlib, which loads OpenSSL: they name no
+# witness constant.
+NO_HASHLIB = ("eval {fls} --expr f(ca)", "termmodel {fls} --depth 3 --out {dir}/tm.fls")
+# Runs one command, then writes its exit code and the funlog modules loaded,
+# and hashlib if it was loaded.
 LIST_MODULES = """
 import sys
 from funlog.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("funlog.")), file=sys.stderr)
+print(code, *sorted(m for m in sys.modules if m.startswith("funlog.") or m == "hashlib"),
+      file=sys.stderr)
 """
 
 
@@ -859,7 +876,10 @@ class TestModulesLoaded:
             env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
         code, *loaded = run.stderr.splitlines()[-1].split()
         assert code == "0", run.stderr
-        assert loaded == sorted(f"funlog.{m}" for m in CHECKER + LOADS[command])
+        assert [m for m in loaded if m != "hashlib"] == sorted(
+            f"funlog.{m}" for m in LOADS[command])
+        if command in NO_HASHLIB:
+            assert "hashlib" not in loaded
 
     def test_the_readme_counts_the_trusted_base(self):
         """The README's "Trusted base" paragraph names the modules check
@@ -887,6 +907,6 @@ def test_every_error_root_exits_2(files, capsys, monkeypatch, root):
     traceback."""
     def fail(proof):
         raise root("no verdict")
-    monkeypatch.setattr(cli, "check_proof", fail)
+    monkeypatch.setattr(calculus, "check_proof", fail)
     assert main(["check", files["flt"], files["flp"]]) == 2
     assert capsys.readouterr() == ("", "error: no verdict\n")

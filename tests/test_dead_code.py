@@ -1,5 +1,5 @@
 """Every top-level function, class and method of funlog is used somewhere,
-and so is every name a funlog module imports.
+and so is every name a funlog module or a test module imports.
 
 A definition counts as used when its name occurs outside its own body in
 src/, tests/, scripts/ or perfbench/: as a name, an attribute, an imported
@@ -10,7 +10,7 @@ name with a live one elsewhere goes unnoticed.
 
 A module-level import counts as used when the module names it, or when
 another file takes the name through the module (``from funlog.m import x``,
-``from .m import x`` or ``m.x``).
+``from .m import x``, ``from conftest import x`` or ``m.x``).
 
 A definition must also be named outside tests/ and outside its own body,
 unless TEST_ONLY lists it with the reason it stays: funlog keeps no helper
@@ -118,12 +118,12 @@ def test_no_unused_imports():
     trees = {path: ast.parse(path.read_text(), str(path))
              for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         tree = trees[path]
         others = [t for p, t in trees.items() if p != path]
         used = names_loaded(tree) | taken_through(path.stem, others)
-        unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree)
-                   if name not in used]
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported_names(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 

@@ -5,14 +5,14 @@ from functools import partial
 import pytest
 
 from funlog.signature import Signature
-from funlog.syntax import parse_expr, print_expr
+from funlog.syntax import parse_expr
 from funlog.calculus import (
     Theory, Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
     ForallElim, ExistsIntro, ForallImpDist, ExistsImpDist, EqCongr, check_proof,
 )
 from funlog.semantics import evaluate, make_full_structure, materialize_selected, satisfies
 from funlog import fileio
-from funlog.gen import rand_signature, rand_structure_signature, rand_full_structure, rand_proof
+from funlog.gen import rand_signature, rand_proof
 from funlog.henkin import ThOracle, TermModelContext, build_term_structure
 
 
@@ -180,7 +180,7 @@ class TestProofFormat:
             EqCongr("h", 2, ("v0^a",), ("v1^a",), ("v2^a",), e("f(v0^a)"),
                     e("f(v1^a)"), ((("v2^a",), e("top")), ((), e("ca"))), ()),
         ]
-        assert {type(j) for j in justs} == set(fileio.RULES.values())
+        assert {type(j) for j in justs} == set(fileio.rules().values())
         p = Proof(thy, (e("top"),), tuple(ProofLine(e("top"), j) for j in justs))
         text = fileio.print_proof(p)
         assert fileio.parse_proof(text, thy) == p

@@ -1,6 +1,5 @@
 import bisect
 import itertools
-import random
 
 import pytest
 

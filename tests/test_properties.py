@@ -5,11 +5,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from funlog.signature import PROP
-from funlog.syntax import parse_expr, print_expr, size
-from funlog.subst import fv, gv, substitute, substitutable, substitute1
-from funlog.calculus import Theory, check_proof, used_axioms, reindex_axioms
-from funlog.semantics import evaluate, satisfies
+from funlog.syntax import parse_expr, print_expr
+from funlog.subst import fv, substitute, substitutable, substitute1
+from funlog.calculus import check_proof, used_axioms, reindex_axioms
+from funlog.semantics import satisfies
 from funlog.gen import (
     rand_signature, rand_expr, rand_proof, rand_structure_signature,
     rand_full_structure, SUBST_CHECKS, _pool, _rand_terms_for,

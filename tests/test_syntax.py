@@ -12,7 +12,7 @@ from funlog.signature import (
 )
 from funlog.syntax import (
     Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
-    top, bot, neg, imp, conj, disj, iff, forall, exists, forall_chain,
+    top, bot, neg, conj, forall, exists, forall_chain,
     fv, in_class, perspective_sorts, MAX_NESTING, _PUNCT,
     ExprError, UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
     AliasAmbiguity, ParseError, ForeignSignature,
