@@ -16,8 +16,7 @@ import argparse
 
 from funlog.cli import count, without_cycle_collector
 from funlog.signature import PROP, Signature
-from funlog.syntax import parse_expr
-from funlog.calculus import Theory
+from funlog.syntax import Theory, parse_expr
 from funlog.semantics import make_full_structure, satisfies_theory, restrict_structure
 from funlog.henkin import (
     ThOracle, enumerate_exprs, henkin_extend, extend_structure_for_henkin, saturate_bounded,

@@ -11,8 +11,7 @@ import time
 
 from funlog.cli import count, without_cycle_collector
 from funlog.signature import Signature
-from funlog.syntax import parse_expr, print_expr
-from funlog.calculus import Theory
+from funlog.syntax import Theory, parse_expr, print_expr
 from funlog.semantics import make_full_structure, check_closure, satisfies_theory
 from funlog.henkin import (
     ThOracle, TermModelContext, audit_term_model, build_term_structure, norm,

@@ -26,7 +26,7 @@ from .signature import (
     exists_op, eq_op, variable_sort, fresh_vars, sorted_vars,
 )
 from .syntax import (
-    Expr, ExprError, mk, nodes, var, imp, forall, forall_chain, mk_eq, print_expr,
+    Expr, ExprError, Theory, mk, nodes, var, imp, forall, forall_chain, mk_eq, print_expr,
 )
 from .subst import SortClash, fv, gv, substitutable, substitute, substitute1
 
@@ -49,17 +49,6 @@ class PremiseNotClosed(CalculusError):
 
 class SourceProofInvalid(CalculusError):
     pass
-
-
-@dataclass(frozen=True)
-class Theory:
-    signature: Signature
-    axioms: tuple[Expr, ...] = ()
-
-    def __post_init__(self):
-        for a in self.axioms:
-            if a.sort != PROP:
-                raise CalculusError(f"axiom {print_expr(a)} is not a formula")
 
 
 # --- justifications ---------------------------------------------------------

@@ -4,8 +4,8 @@ Subcommands: check, eval, sat, fuzz, henkin, termmodel.  Exit status is 0
 when the verdict is ok, 1 when a check fails, 2 on usage or parse errors.
 Reports print as key/value lines, or as a single JSON document with --json.
 Each command imports the layers it runs when it runs: funlog.fileio where
-it reads or writes a file, funlog.calculus where it handles a theory or a
-proof.
+it reads or writes a file, funlog.calculus only where it handles a proof
+(check, fuzz soundness); a theory is syntax.
 """
 from __future__ import annotations
 

@@ -19,8 +19,9 @@ selected set is declared by at most one carrier, interp or selected line;
 logical symbols take no interp.  Theory files use the same signature
 header plus ``axiom`` lines; proof files hold ``premise`` lines and numbered
 steps of the form ``<n>. <formula> ; <rule> <args>`` with 1-based line
-references.  Structures need funlog.semantics and theories and proofs
-funlog.calculus; each reader and printer imports its layer as it runs.
+references.  Theories are syntax (funlog.syntax.Theory); structures need
+funlog.semantics and proofs funlog.calculus, and each of their readers and
+printers imports its layer as it runs.
 """
 from __future__ import annotations
 
@@ -33,10 +34,10 @@ from typing import TYPE_CHECKING
 from .signature import (
     PROP, FunlogError, Signature, Tokens, print_ustype,
 )
-from .syntax import ExprError, parse_expr, print_expr
+from .syntax import ExprError, Theory, parse_expr, print_expr
 
 if TYPE_CHECKING:
-    from .calculus import Proof, Theory
+    from .calculus import Proof
     from .semantics import FnTable, Structure
 
 
@@ -269,7 +270,6 @@ def print_structure(s: Structure) -> str:
 # --- theories ---------------------------------------------------------------
 
 def parse_theory(text: str) -> Theory:
-    from .calculus import Theory
     sorts, var_sorts, ops, rest = _split_decls(text)
     sig = Signature(sorts, var_sorts, ops)
     axioms = []

@@ -4,7 +4,7 @@ structures, theories, and proofs, plus the fuzz suites the CLI exposes.
 The expression generator deliberately reuses binder names as free names (and
 across nesting levels) so that the substitution laws are exercised on their
 capture-protection paths, not just on well-separated instances.  Only the
-code that builds theories and proofs imports funlog.calculus, as it runs.
+code that builds and checks proofs imports funlog.calculus, as it runs.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .signature import (
     PROP, Signature, variable_name, variable_sort,
 )
 from .syntax import (
-    Expr, mk, var, mk_eq, imp, disj, forall, exists, print_expr, parse_expr,
+    Expr, Theory, mk, var, mk_eq, imp, disj, forall, exists, print_expr, parse_expr,
 )
 from .subst import fv, gv, substitute, substitute1, substitutable
 from .semantics import (
@@ -25,7 +25,7 @@ from .semantics import (
 )
 
 if TYPE_CHECKING:
-    from .calculus import Proof, Theory
+    from .calculus import Proof
 
 
 VAR_POOL = 6
@@ -233,7 +233,6 @@ def rand_full_structure(rng: random.Random, sig: Signature,
 
 def rand_satisfied_theory(rng: random.Random, s: Structure) -> Theory:
     """Up to three random formulas the structure satisfies, from 24 draws."""
-    from .calculus import Theory
     sig = s.signature
     axioms = []
     for _ in range(24):

@@ -8,26 +8,23 @@ are complete theories of finite structures in which every carrier element is
 named by a constant; against such an oracle the whole pipeline is executable
 and the term structure can be compared against the source structure.
 
-The term-model side loads neither funlog.calculus nor hashlib (OpenSSL): the
-functions that build a theory or name witness constants import them as they run.
+A theory is syntax (funlog.syntax.Theory), so this module never loads
+funlog.calculus.  The term-model side does not load hashlib (OpenSSL) either:
+the functions that name witness constants import it as they run.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .signature import (
     PROP, FunlogError, Signature, OpSig, fresh_vars, variable_sort,
 )
 from .syntax import (
-    Expr, mk, var, top, bot, neg, imp, exists, print_expr, size,
+    Expr, Theory, mk, var, top, bot, neg, imp, exists, print_expr, size,
 )
 from .subst import fv, substitute, substitute1
 from .semantics import Structure, FnTable, carrier_product, evaluate, satisfies, tabulate
-
-if TYPE_CHECKING:
-    from .calculus import Theory
 
 
 class HenkinError(FunlogError):
@@ -128,7 +125,6 @@ def henkin_extend(theory: Theory, levels: int, size_bound: int) -> HenkinExtensi
     formula with at most one free (canonical) variable within the size bound
     and add its witness constant and axiom."""
     from hashlib import sha256
-    from .calculus import Theory
     sig = theory.signature
     axioms = list(theory.axioms)
     constants: list[tuple[str, Expr, str]] = []
@@ -155,7 +151,6 @@ def saturate_bounded(theory: Theory, candidates, oracle) -> Theory:
     """Bounded stand-in for the maximal-consistent-extension construction:
     walk the candidate list, adjoining each formula or its negation according
     to the oracle's verdict."""
-    from .calculus import Theory
     axioms = list(theory.axioms)
     present = set(axioms)
     for phi in candidates:

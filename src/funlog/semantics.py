@@ -552,7 +552,7 @@ def satisfies(s: Structure, phi: Expr) -> bool:
 
 
 def satisfies_theory(s: Structure, t) -> bool:
-    """Whether s satisfies every axiom of the theory t (a calculus.Theory)."""
+    """Whether s satisfies every axiom of the theory t (a syntax.Theory)."""
     return all(satisfies(s, a) for a in t.axioms)
 
 

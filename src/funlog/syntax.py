@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .signature import (
@@ -287,6 +288,17 @@ def forall_chain(sig, xs, body: Expr) -> Expr:
     for x in reversed(list(xs)):
         body = forall(sig, x, body)
     return body
+
+
+@dataclass(frozen=True)
+class Theory:
+    signature: Signature
+    axioms: tuple[Expr, ...] = ()
+
+    def __post_init__(self):
+        for a in self.axioms:
+            if a.sort != PROP:
+                raise SortMismatch(f"axiom {print_expr(a)} is not a formula")
 
 
 # ---------------------------------------------------------------------------

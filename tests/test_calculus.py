@@ -13,7 +13,7 @@ from funlog.signature import (
     PROP, CONNECTIVES, Signature, eq_op, variable_sort,
 )
 from funlog.syntax import (
-    parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
+    SortMismatch, parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
     iff, forall, exists, forall_chain,
 )
 from funlog.subst import fv, gv, substitute, substitute1
@@ -714,5 +714,5 @@ def test_is_consistent_up_to(toy_structure, toy_theory):
 
 
 def test_theory_rejects_non_formula_axiom(sig):
-    with pytest.raises(Exception):
+    with pytest.raises(SortMismatch, match="^axiom ca is not a formula$"):
         Theory(sig, (parse_expr(sig, "ca"),))

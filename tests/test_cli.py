@@ -837,14 +837,15 @@ README = PACKAGE.parent.parent / "README.md"
 # The modules `funlog check` loads, which a check verdict rests on
 CHECKER = ("calculus", "cli", "fileio", "signature", "subst", "syntax")
 FUZZ = ("cli", "gen", "semantics", "signature", "subst", "syntax")
+SEMANTICS = ("cli", "fileio", "semantics", "signature", "syntax")
+TERM_MODEL = SEMANTICS + ("henkin", "subst")
 # command -> the funlog modules it loads
 LOADS = {
     "check {flt} {flp}": CHECKER,
-    "eval {fls} --expr f(ca)": ("cli", "fileio", "semantics", "signature", "syntax"),
-    "sat {fls} {flt}": CHECKER + ("semantics",),
-    "henkin {flt} --depth 3 --out {dir}/h.flt": CHECKER + ("semantics", "henkin"),
-    "termmodel {fls} --depth 3 --out {dir}/tm.fls": (
-        "cli", "fileio", "henkin", "semantics", "signature", "subst", "syntax"),
+    "eval {fls} --expr f(ca)": SEMANTICS,
+    "sat {fls} {flt}": SEMANTICS,
+    "henkin {flt} --depth 3 --out {dir}/h.flt": TERM_MODEL,
+    "termmodel {fls} --depth 3 --out {dir}/tm.fls": TERM_MODEL,
     "fuzz subst --n 5": FUZZ,
     "fuzz closure --n 0 --seed 0": FUZZ,
     "fuzz eval-invariance --n 5": FUZZ,
@@ -852,7 +853,8 @@ LOADS = {
 }
 # Commands that do not load hashlib, which loads OpenSSL: they name no
 # witness constant.
-NO_HASHLIB = ("eval {fls} --expr f(ca)", "termmodel {fls} --depth 3 --out {dir}/tm.fls")
+NO_HASHLIB = ("eval {fls} --expr f(ca)", "sat {fls} {flt}",
+              "termmodel {fls} --depth 3 --out {dir}/tm.fls")
 # Runs one command, then writes its exit code and the funlog modules loaded,
 # and hashlib if it was loaded.
 LIST_MODULES = """
@@ -880,6 +882,12 @@ class TestModulesLoaded:
             f"funlog.{m}" for m in LOADS[command])
         if command in NO_HASHLIB:
             assert "hashlib" not in loaded
+
+    def test_only_proof_handling_loads_the_checker(self):
+        """A theory is syntax: commands that read one but no proof do not
+        load funlog.calculus."""
+        assert [c for c, modules in LOADS.items() if "calculus" in modules] == [
+            "check {flt} {flp}", "fuzz soundness --n 5"]
 
     def test_the_readme_counts_the_trusted_base(self):
         """The README's "Trusted base" paragraph names the modules check
@@ -910,3 +918,13 @@ def test_every_error_root_exits_2(files, capsys, monkeypatch, root):
     monkeypatch.setattr(calculus, "check_proof", fail)
     assert main(["check", files["flt"], files["flp"]]) == 2
     assert capsys.readouterr() == ("", "error: no verdict\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "sat {fls} {dir}/term.flt", "henkin {dir}/term.flt --depth 3", "check {dir}/term.flt {flp}"])
+def test_a_term_axiom_exits_2(files, capsys, argv):
+    """A theory whose axiom is a term is no theory: every command that reads
+    one stops at it, exit 2, with no traceback."""
+    (files["dir"] / "term.flt").write_text(TOY_FLT.replace("axiom eq_a(f(ca),cb)", "axiom ca"))
+    assert main(argv.format(**files).split()) == 2
+    assert capsys.readouterr() == ("", "error: axiom ca is not a formula\n")

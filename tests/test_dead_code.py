@@ -27,6 +27,8 @@ import importlib
 import pathlib
 from collections import Counter
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "funlog"
 SEARCHED = ("src", "tests", "scripts", "perfbench")
@@ -93,11 +95,23 @@ def imported_names(tree: ast.Module):
                 yield alias.asname or alias.name.split(".")[0], node.lineno
 
 
+def annotation_exprs(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
 def names_loaded(tree: ast.AST) -> set:
-    """Names a module refers to, string annotations included."""
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            | {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
-               and isinstance(n.value, str) and n.value.isidentifier()})
+    """Names a module refers to: its names, and the names inside its string
+    annotations.  Any other string is no use of a name."""
+    strings = [n.value for a in annotation_exprs(tree) if a is not None for n in ast.walk(a)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return {n.id for t in [tree, *(ast.parse(s, mode="eval") for s in strings)]
+            for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
 def taken_through(module: str, trees) -> set:
@@ -114,16 +128,31 @@ def taken_through(module: str, trees) -> set:
     return taken
 
 
+def unused_imports(tree: ast.Module, taken=frozenset()) -> list:
+    """(name, line) for each module-level import the module never uses."""
+    used = names_loaded(tree) | taken
+    return [(name, line) for name, line in imported_names(tree) if name not in used]
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import x\nassert y == 'x'\n", [("x", 1)]),
+    ("import x\nassert x\n", []),
+    ("import x\ndef f(a: 'x.T') -> 'list[x.T]':\n    pass\n", []),
+    ("import x\ny: list['x'] = []\n", []),
+], ids=["string", "name", "string-annotation", "nested-string-annotation"])
+def test_the_unused_import_check(source, unused):
+    """A string is a use of a name only inside an annotation."""
+    assert unused_imports(ast.parse(source)) == unused
+
+
 def test_no_unused_imports():
     trees = {path: ast.parse(path.read_text(), str(path))
              for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
-        tree = trees[path]
         others = [t for p, t in trees.items() if p != path]
-        used = names_loaded(tree) | taken_through(path.stem, others)
-        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
-                   for name, line in imported_names(tree) if name not in used]
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line
+                   in unused_imports(trees[path], taken_through(path.stem, others))]
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
