@@ -103,6 +103,8 @@ def cmd_check(args) -> RunReport:
         used = used_axioms(proof)
         rep.extra["conclusion"] = print_expr(proof.conclusion)
         rep.extra["used_axioms"] = [print_expr(a) for a in used]
+        if proof.premises:
+            rep.extra["premises"] = [print_expr(a) for a in proof.premises]
     else:
         rep.verdict = "fail"
         rep.failures = 1

@@ -4,7 +4,7 @@ structures, theories, and proofs, plus the fuzz suites the CLI exposes.
 The expression generator deliberately reuses binder names as free names (and
 across nesting levels) so that the substitution laws are exercised on their
 capture-protection paths, not just on well-separated instances.  Only the
-code that builds and checks proofs imports funlog.calculus, as it runs.
+code that builds and checks proofs imports calculus and derive, as it runs.
 """
 from __future__ import annotations
 
@@ -251,9 +251,9 @@ def rand_proof(rng: random.Random, theory: Theory, premises=()) -> Proof:
     """A random derivation mixing axiom instances, tautologies, detachments
     and generalizations."""
     from .calculus import (
-        ProofBuilder, Premise, NonlogicalAxiom, EqRefl, ForallElim, ExistsIntro,
-        is_tautology, TooManyAtoms,
+        Premise, NonlogicalAxiom, EqRefl, ForallElim, ExistsIntro, is_tautology, TooManyAtoms,
     )
+    from .derive import ProofBuilder
     sig = theory.signature
     b = ProofBuilder(theory, premises)
     pool = []

@@ -4,8 +4,7 @@ import pytest
 
 from funlog.cli import without_cycle_collector
 from funlog.signature import Signature
-from funlog.syntax import parse_expr
-from funlog.calculus import Theory
+from funlog.syntax import Theory, parse_expr
 from funlog.semantics import make_full_structure
 
 

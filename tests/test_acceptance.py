@@ -10,13 +10,13 @@ import json
 import random
 import time
 
-from funlog.signature import PROP, Signature, variable_sort
-from funlog.syntax import parse_expr, print_expr, size, mk_eq
+from funlog.signature import PROP, Signature, sorted_vars, variable_sort
+from funlog.syntax import Theory, parse_expr, print_expr, size, mk_eq
 from funlog.subst import fv, gv
-from funlog.calculus import (
-    Theory, check_proof, used_axioms, reindex_axioms, derive_symmetry,
-    derive_transitivity, derive_equality_theorem, derive_equality_rule,
-    deduction_transform, sorted_vars,
+from funlog.calculus import check_proof, used_axioms
+from funlog.derive import (
+    reindex_axioms, derive_symmetry, derive_transitivity, derive_equality_theorem,
+    derive_equality_rule, deduction_transform,
 )
 from funlog.semantics import (
     Structure, make_full_structure, evaluate, satisfies_theory, check_closure,

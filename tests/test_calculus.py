@@ -8,25 +8,28 @@ import sys
 
 import pytest
 
-from funlog import calculus
+from funlog import calculus, derive
 from funlog.signature import (
-    PROP, CONNECTIVES, Signature, eq_op, variable_sort,
+    PROP, CONNECTIVES, Signature, eq_op, sorted_vars, variable_sort,
 )
 from funlog.syntax import (
-    SortMismatch, parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
+    SortMismatch, Theory, parse_expr, print_expr, var, mk, mk_eq, top, bot, neg, imp, conj, disj,
     iff, forall, exists, forall_chain,
 )
 from funlog.subst import fv, gv, substitute, substitute1
 from funlog.calculus import (
-    Theory, Proof, ProofLine, CheckResult, Taut, ForallElim, ExistsIntro,
+    Proof, ProofLine, CheckResult, Taut, ForallElim, ExistsIntro,
     ForallImpDist, ExistsImpDist, EqRefl, EqCongr, NonlogicalAxiom, Premise,
     MP, Gen, is_tautology, check_axiom_instance, check_proof, used_axioms,
-    reindex_axioms, derive_symmetry, derive_transitivity,
-    derive_equality_theorem, derive_equality_rule, deduction_transform,
-    sorted_vars, ProofBuilder, TooManyAtoms, SideConditionViolated,
-    PremiseNotClosed, SourceProofInvalid,
+    TooManyAtoms,
 )
-from funlog.gen import rand_signature, rand_expr, rand_proof, _pool
+from funlog.derive import (
+    ProofBuilder, reindex_axioms, derive_symmetry, derive_transitivity,
+    derive_equality_theorem, derive_equality_rule, deduction_transform,
+    SideConditionViolated, PremiseNotClosed, SourceProofInvalid,
+)
+from funlog.gen import rand_signature, rand_expr, rand_proof, rand_var, _pool
+from funlog.semantics import make_full_structure, satisfies
 from funlog.henkin import ThOracle, is_consistent_up_to
 
 from conftest import garbage_cycles_left_by
@@ -405,6 +408,88 @@ class TestQuantifierSchemes:
             assert not check_axiom_instance(sig, just, phi), (case, print_expr(phi))
 
 
+CONGRUENCE_SIG = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a", "P": "(a)pi",
+                                          "mu": "((a)pi)a", "g": "((a,a)a,a)a"})
+
+
+def rand_binders(rng, bsorts, scope=()):
+    """Distinct variables of the given sorts, drawn as rand_expr draws them."""
+    out = []
+    for bs in bsorts:
+        v = rand_var(CONGRUENCE_SIG, rng, bs, scope)
+        while v in out:
+            v = rand_var(CONGRUENCE_SIG, rng, bs)
+        out.append(v)
+    return tuple(out)
+
+
+def rand_congruence(rng):
+    """A random congruence instance in one slot of mu or g, with random
+    arguments in the other slots, and the formula _congruence would build
+    for it.  Each z is one of the bodies' bound variables when one of its
+    sort is left, so that a z bound in a body, and captured there, is
+    common."""
+    sig = CONGRUENCE_SIG
+    op = rng.choice(("mu", "g"))
+    spec = sig.ops[op]
+    i = rng.randrange(spec.arity)
+    args = []
+    for sort, bsorts in spec.args:
+        bs = rand_binders(rng, bsorts)
+        args.append((bs, rand_expr(sig, rng, sort, rng.randint(0, 3), scope=bs)))
+    bsorts = spec.args[i][1]
+    xs, b1 = args[i]
+    ys = rand_binders(rng, bsorts, xs)
+    b2 = rand_expr(sig, rng, spec.args[i][0], rng.randint(0, 3), scope=ys)
+    bound = sorted_vars(gv(b1) | gv(b2))
+    zs = []
+    for bs in bsorts:
+        left = [v for v in bound if variable_sort(sig, v) == bs and v not in zs]
+        zs.append(rng.choice(left) if left else rand_binders(rng, (bs,), zs)[0])
+    zvars = [var(sig, z) for z in zs]
+    if rng.random() < 0.5:
+        # b2 is b1 with the substitution done, so the antecedent holds and
+        # a z captured in b1 makes the two sides differ
+        ys, b2 = xs, substitute(sig, b1, xs, zvars)
+    before, after = tuple(args[:i]), tuple(args[i + 1:])
+    just = EqCongr(op, i, xs, ys, tuple(zs), b1, b2, before, after)
+    lhs = mk(sig, op, before + ((xs, b1),) + after)
+    rhs = mk(sig, op, before + ((ys, b2),) + after)
+    inner = mk_eq(sig, substitute(sig, b1, xs, zvars), substitute(sig, b2, ys, zvars))
+    return just, imp(sig, forall_chain(sig, zs, inner), mk_eq(sig, lhs, rhs))
+
+
+def rand_two_element_structure(rng):
+    """A full structure of CONGRUENCE_SIG over the carrier {0, 1}, each row
+    of each operation's table drawn at random."""
+    carrier = ("0", "1")  # the truth values are "0" and "1" too
+    interp = {name: rng.choice(carrier) if spec.arity == 0 else lambda *a: rng.choice(carrier)
+              for name, spec in CONGRUENCE_SIG.user_ops.items()}
+    return make_full_structure(CONGRUENCE_SIG, {"a": carrier}, interp)
+
+
+class TestCongruenceSoundness:
+    """Every congruence instance the checker accepts holds in random full
+    structures, drawn so that the substituted zs are often bound in b1 or
+    b2."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accepted_instances_hold(self, seed):
+        rng = random.Random(f"eqcongr/{seed}")
+        structures = [rand_two_element_structure(rng) for _ in range(4)]
+        accepted = bound_z = 0
+        for _ in range(3000):
+            just, phi = rand_congruence(rng)
+            if not check_axiom_instance(CONGRUENCE_SIG, just, phi):
+                continue
+            accepted += 1
+            bound_z += bool(set(just.zs) & (gv(just.b1) | gv(just.b2)))
+            for s in structures:
+                assert satisfies(s, phi), print_expr(phi)
+        # the draws reach the accepting path, with zs bound somewhere in it
+        assert accepted > 1500 and bound_z > 150, (accepted, bound_z)
+
+
 class TestCheckProof:
     def test_valid_proof(self, sig, thy):
         b = ProofBuilder(thy)
@@ -480,6 +565,13 @@ def rejections(sig, thy):
     nu_slot = ("v0^a", "v3^a"), "eq_a(v0^a,v3^a)", "eq_a(v3^a,v0^a)"
     nu_congr = binder_congr("nu", ("v1^a", "v2^a"), *nu_slot)
     repeated = binder_congr("nu", ("v1^a", "v1^a"), *nu_slot)
+    # z = v1^a is bound in b1 (then in b2), so substituting it for v0^a moves
+    # it under that binder; the first would make mu of the constant-false
+    # predicate equal mu of the constant-true one
+    captured_b1 = binder_congr("mu", ("v1^a",), ("v0^a",), "forall v1^a. eq_a(v0^a,v1^a)",
+                               "forall v1^a. eq_a(v1^a,v1^a)")
+    captured_b2 = binder_congr("mu", ("v1^a",), ("v0^a",), "P(v0^a)",
+                               "forall v1^a. eq_a(v0^a,v1^a)")
     wide = parse_expr(sig, "eq_a(v0^a,ca)")
     for i in range(1, 21):
         wide = disj(sig, wide, parse_expr(sig, f"eq_a(v{i}^a,ca)"))
@@ -519,6 +611,10 @@ def rejections(sig, thy):
         "congruence repeated zs": one(repeated.formula, repeated.justification,
                                       not_an + "EqCongr"),
         "congruence zs sorts": congr(mu_congr, zs=()),
+        "congruence z captured in b1": one(captured_b1.formula, captured_b1.justification,
+                                           not_an + "EqCongr"),
+        "congruence z captured in b2": one(captured_b2.formula, captured_b2.justification,
+                                           not_an + "EqCongr"),
         "unknown justification": one(p, Bogus(), not_an + "Bogus"),
     }
 
@@ -546,12 +642,20 @@ class TestCheckerReasons:
         ("2. eq_a(f(ca),cb) ; axiom 2", "nonlogical axiom index out of range"),
         ("2. forall v0^a. imp(P(ca),P(ca)) ; gen 2 v0^a",
          "rule references must be earlier lines"),
+        ("2. imp(forall^a((v1^a): iff(forall^a((v1^a): eq_a(v1^a,v1^a)),"
+         "forall^a((v1^a): eq_a(v1^a,v1^a)))),eq_a(mu((v0^a): forall^a((v1^a): "
+         "eq_a(v0^a,v1^a))),mu((v0^a): forall^a((v1^a): eq_a(v1^a,v1^a))))) ; eqcongr "
+         '{"op": "mu", "i": 0, "xs": ["v0^a"], "ys": ["v0^a"], "zs": ["v1^a"], '
+         '"b1": "forall^a((v1^a): eq_a(v0^a,v1^a))", '
+         '"b2": "forall^a((v1^a): eq_a(v1^a,v1^a))", "before": [], "after": []}',
+         "not an instance of EqCongr"),
     ])
     def test_through_the_cli(self, tmp_path, step, reason):
         """funlog check exits 1 and names the file, the step and the reason."""
         flt, flp = tmp_path / "t.flt", tmp_path / "p.flp"
         flt.write_text("sort a\nvarsort a\nop ca : a\nop cb : a\nop f : (a)a\n"
-                       "op P : (a)pi\naxiom eq_a(f(ca),cb)\naxiom forall v0^a. P(v0^a)\n")
+                       "op P : (a)pi\nop mu : ((a)pi)a\n"
+                       "axiom eq_a(f(ca),cb)\naxiom forall v0^a. P(v0^a)\n")
         flp.write_text(f"1. imp(P(ca),P(ca)) ; taut\n{step}\n")
         src = os.path.dirname(os.path.dirname(calculus.__file__))
         run = subprocess.run(
@@ -706,6 +810,29 @@ class TestCompactnessPlumbing:
         b = ProofBuilder(thy)
         b.taut(parse_expr(sig, "imp(top,top)"))
         assert used_axioms(b.proof()) == ()
+
+
+class TestGeneratorForward:
+    """funlog.calculus forwards the two generators the benchmark's input
+    generator imports from it to funlog.derive, and no other name."""
+
+    def test_the_two_names_are_derive_s(self):
+        assert calculus.derive_equality_rule is derive.derive_equality_rule
+        assert calculus.deduction_transform is derive.deduction_transform
+
+    @pytest.mark.parametrize("name", ["ProofBuilder", "derive_symmetry", "reindex_axioms"])
+    def test_another_name_raises(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(calculus, name)
+
+    def test_the_checker_loads_no_generator(self):
+        src = os.path.dirname(os.path.dirname(calculus.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, funlog.calculus; "
+             "print(*sorted(m for m in sys.modules if m.startswith('funlog.')))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert run.stdout.split() == [f"funlog.{m}" for m in (
+            "calculus", "signature", "subst", "syntax")], run.stderr
 
 
 def test_is_consistent_up_to(toy_structure, toy_theory):

@@ -70,6 +70,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "verdict:  ok" in out
         assert "used_axioms" in out
+        assert "premises" not in out
+
+    def test_reports_the_premises(self, files, capsys):
+        """A proof from hypotheses names them beside its conclusion."""
+        hyp = files["dir"] / "hyp.flp"
+        hyp.write_text("premise eq_a(ca,cb)\n1. eq_a(ca,cb) ; premise 0\n")
+        assert main(["--json", "check", files["flt"], str(hyp)]) == 0
+        assert json.loads(capsys.readouterr().out)["extra"] == {
+            "conclusion": "eq_a(ca,cb)", "used_axioms": [], "premises": ["eq_a(ca,cb)"]}
 
     def test_broken_proof(self, files, capsys):
         bad = files["dir"] / "bad.flp"
@@ -849,7 +858,7 @@ LOADS = {
     "fuzz subst --n 5": FUZZ,
     "fuzz closure --n 0 --seed 0": FUZZ,
     "fuzz eval-invariance --n 5": FUZZ,
-    "fuzz soundness --n 5": FUZZ + ("calculus",),
+    "fuzz soundness --n 5": FUZZ + ("calculus", "derive"),
 }
 # Commands that do not load hashlib, which loads OpenSSL: they name no
 # witness constant.

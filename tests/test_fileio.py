@@ -5,9 +5,9 @@ from functools import partial
 import pytest
 
 from funlog.signature import Signature
-from funlog.syntax import parse_expr
+from funlog.syntax import Theory, parse_expr
 from funlog.calculus import (
-    Theory, Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
+    Proof, ProofLine, Premise, MP, Gen, Taut, EqRefl, NonlogicalAxiom,
     ForallElim, ExistsIntro, ForallImpDist, ExistsImpDist, EqCongr, check_proof,
 )
 from funlog.semantics import evaluate, make_full_structure, materialize_selected, satisfies
@@ -143,7 +143,7 @@ class TestProofFormat:
             assert check_proof(q)
 
     def test_roundtrip_derived(self, toy_theory):
-        from funlog.calculus import derive_equality_rule
+        from funlog.derive import derive_equality_rule
         sig = toy_theory.signature
         e = parse_expr(sig, "mu((v0^a): eq_a(v1^a,v0^a))")
         p = derive_equality_rule(toy_theory, e, "v1^a",

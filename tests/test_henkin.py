@@ -5,9 +5,8 @@ import pytest
 
 from funlog import henkin
 from funlog.signature import PROP, Signature, variable_sort
-from funlog.syntax import parse_expr, print_expr, size, top, bot, mk_eq, neg
+from funlog.syntax import Theory, parse_expr, print_expr, size, top, bot, mk_eq, neg
 from funlog.subst import fv, gv, substitute
-from funlog.calculus import Theory
 from funlog.semantics import (
     Structure, evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,
     make_full_structure,

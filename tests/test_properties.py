@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from funlog.syntax import parse_expr, print_expr
 from funlog.subst import fv, substitute, substitutable, substitute1
-from funlog.calculus import check_proof, used_axioms, reindex_axioms
+from funlog.calculus import check_proof, used_axioms
+from funlog.derive import reindex_axioms
 from funlog.semantics import satisfies
 from funlog.gen import (
     rand_signature, rand_expr, rand_proof, rand_structure_signature,

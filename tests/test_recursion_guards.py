@@ -44,7 +44,7 @@ RECURSIVE = {
                              "own expressions are enumerated within a size bound",
     "semantics.py:_value": "one call per level of the expression evaluated, as for "
                            "_substituted; each node's value is memoized per assignment",
-    "calculus.py:_eq_step": "one call per level of the context expression e of "
+    "derive.py:_eq_step": "one call per level of the context expression e of "
                             "derive_equality_theorem or _rule, which no command calls; "
                             "their callers build e",
     "henkin.py:_exact": "each call asks for fewer nodes than its caller, and the first "

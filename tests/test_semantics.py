@@ -17,10 +17,10 @@ from funlog.signature import (
     PROP, CONNECTIVES, Signature, eq_op, exists_op, forall_op, variable_sort,
 )
 from funlog.syntax import (
-    ExprError, parse_expr, print_expr, ForeignSignature, in_class, perspective_sorts,
+    ExprError, Theory, parse_expr, print_expr, ForeignSignature, in_class,
+    perspective_sorts,
 )
 from funlog.subst import fv, substitute1
-from funlog.calculus import Theory
 from funlog.semantics import (
     FnTable, Structure, constant_table, projection_table, make_full_structure,
     evaluate, satisfies, satisfies_theory, restrict_structure, check_closure,

@@ -5,7 +5,6 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from funlog import fileio, gen
-from funlog.calculus import Theory
 from funlog.henkin import henkin_extend
 from funlog.signature import (
     PROP, OpSig, Signature, parse_ustype, print_ustype,
@@ -13,7 +12,7 @@ from funlog.signature import (
     fresh_vars, forall_op, exists_op, eq_op, distinguished_ops,
     SignatureError, UnknownSort, MalformedUstype, BinderSortNotInVSRT,
 )
-from funlog.syntax import parse_expr
+from funlog.syntax import Theory, parse_expr
 
 
 SORTS = frozenset({"a", "b", PROP})

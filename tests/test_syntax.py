@@ -5,13 +5,13 @@ import weakref
 import pytest
 
 from funlog import fileio, syntax
-from funlog.calculus import Theory, derive_equality_rule
+from funlog.derive import derive_equality_rule
 from funlog.signature import (
     PROP, Signature, SignatureError, Tokens, is_variable, is_variable_name,
     variable_sort,
 )
 from funlog.syntax import (
-    Expr, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
+    Expr, Theory, var, mk, mk_eq, check_expr, size, parse_expr, print_expr,
     top, bot, neg, conj, forall, exists, forall_chain,
     fv, in_class, perspective_sorts, MAX_NESTING, _PUNCT,
     ExprError, UnknownSymbol, SortMismatch, ArityMismatch, DuplicateBinder,
