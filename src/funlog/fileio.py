@@ -326,7 +326,15 @@ def _typed(value, kind):
     raise TypeError(f"expected {kind.__name__}, got {value!r}")
 
 
-_LINE = (lambda n: n + 1, lambda w, expr: int(w) - 1)  # 1-based in the text
+def _number(w: str) -> int:
+    """w read as ASCII decimal digits, leading zeros allowed; int() alone
+    also takes a sign, underscores and other scripts' digits."""
+    if not (w.isascii() and w.isdigit()):
+        raise ValueError(f"expected a number, got {w!r}")
+    return int(w)
+
+
+_LINE = (lambda n: n + 1, lambda w, expr: _number(w) - 1)  # 1-based in the text
 _NAME = (str, lambda v, expr: _typed(v, str))
 _NAMES = (list, lambda v, expr: _typed(v, tuple))
 _EXPR = (print_expr, lambda v, expr: expr(v))
@@ -337,7 +345,7 @@ _SLOTS = (lambda slots: [[list(bs), print_expr(b)] for bs, b in slots],
 # or JSON value; read(value, expr) takes it back, where expr parses an
 # expression argument.
 _FIELDS = {
-    "index": (int, lambda w, expr: int(w)),
+    "index": (int, lambda w, expr: _number(w)),
     "frm": _LINE, "impl": _LINE,
     "x": _NAME, "op": _NAME,
     "i": (int, lambda v, expr: _typed(v, int)),
@@ -384,7 +392,7 @@ def just_from_text(sig: Signature, text: str, memo: dict):
 
 
 # a step up to its first ';', which no expression contains
-_STEP = re.compile(r"(\d+)\.\s+(.*)")
+_STEP = re.compile(r"([0-9]+)\.\s+(.*)")
 
 
 def parse_proof(text: str, theory: Theory) -> Proof:

@@ -309,6 +309,10 @@ _PUNCT = "(),:.="
 # token.  Neither pattern repeats a group, so a search takes linear time.
 _STRAY = re.compile(r"[^\w\s(),:.=^]")
 _STRAY_CARET = re.compile(r"\^(?:(?!\w)|(?<!\w\^)|\w+\^)")
+# Two words with only whitespace between them: the sugar forall v. e, or
+# malformed input.  Only whitespace right after a word starts a match, so a
+# search takes linear time.
+_WORD_PAIR = re.compile(r"\s(?<=[\w^]\s)\s*[\w^]")
 _PAREN_STEP = {"(": 1, ")": -1}
 
 # The deepest expression parse_expr accepts, in nodes from the root to the
@@ -390,17 +394,35 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
     ``a = b`` one.
 
     memo maps the tokens of an operation application ``head(...)``, up to
-    its matching ')' and joined by single spaces, to the expression parsed
-    from them, so that a caller passing one dict to several parses gets
-    each distinct application parsed once.  One memo must serve one
-    signature.  Every successful parse of an application is stored: the
-    parenthesis bound reads all the tokens before parsing, and the depth
-    bound the expression built, so a hit hides nothing from either.
+    its matching ')' and concatenated, to the expression parsed from them,
+    so that a caller passing one dict to several parses gets each distinct
+    application parsed once.  One memo must serve one signature.  The
+    whole input is looked up first, as its text less whitespace, so an
+    input that repeats an application costs one lookup and is not lexed.
+    Concatenation keeps token sequences apart only while no two words are
+    adjacent, which takes whitespace between two words (the sugar
+    ``forall v. e``, or malformed input): an input with such a pair is
+    parsed with a memo of its own and neither reads nor writes memo.  So
+    every key is the concatenation of a span that parsed, from an input
+    with no such pair, and lexes back to that span's tokens; an input with
+    no such pair whose text less whitespace is a key lexes to the same
+    tokens, as whitespace inside a run of word characters and '^' would
+    make such a pair.  Every successful parse of an application is stored,
+    and a hit hides nothing from the bounds: a stored span lay inside an
+    input that passed the parenthesis bound, so it opens no more
+    parentheses at once, and the depth bound is read off the node, a hit
+    on the whole input included.
 
     One loop reads the tokens left to right; a stack holds the productions
     still open, so no input nests the parser's own calls."""
-    if memo is None:
+    if memo is None or _WORD_PAIR.search(text):
         memo = {}
+    else:
+        e = memo.get("".join(text.split()))
+        if e is not None:
+            if e.depth > MAX_NESTING:
+                raise ParseError(_TOO_DEEP)
+            return e
     toks = lex(text)
     n = len(toks)
     # level[i]: parentheses open after token i.  The ')' matching a '(' at
@@ -453,8 +475,8 @@ def parse_expr(sig: Signature, text: str, memo: dict | None = None) -> Expr:
                 end = level.index(level[i] - 1, i)
             except ValueError:  # an unclosed '(': the parse fails at the end
                 end = None
-            # no token holds a space, so the joined tokens name the span
-            key = " ".join(toks[i - 1:end + 1]) if end is not None else None
+            # no two words are adjacent, so the concatenated tokens name the span
+            key = "".join(toks[i - 1:end + 1]) if end is not None else None
             e = memo.get(key)
             if e is not None:
                 i = end + 1

@@ -490,6 +490,58 @@ class TestCongruenceSoundness:
         assert accepted > 1500 and bound_z > 150, (accepted, bound_z)
 
 
+def rand_distribution(rng):
+    """x, psi and chi for a distribution instance over CONGRUENCE_SIG: x is
+    free in chi, and free in psi in about half the draws."""
+    sig = CONGRUENCE_SIG
+    chi = rand_expr(sig, rng, PROP, rng.randint(1, 3))
+    while not fv(chi):
+        chi = rand_expr(sig, rng, PROP, rng.randint(1, 3))
+    x = rng.choice(sorted_vars(fv(chi)))
+    free = rng.random() < 0.5
+    psi = rand_expr(sig, rng, PROP, rng.randint(0, 3))
+    while (x in fv(psi)) != free:
+        psi = rand_expr(sig, rng, PROP, rng.randint(0, 3))
+    return x, psi, chi
+
+
+def distribution_cases(x, psi, chi):
+    """(justification, formula, the formula's psi): the formula each scheme
+    recognizes, and as near misses the same with the other scheme's
+    quantifier, each of the four also with psi and chi swapped."""
+    sig = CONGRUENCE_SIG
+    cases = []
+    for p, c in ((psi, chi), (chi, psi)):
+        for q_all, q_ex in ((forall, exists), (exists, forall)):
+            cases += [(ForallImpDist(x), imp(sig, forall(sig, x, imp(sig, p, c)),
+                                             imp(sig, p, q_all(sig, x, c))), p),
+                      (ExistsImpDist(x), imp(sig, forall(sig, x, imp(sig, c, p)),
+                                             imp(sig, q_ex(sig, x, c), p)), p)]
+    return cases
+
+
+class TestDistributionSoundness:
+    """Every distribution instance the checker accepts holds in random full
+    structures, and none is accepted with x free in psi."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_accepted_instances_hold(self, seed):
+        rng = random.Random(f"distribution/{seed}")
+        structures = [rand_two_element_structure(rng) for _ in range(4)]
+        accepted = dict.fromkeys((ForallImpDist, ExistsImpDist), 0)
+        for _ in range(250):
+            x, psi, chi = rand_distribution(rng)
+            for just, phi, p in distribution_cases(x, psi, chi):
+                if not check_axiom_instance(CONGRUENCE_SIG, just, phi):
+                    continue
+                assert x not in fv(p), print_expr(phi)
+                accepted[type(just)] += 1
+                for s in structures:
+                    assert satisfies(s, phi), print_expr(phi)
+        # x is free in every chi drawn, and about half the psis leave it out
+        assert min(accepted.values()) > 100, accepted
+
+
 class TestCheckProof:
     def test_valid_proof(self, sig, thy):
         b = ProofBuilder(thy)

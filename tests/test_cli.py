@@ -135,6 +135,32 @@ class TestCheck:
         assert capsys.readouterr().err.startswith(
             f"error: line 5: bad arguments for {rule!r}: ")
 
+    @pytest.mark.parametrize("proof, error", [
+        (TOY_FLP + "5. or(eq_a(f(ca),cb),bot) ; mp +1 2\n", "line 5: bad arguments for 'mp': "),
+        (TOY_FLP + "5. or(eq_a(f(ca),cb),bot) ; mp 0_1 2\n", "line 5: bad arguments for 'mp': "),
+        (TOY_FLP + "5. or(eq_a(f(ca),cb),bot) ; mp ١ ٢\n", "line 5: bad arguments for 'mp': "),
+        (TOY_FLP + "5. forall v2^a. or(eq_a(f(ca),cb),bot) ; gen +3 v2^a\n",
+         "line 5: bad arguments for 'gen': "),
+        (TOY_FLP + "5. eq_a(f(ca),cb) ; axiom ٠\n", "line 5: bad arguments for 'axiom': "),
+        ("premise top\n1. top ; premise -0\n", "line 2: bad arguments for 'premise': "),
+        ("١. eq_a(f(ca),cb) ; axiom 0\n", "line 1: expected '<n>. <formula> ; <rule>'\n"),
+    ])
+    def test_numbers_are_ascii_decimals(self, files, capsys, proof, error):
+        """Step numbers and word arguments are ASCII digits: no sign, no
+        underscore, no other script's digits."""
+        bad = files["dir"] / "bad.flp"
+        bad.write_text(proof)
+        assert main(["check", files["flt"], str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + error)
+
+    @pytest.mark.parametrize("step, code", [("05. or(eq_a(f(ca),cb),bot) ; mp 01 002", 0),
+                                            ("5. or(eq_a(f(ca),cb),bot) ; mp 0 2", 1)])
+    def test_numbers_with_leading_zeros(self, files, step, code):
+        """Leading zeros are allowed, and line 0 is the checker's to reject."""
+        flp = files["dir"] / "p.flp"
+        flp.write_text(TOY_FLP + step + "\n")
+        assert main(["check", files["flt"], str(flp)]) == code
+
     def test_deep_proof_step(self, files, capsys):
         bad = files["dir"] / "bad.flp"
         bad.write_text("1. " + "not(" * 3000 + "top" + ")" * 3000 + " ; taut\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import weakref
@@ -5,7 +6,8 @@ import weakref
 import pytest
 
 from funlog import fileio, syntax
-from funlog.derive import derive_equality_rule
+from funlog.calculus import MP
+from funlog.derive import deduction_transform, derive_equality_rule
 from funlog.signature import (
     PROP, Signature, SignatureError, Tokens, is_variable, is_variable_name,
     variable_sort,
@@ -18,6 +20,8 @@ from funlog.syntax import (
     AliasAmbiguity, ParseError, ForeignSignature,
 )
 from funlog.gen import rand_signature, rand_expr
+
+from test_tokens import CORPORA
 
 
 @pytest.fixture
@@ -254,11 +258,11 @@ def reference_parse_expr(sig, text: str) -> Expr:
 
 
 def outcome(parse, s, text):
-    """The parsed expression, or the class of the error raised."""
+    """The parsed expression, or the class and message of the error raised."""
     try:
         return parse(s, text)
     except ExprError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def mutants(text: str, rng: random.Random) -> list[str]:
@@ -271,12 +275,24 @@ def mutants(text: str, rng: random.Random) -> list[str]:
             f"not({text})", f"{text} = {text}"]
 
 
+def f_nest(k: int, e: str) -> str:
+    return "f(" * k + e + ")" * k
+
+
+# Whitespace that str.split() and the pattern \s both skip, besides the space.
+RESPACINGS = "\t\n\x1c\x1d\x1e\x1f\u3000"
+
+
+def fail(*args, **kwargs):
+    pytest.fail("called on a hit")
+
+
 class TestParseMemo:
     @pytest.mark.parametrize("seed", range(23, 28))
     def test_same_as_the_reference(self, seed):
         """Every text parses as the reference parses it, or fails with the
-        same error class, when parsed twice through one memo shared by all
-        texts over one signature."""
+        same error class and message, when parsed twice through one memo
+        shared by all texts over one signature."""
         rng = random.Random(seed)
         accepted = rejected = 0
         for _ in range(300):
@@ -302,10 +318,6 @@ class TestParseMemo:
         does every application parsed around a reuse."""
         s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
         memo = {}
-
-        def f_nest(k, e):
-            return "f(" * k + e + ")" * k
-
         big = f_nest(60, "ca")
         parse_expr(s, f"eq_a({big},ca)", memo)
         for k in range(45):
@@ -339,7 +351,7 @@ class TestParseMemo:
         s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
         memo = {}
         e = parse_expr(s, "eq_a(f(((ca))),f((f(ca))))", memo)
-        assert {"f ( ( ( ca ) ) )", "f ( ( f ( ca ) ) )"} <= memo.keys()
+        assert {"f(((ca)))", "f((f(ca)))"} <= memo.keys()
         fresh = [parse_expr(s, text) for text in ("f(((ca)))", "f((f(ca)))")]
         monkeypatch.setattr(syntax, "mk", lambda *args: pytest.fail("mk called"))
         assert [parse_expr(s, text, memo) for text in ("f(((ca)))", "f((f(ca)))")] == fresh
@@ -393,6 +405,112 @@ class TestParseMemo:
             assert parse_expr(s, chain(MAX_NESTING - 1) + " = ca", m).depth == MAX_NESTING
             with pytest.raises(ParseError, match="input nested too deep"):
                 parse_expr(s, "not(" + chain(MAX_NESTING - 1) + " = ca)", m)
+
+    @pytest.mark.parametrize("decls, texts", [
+        ({"ca": "a", "g": "(pi)a", "P": "(a)pi"},
+         ("g(forall v0^a. P(v0^a))", "g(forallv0^a.P(v0^a))")),
+        ({"a": "a", "b": "a", "ab": "a", "f": "(a)a"}, ("f(a b)", "f(ab)")),
+    ], ids=["quantifier-sugar", "split-word"])
+    def test_words_apart_are_not_words_joined(self, decls, texts):
+        """Two token sequences with one concatenation, the first with two
+        words separated by whitespace alone, parse through one memo in
+        either order as they parse fresh; the input with the pair neither
+        reads nor writes the memo."""
+        s = Signature(["a"], ["a"], decls)
+        fresh = [outcome(parse_expr, s, text) for text in texts]
+        assert isinstance(fresh[0], Expr) != isinstance(fresh[1], Expr)
+        for order in ((0, 1), (1, 0)):
+            memo = {}
+            for k in order * 2:
+                keys = set(memo)
+                assert outcome(lambda s, text: parse_expr(s, text, memo), s, texts[k]) \
+                    == fresh[k], texts[k]
+                if k == 0:
+                    assert set(memo) == keys
+
+    def test_every_gap_respaced(self, sig):
+        """Each text with one whitespace character put between two tokens,
+        or inside one, parses as the reference parses it, fresh and through
+        one memo shared by every variant."""
+        texts = ["bind2((v0^a,v1^b): and(P(v0^a),P(g(ca,v1^b))),mu((v2^a): P(v2^a)))",
+                 "forall v0^a. exists v1^b. P(g(v0^a,v1^b))",
+                 "imp(P(ca),forall v0^a. P(mu((v1^a): P(v0^a))))",
+                 "g(ca,v0^b) = mu((v0^a): P(v0^a))", "P((ca))"]
+        memo = {}
+        accepted = rejected = 0
+        for text in texts:
+            for i in range(len(text) + 1):
+                for w in RESPACINGS:
+                    variant = text[:i] + w + text[i:]
+                    want = outcome(reference_parse_expr, sig, variant)
+                    assert outcome(parse_expr, sig, variant) == want, variant
+                    for _ in range(2):
+                        assert outcome(lambda s, text: parse_expr(s, text, memo), sig,
+                                       variant) == want, variant
+                    accepted += isinstance(want, Expr)
+                    rejected += not isinstance(want, Expr)
+        assert accepted > 800 and rejected > 500, (accepted, rejected)
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_token_corpora_same_as_the_reference(self, corpus):
+        """The texts the lexer is tested on parse as the reference parses
+        them, fresh and twice through one memo, over a signature naming
+        the words they are made of."""
+        s = Signature(["a", "b"], ["a", "b"], {
+            "a": "a", "b": "(a)a", "ab": "(a,b)pi", "a_1": "(a)pi", "b1": "b", "ca": "a",
+            "cb": "b", "f": "(a)a", "g": "(a,b)a", "P": "(a)pi", "mu": "((a)pi)a"})
+        memo = {}
+        for text in CORPORA[corpus]():
+            want = outcome(reference_parse_expr, s, text)
+            assert outcome(parse_expr, s, text) == want, text
+            for _ in range(2):
+                assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == want, text
+
+    def test_an_mp_step_is_one_lookup(self, monkeypatch):
+        """Through the memo of one proof, each mp step that is an
+        application, printed or re-spaced, is the consequent of an earlier
+        line: it is neither lexed nor built."""
+        s = Signature(["a"], ["a"], {"ca": "a", "cb": "a", "f": "(a)a",
+                                     "mu": "((a)pi)a"})
+        thy = Theory(s, ())
+        e = parse_expr(s, "f(mu((v0^a): eq_a(f(v1^a),v0^a)))")
+        p = deduction_transform(derive_equality_rule(thy, e, "v1^a", parse_expr(s, "ca"),
+                                                     parse_expr(s, "f(cb)")))
+        memo = {}
+        hits = 0
+        for line in p.lines:
+            text = print_expr(line.formula)
+            fresh = parse_expr(s, text)
+            if not (isinstance(line.justification, MP) and fresh.args):
+                assert parse_expr(s, text, memo) is fresh
+                continue
+            respaced = "".join(w + tok for w, tok in zip(
+                itertools.cycle(RESPACINGS + " "), syntax.lex(text)))
+            with monkeypatch.context() as m:
+                m.setattr(syntax, "lex", fail)
+                m.setattr(syntax, "mk", fail)
+                assert parse_expr(s, text, memo) is fresh
+                assert parse_expr(s, respaced, memo) is fresh
+            hits += 1
+        assert hits > 40, hits
+
+    def test_a_whole_input_hit_past_the_bound(self, monkeypatch):
+        """An application stored deeper than MAX_NESTING, built around a
+        hit inside an input that failed, is too deep as a whole input, as
+        it is parsed fresh."""
+        s = Signature(["a"], ["a"], {"ca": "a", "f": "(a)a"})
+        memo = {}
+        big = f_nest(60, "ca")
+        parse_expr(s, f"eq_a({big},ca)", memo)
+        deep = f_nest(40, big)
+        with pytest.raises(ParseError, match="^input nested too deep$"):
+            parse_expr(s, f"eq_a({deep},ca)", memo)
+        assert memo[deep].depth == MAX_NESTING + 1
+        want = outcome(parse_expr, s, deep)
+        assert want == (ParseError, "input nested too deep")
+        monkeypatch.setattr(syntax, "lex", fail)
+        for text in (deep, f" {deep}\t"):
+            assert outcome(lambda s, text: parse_expr(s, text, memo), s, text) == want
 
 
 # ---------------------------------------------------------------------------
